@@ -33,7 +33,7 @@ from .blocking import (
     off_diagonal_pass,
     uniform_partition,
 )
-from .parallel import BlockMessage, SolverConfig, parallel_jacobi
+from .parallel import BlockMessage, parallel_jacobi
 from .rotations import (
     PlaneRotation,
     Tolerances,
@@ -66,7 +66,6 @@ __all__ = [
     "RankDeficiencyError",
     "SingularMatrixError",
     "SolveOptions",
-    "SolverConfig",
     "StructuralError",
     "Tolerances",
     "accept_external_factor",

@@ -14,7 +14,7 @@ try:
     from numba import njit as _njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "jit" extra
     HAVE_NUMBA = False
 
 

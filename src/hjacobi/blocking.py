@@ -1,11 +1,15 @@
-"""Block partitions, structured Cholesky, and the blocked sequential solvers.
+"""Block partitions, the block-pivot step, and the blocked sequential solvers.
 
-The full block solver diagonalizes every block-pivot Gram submatrix per
-block-step; the block-oriented solver makes exactly one annihilation pass
-over each off-diagonal block.  ``off_diagonal_pass`` is the single-pass
-building block reused by the three-level parallel variants.
+Every blocked variant is built from ``pivot_step``: factor the Gram matrix of
+a block pivot, orthogonalize the factor by a local solve, and apply the
+accumulated transformation back to the block columns.  The full block solver
+diagonalizes each pivot's factor; the block-oriented solver gives each
+diagonal block one cycle and each off-diagonal pivot one cross pass
+(``cross_pass``).  ``off_diagonal_pass`` is the single-pass building block
+reused by the three-level parallel variants.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,41 +72,6 @@ def uniform_partition(n: int, b: int) -> BlockPartition:
     return BlockPartition(tuple([n_min + 1] * b_r + [n_min] * (b - b_r)))
 
 
-@dataclass
-class ColumnTracker:
-    """Permutation mapping current block positions to original block indices.
-
-    The sequential drivers never relocate blocks, so this stays the identity;
-    it exists so a strategy step that does move blocks has a place to record
-    it, and ``restore`` composes back to the original order.
-    """
-
-    perm: np.ndarray
-
-    @classmethod
-    def identity(cls, b):
-        return cls(np.arange(b))
-
-    def swap(self, i, j):
-        self.perm[[i, j]] = self.perm[[j, i]]
-
-    def restore(self):
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return inv
-
-
-class Workspace:
-    """Scratch array for block-column updates (n rows x 2*max block width)."""
-
-    def __init__(self, n_rows, max_block, dtype=np.float64):
-        self.buf = np.zeros((n_rows, 2 * max_block), dtype=dtype, order="F")
-
-    @classmethod
-    def for_partition(cls, n_rows, part: BlockPartition, dtype=np.float64):
-        return cls(n_rows, max(part.sizes), dtype)
-
-
 def chol_upper(A):
     """Upper-triangular R with A = R^* R; DefinitenessError on failure."""
     try:
@@ -138,159 +107,142 @@ def structured_cholesky(lam_ii, A_ij, lam_jj):
     return R
 
 
-def update_block_columns(Gp, W, ws: Workspace | None = None, tracker=None):
-    """Gp <- Gp @ W through a workspace (the product must not alias Gp)."""
+def update_block_columns(Gp, W):
+    """Gp <- Gp @ W in place.
+
+    The product goes to a column-major buffer, which makes BLAS run a
+    column-major GEMM; a row-major one can differ in the last bit.
+    """
     k = Gp.shape[1]
     if W.shape != (k, k):
         raise ValueError("accumulator W must be square of the pivot width")
-    if ws is not None:
-        if ws.buf.shape[0] != Gp.shape[0] or ws.buf.shape[1] < k:
-            raise ValueError("workspace too small for this pivot pair")
-        view = ws.buf[:, :k]
-        np.matmul(Gp, W, out=view)
-        Gp[:, :] = view
-    else:
-        Gp[:, :] = Gp @ W
+    Gp[:, :] = np.matmul(Gp, W, out=np.empty(Gp.shape, dtype=Gp.dtype, order="F"))
 
 
-def _pivot_factor(Gi, Gj):
-    """Dense route: Gram of [Gi, Gj], hermitized, then Cholesky."""
+def _apply(W, Gi, Gj=None):
+    """[Gi, Gj] <- [Gi, Gj] @ W in place (Gi <- Gi @ W when Gj is None)."""
+    if Gj is None:
+        update_block_columns(Gi, W)
+        return
+    n_i = Gi.shape[1]
     Gp = np.concatenate([Gi, Gj], axis=1)
-    return chol_upper(gram(Gp))
+    update_block_columns(Gp, W)
+    Gi[:, :] = Gp[:, :n_i]
+    Gj[:, :] = Gp[:, n_i:]
+
+
+def pivot_step(Gi, Gj, J, local, lam=None):
+    """One block-pivot step on the columns [Gi, Gj] (Gi alone when Gj is None).
+
+    Factors the pivot's Gram matrix as R^* R -- by the structured Cholesky
+    when ``lam`` holds both blocks' squared column norms (their diagonal Gram
+    blocks being diagonal), densely otherwise or when that fails -- runs the
+    local solve ``local(R, J, n_i)`` (n_i the width of Gi) and applies the
+    accumulated W it returns to the blocks in place.  Returns that DiagInfo.
+    """
+    R = None
+    if lam is not None:
+        try:
+            R = structured_cholesky(lam[0], gram(Gi, Gj), lam[1])
+        except DefinitenessError:
+            pass
+    if R is None:
+        R = chol_upper(gram(Gi if Gj is None else np.concatenate([Gi, Gj], axis=1)))
+    info = local(R, J, Gi.shape[1])
+    if info.rotations:
+        _apply(info.W, Gi, Gj)
+    return info
+
+
+def cross_pass(R, J, n_i, tol: Tolerances = DEFAULT_TOL):
+    """One annihilation pass over the cross pairs r < n_i <= s of R, with W
+    accumulated."""
+    n = R.shape[1]
+    info = DiagInfo(sweeps=1, converged=True, W=np.eye(n, dtype=R.dtype, order="F"))
+    info.absorb(jacobi_cycle(R, J, column_norms_squared(R), info.W, n_i, n - n_i, False, tol))
+    return info
+
+
+def _diagonalizer(tol):
+    """Local solve that runs jacobi_diagonalize on the pivot factor."""
+    return lambda R, J, n_i: jacobi_diagonalize(R, J, tol, accumulate=True)
 
 
 def _local_pivot(G, signs, part, i, j):
-    ci, cj = part.columns(i), part.columns(j)
-    Gp = np.concatenate([G[:, ci], G[:, cj]], axis=1)
-    Jp = np.concatenate([signs[ci], signs[cj]])
-    return Gp, Jp, ci, cj
+    """Column views of blocks i and j of G (j None: block i alone), their
+    column slices and their signs."""
+    ci = part.columns(i)
+    if j is None:
+        return G[:, ci], None, signs[ci], ci, None
+    cj = part.columns(j)
+    return G[:, ci], G[:, cj], np.concatenate([signs[ci], signs[cj]]), ci, cj
 
 
-def _scatter(G, ci, cj, Gp, n_i):
-    G[:, ci] = Gp[:, :n_i]
-    G[:, cj] = Gp[:, n_i:]
-
-
-def _accumulate(V, ci, cj, Wp, n_i, ws):
-    """Fold the local pivot transformation into a global accumulator V."""
-    cols = np.concatenate([np.arange(ci.start, ci.stop), np.arange(cj.start, cj.stop)])
-    block = np.asfortranarray(V[:, cols])
-    update_block_columns(block, Wp, ws)
-    V[:, cols[:n_i]] = block[:, :n_i]
-    V[:, cols[n_i:]] = block[:, n_i:]
-
-
-def _diag_block_pass(G, signs, part, tol, V, ws, vws, one_sweep):
-    """Diagonalize (or single-sweep) every diagonal Gram block in place."""
-    sub_tol = tol.with_max_sweeps(1) if one_sweep else tol
-    agg = DiagInfo()
-    for i in range(part.b):
-        ci = part.columns(i)
-        Gi = np.asfortranarray(G[:, ci])
-        R = chol_upper(gram(Gi))
-        info = jacobi_diagonalize(R, signs[ci], sub_tol, accumulate=True)
-        if info.rotations:
-            update_block_columns(Gi, info.W, ws)
-            G[:, ci] = Gi
+def _pivot_pass(G, signs, part, pairs, local, V=None, lam=None):
+    """pivot_step on each block pair (i, j) of ``pairs`` in turn (j None: the
+    diagonal block i).  V, when given, receives every W as well; ``lam``,
+    when given, holds each block's squared column norms and is kept current."""
+    info = DiagInfo()
+    for i, j in pairs:
+        Gi, Gj, Jp, ci, cj = _local_pivot(G, signs, part, i, j)
+        sub = pivot_step(Gi, Gj, Jp, local, None if lam is None else (lam[i], lam[j]))
+        if sub.rotations:
+            if lam is not None:
+                lam[i], lam[j] = column_norms_squared(Gi), column_norms_squared(Gj)
             if V is not None:
-                block = np.asfortranarray(V[:, ci])
-                update_block_columns(block, info.W, vws)
-                V[:, ci] = block
-        agg.rotations += info.rotations
-        agg.big_rotations += info.big_rotations
-        agg.max_abs_t = max(agg.max_abs_t, info.max_abs_t)
-    return agg
+                _apply(sub.W, V[:, ci], None if cj is None else V[:, cj])
+        info.absorb(sub)
+    return info
 
 
-def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
-               accumulate_V=False):
-    """Sequential full block solver: per sweep, a diagonal pre-processing
-    pass, then full diagonalization of every block-pivot in block
-    column-cyclic order, until a sweep applies no rotations."""
+def _diag_block_pass(G, signs, part, local, V):
+    """pivot_step on every diagonal block."""
+    return _pivot_pass(G, signs, part, [(i, None) for i in range(part.b)], local, V)
+
+
+def _block_sweeps(G, signs, part, tol, accumulate_V, full):
+    """Sweeps of a blocked driver until one applies no rotations.
+
+    Each sweep visits the diagonal blocks, then the off-diagonal block pairs
+    in block column-cyclic order.  ``full`` diagonalizes every pivot, using
+    the structured Cholesky on the off-diagonal ones; otherwise a diagonal
+    block gets one cycle and an off-diagonal pivot one cross pass.
+    """
     n = G.shape[1]
     if part.n != n:
         raise ValueError("partition does not cover all columns")
     V = np.eye(n, dtype=G.dtype, order="F") if accumulate_V else None
-    ws = Workspace.for_partition(G.shape[0], part, G.dtype)
-    vws = Workspace.for_partition(n, part, G.dtype) if accumulate_V else None
+    if full:
+        diag = off = _diagonalizer(tol)
+    else:
+        diag = _diagonalizer(tol.with_max_sweeps(1))
+        off = functools.partial(cross_pass, tol=tol)
+    pairs = [(i, j) for j in range(1, part.b) for i in range(j)]
     info = DiagInfo(W=V)
     while info.sweeps < tol.max_sweeps:
         info.sweeps += 1
-        sweep_rot = 0
-        d = _diag_block_pass(G, signs, part, tol, V, ws, vws, one_sweep=False)
-        sweep_rot += d.rotations
-        info.rotations += d.rotations
-        info.big_rotations += d.big_rotations
-        info.max_abs_t = max(info.max_abs_t, d.max_abs_t)
-        lam = [column_norms_squared(G[:, part.columns(i)]) for i in range(part.b)]
-        for j in range(1, part.b):
-            for i in range(j):
-                Gp, Jp, ci, cj = _local_pivot(G, signs, part, i, j)
-                n_i = ci.stop - ci.start
-                A_ij = gram(np.asfortranarray(G[:, ci]), np.asfortranarray(G[:, cj]))
-                try:
-                    R = structured_cholesky(lam[i], A_ij, lam[j])
-                except DefinitenessError:
-                    R = _pivot_factor(G[:, ci], G[:, cj])
-                sub = jacobi_diagonalize(R, Jp, tol, accumulate=True)
-                if sub.rotations:
-                    update_block_columns(Gp, sub.W, ws)
-                    _scatter(G, ci, cj, Gp, n_i)
-                    lam[i] = column_norms_squared(G[:, ci])
-                    lam[j] = column_norms_squared(G[:, cj])
-                    if V is not None:
-                        _accumulate(V, ci, cj, sub.W, n_i, vws)
-                sweep_rot += sub.rotations
-                info.rotations += sub.rotations
-                info.big_rotations += sub.big_rotations
-                info.max_abs_t = max(info.max_abs_t, sub.max_abs_t)
-        if sweep_rot == 0:
+        sweep = _diag_block_pass(G, signs, part, diag, V)
+        lam = [column_norms_squared(G[:, part.columns(i)]) for i in range(part.b)] if full else None
+        sweep.absorb(_pivot_pass(G, signs, part, pairs, off, V, lam))
+        info.absorb(sweep)
+        if sweep.rotations == 0:
             info.converged = True
             break
     return info
+
+
+def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
+               accumulate_V=False):
+    """Sequential full block solver: per sweep, full diagonalization of every
+    diagonal block, then of every block pivot in block column-cyclic order."""
+    return _block_sweeps(G, signs, part, tol, accumulate_V, full=True)
 
 
 def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
                    accumulate_V=False):
     """Sequential block-oriented solver: per sweep, one cycle through each
     diagonal block, then one annihilation pass over each off-diagonal block."""
-    n = G.shape[1]
-    if part.n != n:
-        raise ValueError("partition does not cover all columns")
-    V = np.eye(n, dtype=G.dtype, order="F") if accumulate_V else None
-    ws = Workspace.for_partition(G.shape[0], part, G.dtype)
-    vws = Workspace.for_partition(n, part, G.dtype) if accumulate_V else None
-    info = DiagInfo(W=V)
-    while info.sweeps < tol.max_sweeps:
-        info.sweeps += 1
-        sweep_rot = 0
-        d = _diag_block_pass(G, signs, part, tol, V, ws, vws, one_sweep=True)
-        sweep_rot += d.rotations
-        info.rotations += d.rotations
-        info.big_rotations += d.big_rotations
-        info.max_abs_t = max(info.max_abs_t, d.max_abs_t)
-        for j in range(1, part.b):
-            for i in range(j):
-                Gp, Jp, ci, cj = _local_pivot(G, signs, part, i, j)
-                n_i = ci.stop - ci.start
-                n_j = cj.stop - cj.start
-                R = chol_upper(gram(Gp))
-                Wp = np.eye(R.shape[1], dtype=R.dtype, order="F")
-                D = column_norms_squared(R)
-                stats = jacobi_cycle(R, Jp, D, Wp, n_i, n_j, False, tol)
-                if stats.rotations_applied:
-                    update_block_columns(Gp, Wp, ws)
-                    _scatter(G, ci, cj, Gp, n_i)
-                    if V is not None:
-                        _accumulate(V, ci, cj, Wp, n_i, vws)
-                sweep_rot += stats.rotations_applied
-                info.rotations += stats.rotations_applied
-                info.big_rotations += stats.big_rotations
-                info.max_abs_t = max(info.max_abs_t, stats.max_abs_t)
-        if sweep_rot == 0:
-            info.converged = True
-            break
-    return info
+    return _block_sweeps(G, signs, part, tol, accumulate_V, full=False)
 
 
 def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
@@ -303,33 +255,13 @@ def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
     visited exactly once (no convergence loop).
     """
     n = G.shape[1]
-    n_s = n - n_r
     if not (0 < n_r < n):
         raise ValueError("need 0 < n_r < total column count")
     pr = uniform_partition(n_r, num_blocks(n_r, inner_t))
-    ps = uniform_partition(n_s, num_blocks(n_s, inner_t))
-    sizes = pr.sizes + ps.sizes
-    part = BlockPartition(sizes)
+    ps = uniform_partition(n - n_r, num_blocks(n - n_r, inner_t))
+    part = BlockPartition(pr.sizes + ps.sizes)
     V = np.eye(n, dtype=G.dtype, order="F") if accumulate_V else None
-    ws = Workspace.for_partition(G.shape[0], part, G.dtype)
-    vws = Workspace.for_partition(n, part, G.dtype) if accumulate_V else None
-    info = DiagInfo(sweeps=1, W=V)
-    for j in range(pr.b, part.b):
-        for i in range(pr.b):
-            Gp, Jp, ci, cj = _local_pivot(G, signs, part, i, j)
-            n_i = ci.stop - ci.start
-            n_j = cj.stop - cj.start
-            R = chol_upper(gram(Gp))
-            Wp = np.eye(R.shape[1], dtype=R.dtype, order="F")
-            D = column_norms_squared(R)
-            stats = jacobi_cycle(R, Jp, D, Wp, n_i, n_j, False, tol)
-            if stats.rotations_applied:
-                update_block_columns(Gp, Wp, ws)
-                _scatter(G, ci, cj, Gp, n_i)
-                if V is not None:
-                    _accumulate(V, ci, cj, Wp, n_i, vws)
-            info.rotations += stats.rotations_applied
-            info.big_rotations += stats.big_rotations
-            info.max_abs_t = max(info.max_abs_t, stats.max_abs_t)
-    info.converged = True
+    pairs = [(i, j) for j in range(pr.b, part.b) for i in range(pr.b)]
+    info = _pivot_pass(G, signs, part, pairs, functools.partial(cross_pass, tol=tol), V)
+    info.sweeps, info.converged, info.W = 1, True, V
     return info

@@ -126,11 +126,11 @@ def _cmd_solve(args):
     except (ValueError, HJacobiError) as exc:
         return _error_record(EXIT_NUMERICAL, exc)
 
-    tol = Tolerances(orth_tol=args.tol, max_sweeps=args.max_sweeps)
-    opts = SolveOptions(variant=args.variant, strategy=args.strategy,
-                        p=args.p, nt_outer=args.nt_outer,
-                        inner_nt=args.inner_nt, tol=tol)
     try:
+        tol = Tolerances(orth_tol=args.tol, max_sweeps=args.max_sweeps)
+        opts = SolveOptions(variant=args.variant, strategy=args.strategy,
+                            p=args.p, nt_outer=args.nt_outer,
+                            inner_nt=args.inner_nt, tol=tol)
         result, metrics = solve_hermitian(H, opts, factored=factored,
                                           order=args.order)
     except ValueError as exc:

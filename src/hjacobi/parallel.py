@@ -6,60 +6,44 @@ ring all-reduce of rotation counters runs once per sweep.  The whole runtime
 is deterministic for a fixed input and configuration: the schedule is
 data-independent and every channel has a single producer.
 
-Variants: 2F/3F fully diagonalize the local block-pivot each step (using the
-structured Cholesky once the diagonal Gram blocks are diagonal); 2B/3B run a
-single annihilation pass over the off-diagonal block except on the first
-step of a sweep, which sweeps the whole local pivot once.  The three-level
-variants hand the local square factor to the blocked sequential solvers when
-it is at least twice the inner target block size.
+Every step is one ``pivot_step`` on the worker's two block-columns, with
+``_Worker._local_transform`` as the local solve.  2F/3F fully diagonalize the
+local pivot factor (using the structured Cholesky, since a sweep starts by
+re-diagonalizing every diagonal Gram block); 2B/3B run a single annihilation
+pass over its off-diagonal block, except on the first step of a sweep, which
+sweeps the whole local pivot once.  The three-level variants hand the local
+factor to the blocked sequential solvers when it is at least twice the inner
+target block size.
 """
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocking import (
     block_oriented,
-    chol_upper,
+    cross_pass,
     full_block,
     num_blocks,
     off_diagonal_pass,
-    structured_cholesky,
+    pivot_step,
     uniform_partition,
 )
-from .core import column_norms_squared, gram
-from .errors import ChannelTimeoutError, DefinitenessError, HJacobiError
-from .rotations import DEFAULT_TOL, DiagInfo, Tolerances, jacobi_cycle, jacobi_diagonalize
-from .strategies import (
-    MODULUS,
-    init_strategy,
-    normalize_strategy,
-    step_fn,
-    steps_per_sweep,
-)
+from .core import column_norms_squared
+from .errors import ChannelTimeoutError, HJacobiError
+from .rotations import DiagInfo, jacobi_diagonalize
+from .strategies import init_strategy, step_fn, steps_per_sweep
+
+# Not called here: bound so that perfbench/tracing.py can wrap them in this module.
+from .blocking import chol_upper, structured_cholesky  # noqa: F401,E402
+from .core import gram  # noqa: F401,E402
+from .rotations import jacobi_cycle  # noqa: F401,E402
 
 VARIANTS = ("2F", "2B", "3F", "3B")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    variant: str
-    strategy: str = MODULUS
-    p: int = 1
-    inner_n_t: int = 32
-    tol: Tolerances = DEFAULT_TOL
-    channel_timeout: float = 120.0
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "strategy", normalize_strategy(self.strategy))
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.inner_n_t < 1:
-            raise ValueError("inner_n_t must be >= 1")
+# seconds a worker waits for a neighbor's message before giving up
+CHANNEL_TIMEOUT = 120.0
 
 
 @dataclass
@@ -76,7 +60,7 @@ class BlockMessage:
 class Ring:
     """Point-to-point FIFO channels between ring neighbors."""
 
-    def __init__(self, p: int, timeout: float):
+    def __init__(self, p: int, timeout: float = CHANNEL_TIMEOUT):
         self.p = p
         self.timeout = timeout
         self._chan = {}
@@ -107,8 +91,7 @@ def exchange_convergence(ring: Ring, rank: int, local: tuple) -> tuple:
     if rank == 0:
         ring.send(0, nxt, tuple(local))
         total = ring.recv(prv, 0)
-        if p > 1:
-            ring.send(0, nxt, total)
+        ring.send(0, nxt, total)
     else:
         partial = ring.recv(prv, rank)
         ring.send(rank, nxt, tuple(a + b for a, b in zip(partial, local)))
@@ -119,95 +102,59 @@ def exchange_convergence(ring: Ring, rank: int, local: tuple) -> tuple:
 
 
 class _Worker:
-    def __init__(self, rank, config, ring, blocks, results, errors):
+    def __init__(self, rank, opts, ring, blocks, errors):
         self.rank = rank
-        self.cfg = config
+        self.opts = opts
         self.ring = ring
         self.blocks = blocks  # {block index: BlockMessage}
-        self.results = results
         self.errors = errors
-        self.state = init_strategy(rank, 2 * config.p)
-        self.stepper = step_fn(config.strategy)
+        self.state = init_strategy(rank, 2 * opts.p)
+        self.stepper = step_fn(opts.strategy)
         self.info = DiagInfo()
+        self.sweep_info = DiagInfo()
 
     # -- local solves ------------------------------------------------------
 
-    def _blocked_enabled(self, n_q):
-        return self.cfg.variant in ("3F", "3B") and n_q >= 2 * self.cfg.inner_n_t
-
     def _diag_preprocess(self):
         """F variants: re-diagonalize the two owned diagonal Gram blocks."""
-        tol = self.cfg.tol
+        tol = self.opts.tol
         for msg in self.blocks.values():
-            B = msg.G_block
-            R = chol_upper(gram(B))
-            sub = jacobi_diagonalize(R, msg.J_seg, tol, accumulate=True)
-            if sub.rotations:
-                B[:, :] = B @ sub.W
-            msg.D_seg = column_norms_squared(B)
-            self._absorb(sub.rotations, sub.big_rotations, sub.max_abs_t)
+            sub = pivot_step(msg.G_block, None, msg.J_seg,
+                             lambda R, J, n_i: jacobi_diagonalize(R, J, tol, accumulate=True))
+            msg.D_seg = column_norms_squared(msg.G_block)
+            self.sweep_info.absorb(sub)
 
-    def _local_transform(self, R, Jq, n_i, n_j, first_step):
-        """Dispatch the per-step transformation of the local square factor."""
-        tol = self.cfg.tol
-        n_q = n_i + n_j
-        variant = self.cfg.variant
-        if variant in ("2F", "3F"):
-            if self._blocked_enabled(n_q):
-                part = uniform_partition(n_q, num_blocks(n_q, self.cfg.inner_n_t))
+    def _local_transform(self, R, Jq, n_i, first_step):
+        """The local solve of one step on the pivot's square factor R."""
+        opts = self.opts
+        tol = opts.tol
+        n_q = R.shape[1]
+        blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
+        part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt)) if blocked else None
+        if opts.variant in ("2F", "3F"):
+            if blocked:
                 return full_block(R, Jq, part, tol, accumulate_V=True)
             return jacobi_diagonalize(R, Jq, tol, accumulate=True)
         if first_step:
-            if self._blocked_enabled(n_q):
-                part = uniform_partition(n_q, num_blocks(n_q, self.cfg.inner_n_t))
-                return block_oriented(R, Jq, part, tol.with_max_sweeps(1),
-                                      accumulate_V=True)
+            if blocked:
+                return block_oriented(R, Jq, part, tol.with_max_sweeps(1), accumulate_V=True)
             return jacobi_diagonalize(R, Jq, tol.with_max_sweeps(1), accumulate=True)
-        if self._blocked_enabled(n_q):
-            return off_diagonal_pass(R, Jq, n_i, self.cfg.inner_n_t, tol,
-                                     accumulate_V=True)
-        W = np.eye(n_q, dtype=R.dtype, order="F")
-        D = column_norms_squared(R)
-        stats = jacobi_cycle(R, Jq, D, W, n_i, n_j, False, tol)
-        sub = DiagInfo(sweeps=1, converged=True, W=W)
-        sub.absorb(stats)
-        return sub
-
-    def _absorb(self, rot, big, max_t):
-        self.info.rotations += rot
-        self.info.big_rotations += big
-        self.info.max_abs_t = max(self.info.max_abs_t, max_t)
-        self._sweep_rot += rot
-        self._sweep_big += big
+        if blocked:
+            return off_diagonal_pass(R, Jq, n_i, opts.inner_nt, tol, accumulate_V=True)
+        return cross_pass(R, Jq, n_i, tol)
 
     # -- one step ----------------------------------------------------------
 
     def _step(self, first_step):
-        cfg = self.cfg
         mi = self.blocks[self.state.i_blk]
         mj = self.blocks[self.state.j_blk]
-        n_i = mi.G_block.shape[1]
-        n_j = mj.G_block.shape[1]
-        Jq = np.concatenate([mi.J_seg, mj.J_seg])
-        if cfg.variant in ("2F", "3F"):
-            A_ij = gram(mi.G_block, mj.G_block)
-            try:
-                R = structured_cholesky(mi.D_seg, A_ij, mj.D_seg)
-            except DefinitenessError:
-                Gq = np.concatenate([mi.G_block, mj.G_block], axis=1)
-                R = chol_upper(gram(Gq))
-        else:
-            Gq = np.concatenate([mi.G_block, mj.G_block], axis=1)
-            R = chol_upper(gram(Gq))
-        sub = self._local_transform(R, Jq, n_i, n_j, first_step)
-        if sub.rotations:
-            Gq = np.concatenate([mi.G_block, mj.G_block], axis=1)
-            Gq = np.asfortranarray(Gq @ sub.W)
-            mi.G_block = np.asfortranarray(Gq[:, :n_i])
-            mj.G_block = np.asfortranarray(Gq[:, n_i:])
+        lam = (mi.D_seg, mj.D_seg) if self.opts.variant in ("2F", "3F") else None
+        sub = pivot_step(mi.G_block, mj.G_block, np.concatenate([mi.J_seg, mj.J_seg]),
+                         lambda R, J, n_i: self._local_transform(R, J, n_i, first_step),
+                         lam)
         mi.D_seg = column_norms_squared(mi.G_block)
         mj.D_seg = column_norms_squared(mj.G_block)
-        self._absorb(sub.rotations, sub.big_rotations, sub.max_abs_t)
+        self.sweep_info.absorb(sub)
 
     def _exchange(self, plan):
         out = self.blocks.pop(plan.snd_blk)
@@ -223,43 +170,46 @@ class _Worker:
     # -- main loop ---------------------------------------------------------
 
     def run(self):
-        cfg = self.cfg
-        steps = steps_per_sweep(cfg.strategy, cfg.p)
-        for sweep in range(1, cfg.tol.max_sweeps + 1):
+        opts = self.opts
+        steps = steps_per_sweep(opts.strategy, opts.p)
+        for sweep in range(1, opts.tol.max_sweeps + 1):
             self.state.nsweep = sweep
-            self._sweep_rot = 0
-            self._sweep_big = 0
-            if cfg.variant in ("2F", "3F"):
+            self.sweep_info = DiagInfo()
+            if opts.variant in ("2F", "3F"):
                 self._diag_preprocess()
             for step in range(steps):
                 self._step(first_step=(step == 0))
-                plan = self.stepper(self.state, cfg.p)
-                self._exchange(plan)
+                self._exchange(self.stepper(self.state, opts.p))
             self.info.sweeps = sweep
+            self.info.absorb(self.sweep_info)
             total_rot, _total_big = exchange_convergence(
-                self.ring, self.rank, (self._sweep_rot, self._sweep_big)
+                self.ring, self.rank, (self.sweep_info.rotations, self.sweep_info.big_rotations)
             )
             if total_rot == 0:
                 self.info.converged = True
                 break
-        for idx, msg in self.blocks.items():
-            self.results[idx] = msg
 
     def run_guarded(self):
         try:
             self.run()
-        except Exception as exc:  # noqa: BLE001 - surfaced with rank attached
-            self.errors.append((self.rank, exc))
+        except Exception as exc:  # noqa: BLE001 - re-raised by parallel_jacobi
+            self.errors.append(exc)
 
 
-def parallel_jacobi(G, signs, config: SolverConfig):
-    """Diagonalize (A = G^* G, J) with p ring workers; returns (G_out, info).
+def parallel_jacobi(G, signs, opts):
+    """Diagonalize (A = G^* G, J) with ``opts.p`` ring workers, running the
+    ring variant ``opts.variant`` of a SolveOptions; returns (G, info).
 
-    G_out has the same column order as G (blocks are reassembled by index in
-    the epilogue); eigenpairs are read off it with ``extract_eigen``.
+    Like the other drivers it overwrites G's columns in place: each worker
+    updates views of G's block-columns, so G keeps its column order, and
+    eigenpairs are read off it with ``extract_eigen``.  An exception raised
+    in a worker is re-raised as it is.
     """
+    if opts.variant not in VARIANTS:
+        raise ValueError(f"parallel_jacobi runs the ring variants {VARIANTS}, "
+                         f"not {opts.variant!r}")
     n = G.shape[1]
-    p = config.p
+    p = opts.p
     nbl = 2 * p
     if nbl > n:
         raise ValueError(f"need at least {nbl} columns for p={p} workers")
@@ -268,20 +218,15 @@ def parallel_jacobi(G, signs, config: SolverConfig):
     for ell in range(nbl):
         cols = part.columns(ell)
         owner = ell if ell < p else nbl - 1 - ell
-        blk = np.asfortranarray(G[:, cols])
         blocks_by_rank[owner][ell + 1] = BlockMessage(
             index=ell + 1,
-            G_block=blk,
+            G_block=G[:, cols],
             J_seg=signs[cols].copy(),
-            D_seg=column_norms_squared(blk),
+            D_seg=column_norms_squared(G[:, cols]),
         )
-    ring = Ring(p, config.channel_timeout)
-    results = {}
+    ring = Ring(p)
     errors = []
-    workers = [
-        _Worker(q, config, ring, blocks_by_rank[q], results, errors)
-        for q in range(p)
-    ]
+    workers = [_Worker(q, opts, ring, blocks_by_rank[q], errors) for q in range(p)]
     if p == 1:
         workers[0].run()
     else:
@@ -294,16 +239,9 @@ def parallel_jacobi(G, signs, config: SolverConfig):
         for t in threads:
             t.join()
         if errors:
-            rank, exc = errors[0]
-            raise type(exc)(f"worker {rank}: {exc}") from exc
-    G_out = np.empty_like(G, order="F")
-    for ell in range(nbl):
-        G_out[:, part.columns(ell)] = results[ell + 1].G_block
-    info = DiagInfo(
-        sweeps=max(w.info.sweeps for w in workers),
-        rotations=sum(w.info.rotations for w in workers),
-        big_rotations=sum(w.info.big_rotations for w in workers),
-        max_abs_t=max(w.info.max_abs_t for w in workers),
-        converged=all(w.info.converged for w in workers),
-    )
-    return G_out, info
+            raise errors[0]
+    info = DiagInfo(sweeps=max(w.info.sweeps for w in workers),
+                    converged=all(w.info.converged for w in workers))
+    for w in workers:
+        info.absorb(w.info)
+    return G, info

@@ -6,7 +6,7 @@ the compiled kernel; ``jacobi_diagonalize`` iterates cycles to convergence.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,26 +87,8 @@ DEFAULT_TOL = Tolerances()
 
 
 @dataclass
-class SweepStats:
-    """Counters for one annihilation pass."""
-
-    rotations_applied: int = 0
-    big_rotations: int = 0
-    max_abs_t: float = 0.0
-
-    def merge(self, other):
-        self.rotations_applied += other.rotations_applied
-        self.big_rotations += other.big_rotations
-        self.max_abs_t = max(self.max_abs_t, other.max_abs_t)
-
-    def __post_init__(self):
-        if not (self.rotations_applied >= self.big_rotations >= 0):
-            raise ValueError("inconsistent rotation counters")
-
-
-@dataclass
 class DiagInfo:
-    """Aggregate result of a diagonalization driver."""
+    """Counters of an annihilation pass or of a whole diagonalization driver."""
 
     sweeps: int = 0
     rotations: int = 0
@@ -115,10 +97,11 @@ class DiagInfo:
     converged: bool = False
     W: np.ndarray | None = None
 
-    def absorb(self, stats: SweepStats):
-        self.rotations += stats.rotations_applied
-        self.big_rotations += stats.big_rotations
-        self.max_abs_t = max(self.max_abs_t, stats.max_abs_t)
+    def absorb(self, other: "DiagInfo"):
+        """Add another run's rotation counters to these."""
+        self.rotations += other.rotations
+        self.big_rotations += other.big_rotations
+        self.max_abs_t = max(self.max_abs_t, other.max_abs_t)
 
 
 def _sign(x):
@@ -185,8 +168,8 @@ def apply_rotation(G, W, D, r, s, rot: PlaneRotation, hyp: int | None = None):
 def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over G (see the kernel module for pair order).
 
-    Raises PivotDefinitenessError if a visited pivot is not positive
-    definite; callers treat that as a re-factorization trigger.
+    Returns the pass's counters as a DiagInfo.  Raises
+    PivotDefinitenessError if a visited pivot is not positive definite.
     """
     m = G.shape[0]
     n = n_i if diag_bl else n_i + n_j
@@ -197,7 +180,7 @@ def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TO
     )
     if fail_r >= 0:
         raise PivotDefinitenessError(fail_r, fail_s)
-    return SweepStats(nrot, nbig, max_t)
+    return DiagInfo(rotations=nrot, big_rotations=nbig, max_abs_t=max_t)
 
 
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):
@@ -217,7 +200,7 @@ def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False
         D = column_norms_squared(G)
         stats = jacobi_cycle(G, signs, D, W, n, 0, True, tol)
         info.absorb(stats)
-        if stats.rotations_applied == 0:
+        if stats.rotations == 0:
             info.converged = True
             break
     return info

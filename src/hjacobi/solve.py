@@ -17,17 +17,19 @@ from .factorization import (
     order_by_inertia,
     scaled_condition,
 )
-from .parallel import SolverConfig, parallel_jacobi
+from .parallel import VARIANTS as PAR_VARIANTS, parallel_jacobi
 from .rotations import Tolerances, extract_eigen, jacobi_diagonalize
 from .strategies import MODULUS, normalize_strategy
 
 SEQ_VARIANTS = ("seq", "seqF", "seqB")
-PAR_VARIANTS = ("2F", "2B", "3F", "3B")
 ALL_VARIANTS = SEQ_VARIANTS + PAR_VARIANTS
 
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solver variant and its settings: ``nt_outer`` is the block size of
+    seqF/seqB, ``inner_nt`` the inner block size of the 3F/3B workers."""
+
     variant: str = "seq"
     strategy: str = MODULUS
     p: int = 1
@@ -39,29 +41,25 @@ class SolveOptions:
         if self.variant not in ALL_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         object.__setattr__(self, "strategy", normalize_strategy(self.strategy))
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
+        if self.inner_nt < 1:
+            raise ValueError("inner_nt must be >= 1")
 
 
 def run_solver(G, signs, opts: SolveOptions):
-    """Diagonalize the factor pair in place / by the selected variant."""
-    n = G.shape[1]
+    """Diagonalize the factor pair by the selected variant; returns (G, info).
+
+    G is overwritten in place when it is already column-major.
+    """
+    G = np.asfortranarray(G)
     if opts.variant == "seq":
-        G = np.asfortranarray(G)
-        info = jacobi_diagonalize(G, signs, opts.tol)
-        return G, info
+        return G, jacobi_diagonalize(G, signs, opts.tol)
     if opts.variant in ("seqF", "seqB"):
-        G = np.asfortranarray(G.copy(order="F"))
-        part = greedy_partition(n, min(opts.nt_outer, n))
+        n = G.shape[1]
         driver = full_block if opts.variant == "seqF" else block_oriented
-        info = driver(G, signs, part, opts.tol)
-        return G, info
-    cfg = SolverConfig(
-        variant=opts.variant,
-        strategy=opts.strategy,
-        p=opts.p,
-        inner_n_t=opts.inner_nt,
-        tol=opts.tol,
-    )
-    return parallel_jacobi(G, signs, cfg)
+        return G, driver(G, signs, greedy_partition(n, min(opts.nt_outer, n)), opts.tol)
+    return parallel_jacobi(G, signs, opts)
 
 
 def solve_hermitian(H, opts: SolveOptions = SolveOptions(), factored=None,

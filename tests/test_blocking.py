@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from conftest import random_full_rank
 from hjacobi.blocking import (
     BlockPartition,
-    ColumnTracker,
-    Workspace,
     block_oriented,
     chol_upper,
     full_block,
     greedy_partition,
     num_blocks,
     off_diagonal_pass,
+    pivot_step,
     structured_cholesky,
     uniform_partition,
     update_block_columns,
@@ -70,15 +69,6 @@ def test_partition_columns_slices():
     assert p.columns(0) == slice(0, 2)
     assert p.columns(1) == slice(2, 5)
     assert p.columns(2) == slice(5, 6)
-
-
-def test_column_tracker_roundtrip():
-    t = ColumnTracker.identity(4)
-    t.swap(0, 2)
-    t.swap(1, 3)
-    restore = t.restore()
-    perm = np.array([2, 3, 0, 1])
-    assert np.array_equal(perm[restore], np.arange(4))
 
 
 # -- structured Cholesky ----------------------------------------------------
@@ -147,10 +137,42 @@ def test_update_gram_congruence(rng):
         np.abs(A_before).max() * np.abs(W).max() ** 2 * 5
 
 
-def test_workspace_capacity():
-    part = uniform_partition(10, 3)
-    ws = Workspace.for_partition(12, part, np.float64)
-    assert ws.buf.shape == (12, 8)
+# -- block-pivot step -----------------------------------------------------
+
+def diagonalize_local(R, J, n_i):
+    return jacobi_diagonalize(R, J, accumulate=True)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("n_i,n_j", [(5, 0), (4, 3)])
+def test_pivot_step_full_local_solve(rng, n_i, n_j, complex_scalars):
+    G = random_full_rank(rng, 12, n_i + n_j, complex_scalars)
+    J = np.array([1, -1] * n_i, np.int8)[:n_i + n_j]
+    G0 = G.copy()
+    Gi = G[:, :n_i]
+    Gj = G[:, n_i:] if n_j else None
+    info = pivot_step(Gi, Gj, J, diagonalize_local)
+    assert info.converged and info.rotations > 0
+    assert np.abs(G - G0 @ info.W).max() <= 1e-13 * np.abs(G0).max() * np.abs(info.W).max()
+    A = gram(G)
+    d = np.sqrt(np.diag(A).real)
+    off = np.abs(A - np.diag(np.diag(A))) / np.outer(d, d)
+    assert off.max() <= 64 * (n_i + n_j) * EPS
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_pivot_step_failed_structured_cholesky_is_dense(rng, complex_scalars):
+    n_i, n_j = 4, 3
+    G = random_full_rank(rng, 10, n_i + n_j, complex_scalars)
+    J = np.array([1, 1, -1, 1, -1, -1, 1], np.int8)
+    lam = (1e-3 * column_norms_squared(G[:, :n_i]),
+           1e-3 * column_norms_squared(G[:, n_i:]))
+    with pytest.raises(DefinitenessError):
+        structured_cholesky(lam[0], gram(G[:, :n_i], G[:, n_i:]), lam[1])
+    dense, scaled = G.copy(order="F"), G.copy(order="F")
+    a = pivot_step(dense[:, :n_i], dense[:, n_i:], J, diagonalize_local)
+    b = pivot_step(scaled[:, :n_i], scaled[:, n_i:], J, diagonalize_local, lam)
+    assert np.array_equal(dense, scaled) and np.array_equal(a.W, b.W)
 
 
 # -- blocked solvers --------------------------------------------------------

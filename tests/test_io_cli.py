@@ -163,6 +163,18 @@ def test_solve_numerical_error(tmp_path):
                  "--summary", str(tmp_path / "s")]) == 4
 
 
+@pytest.mark.parametrize("option,value", [("--max-sweeps", "0"), ("--tol", "-1"),
+                                          ("--p", "0"), ("--inner-nt", "0")])
+def test_solve_out_of_range_option(tmp_path, capsys, option, value):
+    h = tmp_path / "h.txt"
+    write_matrix(h, np.diag([4.0, -9.0]), text=True)
+    code = main(["solve", "--in", str(h), option, value,
+                 "--summary", str(tmp_path / "s")])
+    assert code == 3
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError" and rec["exit_code"] == 3
+
+
 def test_solve_nonconvergence_exit(tmp_path):
     h = tmp_path / "h.bin"
     main(["gen", "--n", "32", "--eigs", "log:0.01:1", "--seed", "5",

@@ -3,13 +3,15 @@ import pytest
 
 from conftest import random_full_rank
 from hjacobi.core import column_norms_squared
+from hjacobi.errors import PivotDefinitenessError
 from hjacobi.parallel import (
     Ring,
-    SolverConfig,
+    _Worker,
     exchange_convergence,
     parallel_jacobi,
 )
 from hjacobi.rotations import Tolerances, jacobi_diagonalize
+from hjacobi.solve import SolveOptions
 
 
 def make_factor(rng, n, n_neg, complex_scalars=False):
@@ -31,17 +33,37 @@ def solve_eigs(G, J, cfg):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(variant="4X")
+        SolveOptions(variant="4X")
     with pytest.raises(ValueError):
-        SolverConfig(variant="2F", p=0)
-    cfg = SolverConfig(variant="2F", strategy="rr")
+        SolveOptions(variant="2F", p=0)
+    with pytest.raises(ValueError):
+        SolveOptions(variant="3B", inner_nt=0)
+    cfg = SolveOptions(variant="2F", strategy="rr")
     assert cfg.strategy == "round_robin"
+
+
+def test_rejects_sequential_variant(rng):
+    G, J = make_factor(rng, 8, 3)
+    with pytest.raises(ValueError):
+        parallel_jacobi(G, J, SolveOptions(variant="seq"))
+
+
+def test_worker_exception_reraised(rng, monkeypatch):
+    # every rank fails in its first step, so no peer waits on the channel
+    def fail(self, first_step):
+        raise PivotDefinitenessError(1, 2)
+
+    monkeypatch.setattr(_Worker, "_step", fail)
+    G, J = make_factor(rng, 8, 3)
+    with pytest.raises(PivotDefinitenessError) as err:
+        parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
+    assert (err.value.r, err.value.s) == (1, 2)
 
 
 def test_needs_enough_columns(rng):
     G, J = make_factor(rng, 4, 0)
     with pytest.raises(ValueError):
-        parallel_jacobi(G, J, SolverConfig(variant="2F", p=3))
+        parallel_jacobi(G, J, SolveOptions(variant="2F", p=3))
 
 
 @pytest.mark.parametrize("variant", ["2F", "2B", "3F", "3B"])
@@ -50,7 +72,7 @@ def test_p1_matches_sequential(rng, variant):
     ref_G = G.copy(order="F")
     jacobi_diagonalize(ref_G, J)
     ref = np.sort(J * column_norms_squared(ref_G))
-    got, _ = solve_eigs(G, J, SolverConfig(variant=variant, p=1, inner_n_t=4))
+    got, _ = solve_eigs(G, J, SolveOptions(variant=variant, p=1, inner_nt=4))
     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
 
 
@@ -63,8 +85,8 @@ def test_cross_variant_cross_p_agreement(rng, complex_scalars):
         for strategy in ("modulus", "round_robin"):
             for p in (2, 3, 4):
                 got, _ = solve_eigs(
-                    G, J, SolverConfig(variant=variant, strategy=strategy,
-                                       p=p, inner_n_t=8))
+                    G, J, SolveOptions(variant=variant, strategy=strategy,
+                                       p=p, inner_nt=8))
                 assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), \
                     (variant, strategy, p)
 
@@ -74,24 +96,24 @@ def test_orthogonal_columns_converge_immediately(rng):
     J = np.ones(8, np.int8)
     for variant in ("2F", "2B", "3F", "3B"):
         Gout, info = parallel_jacobi(G.copy(order="F"), J.copy(),
-                                     SolverConfig(variant=variant, p=2))
+                                     SolveOptions(variant=variant, p=2))
         assert info.converged and info.rotations == 0 and info.sweeps == 1
 
 
 def test_column_order_restored(rng):
     # with an already-orthogonal factor no rotations happen, so the output
-    # must be exactly the input: block shipping and reassembly must restore
-    # the original column order
+    # must be exactly the input: block shipping must leave every block-column
+    # at its original columns
     G = np.asfortranarray(np.diag(np.arange(1.0, 13.0)))
     J = np.ones(12, np.int8)
     Gout, _ = parallel_jacobi(G.copy(order="F"), J,
-                              SolverConfig(variant="2B", p=3))
+                              SolveOptions(variant="2B", p=3))
     assert np.array_equal(Gout, G)
 
 
 def test_determinism_bitwise(rng):
     G, J = make_factor(rng, 30, 11)
-    cfg = SolverConfig(variant="3B", strategy="modulus", p=3, inner_n_t=4)
+    cfg = SolveOptions(variant="3B", strategy="modulus", p=3, inner_nt=4)
     a, _ = parallel_jacobi(G.copy(order="F"), J.copy(), cfg)
     b, _ = parallel_jacobi(G.copy(order="F"), J.copy(), cfg)
     assert np.array_equal(a, b)
@@ -99,7 +121,7 @@ def test_determinism_bitwise(rng):
 
 def test_nonconvergence_flagged(rng):
     G, J = make_factor(rng, 24, 9)
-    cfg = SolverConfig(variant="2B", p=2, tol=Tolerances(max_sweeps=1))
+    cfg = SolveOptions(variant="2B", p=2, tol=Tolerances(max_sweeps=1))
     _, info = parallel_jacobi(G, J, cfg)
     assert not info.converged and info.sweeps == 1
 

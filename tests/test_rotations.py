@@ -140,7 +140,7 @@ def test_cycle_orthogonal_columns_no_rotations():
     D = column_norms_squared(G)
     W = np.eye(4, order="F")
     stats = jacobi_cycle(G, np.ones(4, np.int8), D, W, 4, 0, True)
-    assert stats.rotations_applied == 0
+    assert stats.rotations == 0
 
 
 def test_cycle_two_column_case():
@@ -148,7 +148,7 @@ def test_cycle_two_column_case():
     D = column_norms_squared(G)
     W = np.eye(2, order="F")
     stats = jacobi_cycle(G, np.ones(2, np.int8), D, W, 2, 0, True)
-    assert stats.rotations_applied == 1
+    assert stats.rotations == 1
     A = gram(G)
     assert abs(A[0, 1]) <= 32 * EPS
 
@@ -158,7 +158,7 @@ def test_cycle_cross_pair_count():
     D = column_norms_squared(G)
     W = np.eye(2, order="F")
     stats = jacobi_cycle(G, np.ones(2, np.int8), D, W, 1, 1, False)
-    assert stats.rotations_applied <= 1  # exactly one pair visited
+    assert stats.rotations <= 1  # exactly one pair visited
 
 
 def test_diagonalize_orthogonal_input_one_sweep():
