@@ -1,25 +1,61 @@
-"""Hot inner loop of the one-sided J-Jacobi sweep.
+"""Hot inner loop of the one-sided J-Jacobi sweep, and the rotation it applies.
 
 One implementation serves both execution paths: ``sweep_pairs_jit`` is the
 numba-compiled version, ``sweep_pairs_py`` the interpreted pure-numpy one
 (column updates are whole-array expressions, so the fallback still runs at
 BLAS-1 speed).  ``sweep_pairs`` is the path selected at import time via
-HJACOBI_NO_NUMBA.
-
-Rotation conventions (cs, sn, t real; phase unit-modulus):
-
-* trigonometric pair (equal J signs):  new_r = cs*f - sn*g_s,
-  new_s = sn*f + cs*g_s, with f = phase*g_r, cs^2 + sn^2 = 1;
-* hyperbolic pair (opposite J signs):  new_r = cs*f + sn*g_s,
-  new_s = sn*f + cs*g_s, with cs^2 - sn^2 = 1 (cs = cosh, sn = sinh).
-
-Both choices make the 2x2 transformation J-unitary for the pivot's sign pair
-and annihilate the off-diagonal Gram entry; the minimal-|t| root is taken.
+HJACOBI_NO_NUMBA.  ``plane_rotation`` and ``rotate_columns`` are the only
+copies of the rotation formula; the public rotation API and the
+factorization's 2x2 eigensolve call them too.
 """
+
+import math
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, NUMBA_ENABLED, jit_kernel
+from ._accel import HAVE_NUMBA, NUMBA_ENABLED, jit_kernel, jitable
+
+
+@jitable
+def plane_rotation(d_rr, d_ss, eta, same_sign):
+    """Rotation annihilating the off-diagonal of a positive definite 2x2 pivot.
+
+    The pivot has diagonal (d_rr, d_ss) and off-diagonal eta * phase, with
+    eta real and phase unit-modulus.  Returns (t, cs, sn, hyp), all real,
+    taking the minimal-|t| root:
+
+    * trigonometric pair (same_sign, hyp = -1):  new_r = cs*f - sn*g_s,
+      new_s = sn*f + cs*g_s, with f = phase*g_r, cs^2 + sn^2 = 1;
+    * hyperbolic pair (opposite J signs, hyp = +1):  new_r = cs*f + sn*g_s,
+      new_s = sn*f + cs*g_s, with cs^2 - sn^2 = 1 (cs = cosh, sn = sinh).
+
+    Both make the 2x2 transformation J-unitary for the pivot's sign pair; the
+    diagonal becomes (d_rr + hyp*t*eta, d_ss + t*eta).  A hyperbolic pivot
+    with no inner root returns cs == 0.0.
+    """
+    if same_sign:
+        hyp = -1.0
+        theta = (d_ss - d_rr) / (2.0 * eta)
+        disc = theta * theta + 1.0
+    else:
+        hyp = 1.0
+        theta = -(d_rr + d_ss) / (2.0 * eta)
+        disc = theta * theta - 1.0
+        if disc <= 0.0:
+            return 0.0, 0.0, 0.0, hyp
+    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(disc))
+    cs = 1.0 / math.sqrt(1.0 - hyp * t * t)
+    return t, cs, cs * t, hyp
+
+
+@jitable
+def rotate_columns(M, r, s, phase, cs, sn, hyp):
+    """Apply ``plane_rotation``'s transformation to columns r, s of M in place."""
+    f = phase * M[:, r]
+    new_r = cs * f + (hyp * sn) * M[:, s]
+    new_s = sn * f + cs * M[:, s]
+    M[:, r] = new_r
+    M[:, s] = new_s
 
 
 def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
@@ -60,36 +96,14 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
                 return nrot, nbig, max_t, r, s
             eta = aa if a.real >= 0.0 else -aa
             phase = a / eta
-            if signs[r] == signs[s]:
-                hyp = -1.0
-                theta = (d_ss - d_rr) / (2.0 * eta)
-                sg = 1.0 if theta >= 0.0 else -1.0
-                t = sg / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                h = np.sqrt(1.0 - t * t * hyp)
-            else:
-                hyp = 1.0
-                theta = -(d_rr + d_ss) / (2.0 * eta)
-                disc = theta * theta - 1.0
-                if disc <= 0.0:
-                    return nrot, nbig, max_t, r, s
-                sg = 1.0 if theta >= 0.0 else -1.0
-                t = sg / (abs(theta) + np.sqrt(disc))
-                h = np.sqrt(1.0 - t * t)
-            cs = 1.0 / h
-            sn = cs * t
+            t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[r] == signs[s])
+            if cs == 0.0:
+                return nrot, nbig, max_t, r, s
             D[r] = d_rr + hyp * t * eta
             D[s] = d_ss + t * eta
-            f = phase * G[:, r]
-            new_r = cs * f + (hyp * sn) * G[:, s]
-            new_s = sn * f + cs * G[:, s]
-            G[:, r] = new_r
-            G[:, s] = new_s
+            rotate_columns(G, r, s, phase, cs, sn, hyp)
             if W.shape[0] > 0:
-                fw = phase * W[:, r]
-                new_wr = cs * fw + (hyp * sn) * W[:, s]
-                new_ws = sn * fw + cs * W[:, s]
-                W[:, r] = new_wr
-                W[:, s] = new_ws
+                rotate_columns(W, r, s, phase, cs, sn, hyp)
             nrot += 1
             at = abs(t)
             if at > max_t:

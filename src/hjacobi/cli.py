@@ -66,11 +66,9 @@ def _build_parser():
     s.add_argument("--nt-outer", type=int, default=64)
     s.add_argument("--inner-nt", type=int, default=32)
     s.add_argument("--tol", type=float, default=None,
-                   help="relative orthogonality threshold (default sqrt(m)*eps)")
+                   help="relative orthogonality threshold in (0, 1) "
+                        "(default sqrt(m)*eps)")
     s.add_argument("--max-sweeps", type=int, default=30)
-    s.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface symmetry; the solve itself "
-                        "is deterministic")
     s.add_argument("--order", choices=["desc", "index"], default="desc",
                    help="eigenvalue report order")
     s.add_argument("--eval-out", help="eigenvalue output file (default stdout)")
@@ -121,9 +119,9 @@ def _cmd_solve(args):
             J = read_signs(args.factor_in[1])
             factored = order_by_inertia(accept_external_factor(G, J))
             H = None
-    except (OSError, MatrixFormatError) as exc:
+    except (OSError, MatrixFormatError, ValueError) as exc:
         return _error_record(EXIT_INPUT, exc)
-    except (ValueError, HJacobiError) as exc:
+    except HJacobiError as exc:
         return _error_record(EXIT_NUMERICAL, exc)
 
     try:

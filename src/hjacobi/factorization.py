@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import plane_rotation
 from .core import as_matrix, as_signs, column_norms_squared, gram, hermitize
 from .errors import RankDeficiencyError, SingularMatrixError
 
@@ -32,23 +33,16 @@ class FactoredForm:
 def _eigh2(a, b, c):
     """Spectral decomposition of the Hermitian 2x2 [[a, b], [conj(b), c]].
 
-    Returns (lam1, lam2, Q) with unitary Q and Q^* A Q = diag(lam1, lam2),
-    using the stable small-angle rotation (no cancellation in the
-    discriminant).
+    Returns (lam1, lam2, Q) with unitary Q and Q^* A Q = diag(lam1, lam2):
+    the trigonometric ``plane_rotation`` of the pivot, with eta = |b|.
     """
     if b == 0:
         return float(a), float(c), np.eye(2)
     ab = abs(b)
     phase = b / ab
-    theta = (c - a) / (2.0 * ab)
-    sg = 1.0 if theta >= 0.0 else -1.0
-    t = sg / (abs(theta) + math.sqrt(theta * theta + 1.0))
-    cs = 1.0 / math.sqrt(1.0 + t * t)
-    sn = cs * t
-    lam1 = a - t * ab
-    lam2 = c + t * ab
+    t, cs, sn, _ = plane_rotation(a, c, ab, True)
     Q = np.array([[cs * phase, sn * phase], [-sn, cs]])
-    return float(lam1), float(lam2), Q
+    return float(a - t * ab), float(c + t * ab), Q
 
 
 def _swap_sym(A, i, j):
@@ -73,6 +67,8 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
     n = H.shape[0]
     if H.shape[1] != n:
         raise ValueError("H must be square")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("H is not finite (NaN or infinite entries)")
     if n and not np.allclose(H, H.conj().T, rtol=herm_rtol, atol=herm_rtol * np.abs(H).max()):
         raise ValueError("H is not Hermitian")
     A = np.asfortranarray(hermitize(H))
@@ -178,6 +174,8 @@ def accept_external_factor(G, J) -> FactoredForm:
     n, m = G.shape
     if m > n:
         raise ValueError("factor must have at least as many rows as columns")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("factor is not finite (NaN or infinite entries)")
     signs = as_signs(J, m)
     try:
         np.linalg.cholesky(gram(G))

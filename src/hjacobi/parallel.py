@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import (
+    _diagonalizer,
     block_oriented,
     cross_pass,
     full_block,
@@ -117,10 +118,9 @@ class _Worker:
 
     def _diag_preprocess(self):
         """F variants: re-diagonalize the two owned diagonal Gram blocks."""
-        tol = self.opts.tol
+        local = _diagonalizer(self.opts.tol)
         for msg in self.blocks.values():
-            sub = pivot_step(msg.G_block, None, msg.J_seg,
-                             lambda R, J, n_i: jacobi_diagonalize(R, J, tol, accumulate=True))
+            sub = pivot_step(msg.G_block, None, msg.J_seg, local)
             msg.D_seg = column_norms_squared(msg.G_block)
             self.sweep_info.absorb(sub)
 

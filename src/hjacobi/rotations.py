@@ -1,8 +1,9 @@
 """J-unitary plane rotations and the non-blocked one-sided Jacobi driver.
 
 ``compute_plane_rotation``/``apply_rotation`` expose single rotations for
-direct use and testing; ``jacobi_cycle`` runs one annihilation pass through
-the compiled kernel; ``jacobi_diagonalize`` iterates cycles to convergence.
+direct use and testing, with the kernel's own arithmetic; ``jacobi_cycle``
+runs one annihilation pass through the compiled kernel;
+``jacobi_diagonalize`` iterates cycles to convergence.
 """
 
 import math
@@ -59,7 +60,9 @@ class Tolerances:
 
     ``orth_tol``/``quad_tol`` default to sqrt(m)*eps and n*eps respectively
     when left as None (m = row count of the swept factor, n = its column
-    count).
+    count).  ``orth_tol`` must lie in (0, 1): a pair is skipped once
+    |a_rs| <= orth_tol*sqrt(a_rr*a_ss), which always holds at orth_tol >= 1.
+    ``quad_tol`` must be finite and positive.
     """
 
     orth_tol: float | None = None
@@ -69,9 +72,10 @@ class Tolerances:
     def __post_init__(self):
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        for v in (self.orth_tol, self.quad_tol):
-            if v is not None and v <= 0:
-                raise ValueError("tolerances must be positive")
+        if self.orth_tol is not None and not 0.0 < self.orth_tol < 1.0:
+            raise ValueError(f"orth_tol must lie in (0, 1), got {self.orth_tol}")
+        if self.quad_tol is not None and not 0.0 < self.quad_tol < math.inf:
+            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol}")
 
     def orth(self, m):
         return self.orth_tol if self.orth_tol is not None else math.sqrt(m) * EPS
@@ -104,16 +108,12 @@ class DiagInfo:
         self.max_abs_t = max(self.max_abs_t, other.max_abs_t)
 
 
-def _sign(x):
-    return 1.0 if x >= 0.0 else -1.0
-
-
 def compute_plane_rotation(a_rr, a_ss, a_rs, j_rr, j_ss):
     """Rotation parameters annihilating the off-diagonal of a 2x2 Gram pivot.
 
     The pivot [[a_rr, a_rs], [conj(a_rs), a_ss]] must be positive definite;
     the trigonometric form is chosen when j_rr == j_ss, hyperbolic otherwise,
-    always taking the minimal-|t| (inner) root.
+    always taking the minimal-|t| (inner) root (see ``_kernels.plane_rotation``).
     """
     if a_rr <= 0.0 or a_ss <= 0.0 or abs(a_rs) ** 2 >= a_rr * a_ss:
         raise PivotDefinitenessError(0, 1, "2x2 pivot is not positive definite")
@@ -121,48 +121,34 @@ def compute_plane_rotation(a_rr, a_ss, a_rs, j_rr, j_ss):
         return PlaneRotation(IDENTITY, 1.0, 0.0, 1.0, 0.0, 0.0)
     aa = abs(a_rs)
     eta = aa if a_rs.real >= 0.0 else -aa
-    phase = complex(a_rs) / eta
+    # numpy's complex division, as in the kernel (Python's can differ by an ulp)
+    phase = complex(np.divide(a_rs, eta))
     if phase.imag == 0.0:
         phase = phase.real
-    if j_rr == j_ss:
-        theta = (a_ss - a_rr) / (2.0 * eta)
-        t = _sign(theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        cs = 1.0 / math.sqrt(1.0 + t * t)
-        return PlaneRotation(TRIGONOMETRIC, cs, cs * t, phase, t, eta)
-    theta = -(a_rr + a_ss) / (2.0 * eta)
-    disc = theta * theta - 1.0
-    if disc <= 0.0:
+    t, cs, sn, _ = _kernels.plane_rotation(a_rr, a_ss, eta, j_rr == j_ss)
+    if cs == 0.0:
         raise PivotDefinitenessError(0, 1, "hyperbolic pivot has no inner rotation")
-    t = _sign(theta) / (abs(theta) + math.sqrt(disc))
-    cs = 1.0 / math.sqrt(1.0 - t * t)
-    return PlaneRotation(HYPERBOLIC, cs, cs * t, phase, t, eta)
+    return PlaneRotation(TRIGONOMETRIC if j_rr == j_ss else HYPERBOLIC, cs, sn, phase, t, eta)
 
 
-def apply_rotation(G, W, D, r, s, rot: PlaneRotation, hyp: int | None = None):
+def apply_rotation(G, W, D, r, s, rot: PlaneRotation):
     """Apply ``rot`` to columns r, s of G (and of the accumulator W), in place.
 
-    ``hyp`` is +1 for a hyperbolic rotation and -1 for a trigonometric one;
-    it defaults to the value implied by ``rot.kind``.  D entries r, s receive
-    the incremental Gram-diagonal update d_rr += hyp*t*eta, d_ss += t*eta.
+    D entries r, s receive the incremental Gram-diagonal update
+    d_rr += hyp*t*eta, d_ss += t*eta, with hyp = +1 for a hyperbolic rotation
+    and -1 for a trigonometric one.
     """
     if r == s:
         raise ValueError("rotation columns must differ")
     if rot.kind == IDENTITY:
         return
-    if hyp is None:
-        hyp = 1 if rot.kind == HYPERBOLIC else -1
-    cs, sn, phase, t, eta = rot.cs, rot.sn, rot.phase, rot.t, rot.eta
+    hyp = 1.0 if rot.kind == HYPERBOLIC else -1.0
     if D is not None:
-        D[r] += hyp * t * eta
-        D[s] += t * eta
+        D[r] += hyp * rot.t * rot.eta
+        D[s] += rot.t * rot.eta
     for M in (G, W):
-        if M is None or M.shape[0] == 0:
-            continue
-        f = phase * M[:, r]
-        new_r = cs * f + (hyp * sn) * M[:, s]
-        new_s = sn * f + cs * M[:, s]
-        M[:, r] = new_r
-        M[:, s] = new_s
+        if M is not None and M.shape[0] > 0:
+            _kernels.rotate_columns(M, r, s, rot.phase, rot.cs, rot.sn, hyp)
 
 
 def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
@@ -188,9 +174,8 @@ def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False
 
     Each sweep reinitializes the Gram-diagonal cache from the current
     columns, then runs one full cycle.  Termination: a sweep that applies no
-    rotations (a zero-big-rotation sweep only fast-tracks this by making the
-    next sweep the verification pass).  Returns DiagInfo; ``W`` holds the
-    accumulated J-unitary transformation when ``accumulate`` is set.
+    rotations.  Returns DiagInfo; ``W`` holds the accumulated J-unitary
+    transformation when ``accumulate`` is set.
     """
     n = G.shape[1]
     W = np.eye(n, dtype=G.dtype, order="F") if accumulate else None

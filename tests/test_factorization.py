@@ -61,6 +61,13 @@ def test_non_hermitian_rejected():
         factorize_hermitian_indefinite(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_non_finite_rejected():
+    H = np.eye(3)
+    H[1, 1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        factorize_hermitian_indefinite(H)
+
+
 @pytest.mark.parametrize("n", [5, 20, 100])
 @pytest.mark.parametrize("complex_scalars", [False, True])
 def test_factorization_oracle(rng, n, complex_scalars):

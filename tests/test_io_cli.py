@@ -147,6 +147,26 @@ def test_solve_factor_input(tmp_path, rng):
     assert np.all(np.abs(lam - ref) <= 1e-10 * np.abs(ref))
 
 
+@pytest.mark.parametrize("case", ["nan_factor", "sign_two", "sign_length"])
+def test_solve_bad_factor_is_input_error(tmp_path, capsys, rng, case):
+    G = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+    J = [1, -1, 1, -1]
+    if case == "nan_factor":
+        G[2, 1] = np.nan
+    elif case == "sign_two":
+        J[1] = 2
+    else:
+        J = J[:3]
+    gp, jp = tmp_path / "g.bin", tmp_path / "j.txt"
+    write_matrix(gp, G)
+    jp.write_text(" ".join(str(v) for v in J) + "\n")
+    code = main(["solve", "--factor-in", str(gp), str(jp),
+                 "--summary", str(tmp_path / "s")])
+    assert code == 3
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError" and rec["exit_code"] == 3
+
+
 def test_solve_usage_error(tmp_path):
     assert main(["solve", "--summary", str(tmp_path / "s")]) == 2
 
@@ -164,7 +184,9 @@ def test_solve_numerical_error(tmp_path):
 
 
 @pytest.mark.parametrize("option,value", [("--max-sweeps", "0"), ("--tol", "-1"),
-                                          ("--p", "0"), ("--inner-nt", "0")])
+                                          ("--tol", "nan"), ("--tol", "inf"),
+                                          ("--tol", "1"), ("--p", "0"),
+                                          ("--inner-nt", "0")])
 def test_solve_out_of_range_option(tmp_path, capsys, option, value):
     h = tmp_path / "h.txt"
     write_matrix(h, np.diag([4.0, -9.0]), text=True)
@@ -194,7 +216,7 @@ def test_solve_determinism(tmp_path):
     for k in range(2):
         ev = tmp_path / f"ev{k}.txt"
         assert main(["solve", "--in", str(h), "--variant", "3B", "--p", "4",
-                     "--seed", "42", "--eval-out", str(ev),
+                     "--eval-out", str(ev),
                      "--summary", str(tmp_path / f"s{k}")]) == 0
         paths.append(ev)
     assert paths[0].read_bytes() == paths[1].read_bytes()

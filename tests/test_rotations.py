@@ -97,7 +97,7 @@ def test_apply_identity_rotation_noop():
     D = column_norms_squared(G)
     rot = compute_plane_rotation(5.0, 7.0, 0.0, 1, 1)
     G0, D0 = G.copy(), D.copy()
-    apply_rotation(G, W, D, 0, 1, rot, hyp=-1)
+    apply_rotation(G, W, D, 0, 1, rot)
     assert np.array_equal(G, G0) and np.array_equal(D, D0)
 
 
@@ -107,7 +107,7 @@ def test_apply_rotation_two_column_example():
     W = np.eye(2, order="F")
     D = column_norms_squared(G)
     rot = compute_plane_rotation(4.0, 2.0, 2.0, 1, 1)
-    apply_rotation(G, W, D, 0, 1, rot, hyp=-1)
+    apply_rotation(G, W, D, 0, 1, rot)
     assert abs(np.vdot(G[:, 0], G[:, 1])) <= 16 * EPS * 4
     norms = sorted(column_norms_squared(G))
     assert norms == pytest.approx([3 - math.sqrt(5), 3 + math.sqrt(5)], rel=1e-14)
@@ -129,10 +129,34 @@ def test_diagonal_conservation_laws(a_rr, a_ss, frac, hyperbolic):
     L = np.linalg.cholesky(pivot_matrix(a_rr, a_ss, a_rs))
     G = np.asfortranarray(L.conj().T)
     W = np.eye(2, order="F")
-    apply_rotation(G, W, D, 0, 1, rot, hyp=1 if hyperbolic else -1)
+    apply_rotation(G, W, D, 0, 1, rot)
     before = a_rr - a_ss if hyperbolic else a_rr + a_ss
     after = D[0] - D[1] if hyperbolic else D[0] + D[1]
     assert abs(after - before) <= 32 * EPS * (abs(D[0]) + abs(D[1]) + 1)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("j_ss", [1, -1])
+def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
+    """The sweep kernel and apply_rotation(compute_plane_rotation(...)) are
+    the same arithmetic: G, W and D agree bit for bit."""
+    J = np.array([1, j_ss], np.int8)
+    for _ in range(20):
+        G = rng.standard_normal((6, 2))
+        if complex_scalars:
+            G = G + 1j * rng.standard_normal((6, 2))
+        G[:, 1] += 0.3 * G[:, 0]  # a clearly non-orthogonal pair
+        G = np.asfortranarray(G)
+        D = column_norms_squared(G)
+        W = np.eye(2, dtype=G.dtype, order="F")
+        G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
+        rot = compute_plane_rotation(D[0], D[1], np.vdot(G[:, 0], G[:, 1]), J[0], J[1])
+        assert rot.kind == (TRIGONOMETRIC if j_ss == 1 else HYPERBOLIC)
+        apply_rotation(G_api, W_api, D_api, 0, 1, rot)
+        assert jacobi_cycle(G, J, D, W, 2, 0, True).rotations == 1
+        assert np.array_equal(G, G_api)
+        assert np.array_equal(W, W_api)
+        assert np.array_equal(D, D_api)
 
 
 def test_cycle_orthogonal_columns_no_rotations():
