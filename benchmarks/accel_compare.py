@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from hjacobi import EigSpec, generate_test_matrix
-from hjacobi._accel import HAVE_NUMBA
+from hjacobi._accel import NUMBA_ENABLED
 from hjacobi._kernels import sweep_pairs_jit, sweep_pairs_py
 from hjacobi.factorization import factorize_hermitian_indefinite, order_by_inertia
 from hjacobi.rotations import Tolerances
@@ -38,7 +38,7 @@ def main():
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    if not HAVE_NUMBA:
+    if not NUMBA_ENABLED:
         print("numba not importable; nothing to compare")
         return
     print(f"{'n':>6} {'numpy_s':>10} {'numba_s':>10} {'speedup':>8}")

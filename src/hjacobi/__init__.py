@@ -2,8 +2,8 @@
 
 One-sided hyperbolic J-Jacobi method on the factored form P H P^T = G J G^*:
 non-blocked, cache-blocked sequential (full block / block-oriented), and a
-ring-parallel runtime with two- and three-level blocking.  Set the
-environment variable HJACOBI_NO_NUMBA=1 to force the pure-numpy kernel.
+ring-parallel runtime with two- and three-level blocking.  The sweep kernel
+is numba-compiled when numba is importable and pure numpy otherwise.
 """
 
 from ._accel import NUMBA_ENABLED

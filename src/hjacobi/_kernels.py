@@ -3,17 +3,17 @@
 One implementation serves both execution paths: ``sweep_pairs_jit`` is the
 numba-compiled version, ``sweep_pairs_py`` the interpreted pure-numpy one
 (column updates are whole-array expressions, so the fallback still runs at
-BLAS-1 speed).  ``sweep_pairs`` is the path selected at import time via
-HJACOBI_NO_NUMBA.  ``plane_rotation`` and ``rotate_columns`` are the only
-copies of the rotation formula; the public rotation API and the
-factorization's 2x2 eigensolve call them too.
+BLAS-1 speed).  ``sweep_pairs`` is the compiled one when numba is
+importable, the interpreted one otherwise.  ``plane_rotation`` and
+``rotate_columns`` are the only copies of the rotation formula; the public
+rotation API and the factorization's 2x2 eigensolve call them too.
 """
 
 import math
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, NUMBA_ENABLED, jit_kernel, jitable
+from ._accel import NUMBA_ENABLED, jit_kernel, jitable
 
 
 @jitable
@@ -67,9 +67,10 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
     G and W are updated in place (W may have zero rows to skip accumulation);
     D caches the Gram diagonal and is updated incrementally.
 
-    Returns (rotations, big_rotations, max_abs_t, fail_r, fail_s); the fail
-    indices are -1 on success, or the pair at which a non-positive-definite
-    pivot was detected (the pass stops there).
+    Returns (rotations, big_rotations, max_abs_t, fail_r, fail_s), where a
+    big rotation has |t| > quad_tol; the fail indices are -1 on success, or
+    the pair at which a non-positive-definite pivot was detected (the pass
+    stops there).
     """
     nrot = 0
     nbig = 0
@@ -114,5 +115,5 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
 
 
 sweep_pairs_py = _sweep_pairs
-sweep_pairs_jit = jit_kernel(_sweep_pairs) if HAVE_NUMBA else None
+sweep_pairs_jit = jit_kernel(_sweep_pairs) if NUMBA_ENABLED else None
 sweep_pairs = sweep_pairs_jit if NUMBA_ENABLED else sweep_pairs_py

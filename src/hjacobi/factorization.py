@@ -1,9 +1,9 @@
 """Hermitian indefinite factorization P H P^T = G J G^*.
 
-Bunch-Parlett (complete-pivoting) M D M^* factorization with 1x1/2x2 pivots,
-followed by spectral scaling of the diagonal blocks so the signature ends up
-in J.  Also hosts the inertia ordering of J and the scaled-condition
-diagnostic.
+Bunch-Parlett (complete-pivoting) elimination with 1x1/2x2 pivots that writes
+G and J as it goes: each pivot block is diagonalized and scaled by the square
+roots of its eigenvalues' moduli, so the signature ends up in J.  Also hosts
+the inertia ordering of J and the scaled-condition diagnostic.
 """
 
 import math
@@ -30,19 +30,19 @@ class FactoredForm:
     P1: np.ndarray
 
 
-def _eigh2(a, b, c):
-    """Spectral decomposition of the Hermitian 2x2 [[a, b], [conj(b), c]].
-
-    Returns (lam1, lam2, Q) with unitary Q and Q^* A Q = diag(lam1, lam2):
-    the trigonometric ``plane_rotation`` of the pivot, with eta = |b|.
-    """
-    if b == 0:
-        return float(a), float(c), np.eye(2)
-    ab = abs(b)
+def _eigh_pivot(A, k, s):
+    """(lam, Q) with A[k:k+s, k:k+s] = Q diag(lam) Q^*, s = 1 or 2, from its
+    lower triangle; a 2x2 block takes the trigonometric ``plane_rotation``
+    with eta = |b|."""
+    a = A[k, k].real
+    if s == 1:
+        return np.array([a]), np.array([[1.0]])
+    b = np.conj(A[k + 1, k])  # upper entry (k, k+1)
+    c = A[k + 1, k + 1].real
+    ab = abs(b)  # > 0: a 2x2 pivot holds the largest off-diagonal entry left
     phase = b / ab
     t, cs, sn, _ = plane_rotation(a, c, ab, True)
-    Q = np.array([[cs * phase, sn * phase], [-sn, cs]])
-    return float(a - t * ab), float(c + t * ab), Q
+    return np.array([a - t * ab, c + t * ab]), np.array([[cs * phase, sn * phase], [-sn, cs]])
 
 
 def _swap_sym(A, i, j):
@@ -56,10 +56,14 @@ def _swap_sym(A, i, j):
 def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
     """Factor a nonsingular Hermitian H as P H P^T = G J G^*.
 
-    Complete (Bunch-Parlett) pivoting with the classical alpha threshold;
-    each 2x2 block of the intermediate M D M^* form is diagonalized in closed
-    form and the columns of M scaled by sqrt(|eigenvalue|).  G comes out
-    lower block-triangular with diagonal blocks of order 1 or 2.
+    Complete (Bunch-Parlett) pivoting with the classical alpha threshold.
+    A pivot block D_p = Q diag(lam) Q^* of order s = 1 or 2, with the s
+    columns E below it, puts Q |lam|^(1/2) on G's diagonal, L = E Q
+    sign(lam) |lam|^(-1/2) below it and sign(lam) in J, and subtracts
+    L J_p L^* from the Schur complement: G is lower block-triangular.
+    H is singular when every entry left to pivot on is at most 64 n eps
+    times the largest entry of H still to be eliminated, so graded D A D
+    with a well-conditioned A factors however widely D is spread.
 
     P is an index array: (P H P^T)[i, j] == H[P[i], P[j]].
     """
@@ -72,72 +76,43 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
     if n and not np.allclose(H, H.conj().T, rtol=herm_rtol, atol=herm_rtol * np.abs(H).max()):
         raise ValueError("H is not Hermitian")
     A = np.asfortranarray(hermitize(H))
-    scale = np.abs(A).max() if n else 0.0
-    tiny = 64.0 * n * np.finfo(np.float64).eps * scale
+    tiny = 64.0 * n * np.finfo(np.float64).eps
+    floor = tiny * np.abs(A).max() if n else 0.0
     perm = np.arange(n)
-    M = np.eye(n, dtype=A.dtype, order="F")
-    blocks = []  # (column index, 1x1 value) or (column index, 2x2 array)
+    G = np.zeros_like(A)
+    J = np.empty(n, dtype=np.int8)
     k = 0
     while k < n:
         T = A[k:, k:]
-        m = n - k
         diag = np.abs(np.diag(T).real)
         i1 = int(np.argmax(diag))
-        mu1 = diag[i1]
-        if m > 1:
-            Off = np.abs(np.tril(T, -1))
-            r0, c0 = np.unravel_index(int(np.argmax(Off)), Off.shape)
-            mu0 = Off[r0, c0]
-        else:
-            mu0 = 0.0
-        if max(mu0, mu1) <= tiny:
+        Off = np.abs(np.tril(T, -1))
+        r0, c0 = np.unravel_index(int(np.argmax(Off)), Off.shape)
+        mu0, mu1 = Off[r0, c0], diag[i1]
+        # the global floor bounds the local one: test locally only below it
+        mu = max(mu0, mu1)
+        if mu <= floor and mu <= tiny * np.abs(H[np.ix_(perm[k:], perm[k:])]).max():
             raise SingularMatrixError(
                 "zero pivot: H is numerically singular; supply a factor directly"
             )
         if mu1 >= ALPHA * mu0:
-            piv = k + i1
-            _swap_sym(A, k, piv)
-            M[[k, piv], :k] = M[[piv, k], :k]
-            perm[[k, piv]] = perm[[piv, k]]
-            d = A[k, k].real
-            col = A[k + 1 :, k] / d
-            M[k + 1 :, k] = col
-            A[k + 1 :, k + 1 :] -= d * np.outer(col, col.conj())
-            blocks.append((k, d))
-            k += 1
+            s, swaps = 1, ((k, k + i1),)
         else:
-            for dst, src in ((k, k + c0), (k + 1, k + r0)):
-                _swap_sym(A, dst, src)
-                M[[dst, src], :k] = M[[src, dst], :k]
-                perm[[dst, src]] = perm[[src, dst]]
-            a = A[k, k].real
-            b = A[k + 1, k].conj()  # upper entry (k, k+1)
-            c = A[k + 1, k + 1].real
-            det = a * c - (b * b.conjugate()).real
-            E = A[k + 2 :, k : k + 2]
-            # X = E * inv(D2) with D2 = [[a, b], [conj(b), c]]
-            X = np.empty_like(E)
-            X[:, 0] = (E[:, 0] * c - E[:, 1] * b.conjugate()) / det
-            X[:, 1] = (E[:, 1] * a - E[:, 0] * b) / det
-            M[k + 2 :, k : k + 2] = X
-            A[k + 2 :, k + 2 :] -= X @ E.conj().T
-            D2 = np.array([[a, b], [np.conj(b), c]])
-            blocks.append((k, D2))
-            k += 2
-    G = np.zeros_like(M)
-    J = np.empty(n, dtype=np.int8)
-    for col, blk in blocks:
-        if np.isscalar(blk) or getattr(blk, "ndim", 0) == 0:
-            d = float(blk)
-            G[:, col] = M[:, col] * math.sqrt(abs(d))
-            J[col] = 1 if d >= 0 else -1
-        else:
-            lam1, lam2, Q = _eigh2(blk[0, 0].real, blk[0, 1], blk[1, 1].real)
-            S = Q @ np.diag([math.sqrt(abs(lam1)), math.sqrt(abs(lam2))])
-            G[:, col : col + 2] = M[:, col : col + 2] @ S.astype(G.dtype)
-            J[col] = 1 if lam1 >= 0 else -1
-            J[col + 1] = 1 if lam2 >= 0 else -1
-    return FactoredForm(G=np.asfortranarray(G), J=J, P=perm, P1=np.arange(n))
+            s, swaps = 2, ((k, k + c0), (k + 1, k + r0))
+        for dst, src in swaps:
+            _swap_sym(A, dst, src)
+            G[[dst, src], :k] = G[[src, dst], :k]
+            perm[[dst, src]] = perm[[src, dst]]
+        lam, Q = _eigh_pivot(A, k, s)
+        sgn = np.copysign(1.0, lam)
+        root = np.sqrt(np.abs(lam))
+        L = A[k + s :, k : k + s] @ (Q * (sgn / root))
+        G[k : k + s, k : k + s] = Q * root
+        G[k + s :, k : k + s] = L
+        A[k + s :, k + s :] -= (L * sgn) @ L.conj().T
+        J[k : k + s] = sgn
+        k += s
+    return FactoredForm(G=G, J=J, P=perm, P1=np.arange(n))
 
 
 def order_by_inertia(f: FactoredForm) -> FactoredForm:

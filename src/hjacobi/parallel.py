@@ -4,7 +4,9 @@ Workers are threads connected by point-to-point FIFO queues arranged in a
 ring; each step every worker sends one block-column and receives one, and a
 ring all-reduce of rotation counters runs once per sweep.  The whole runtime
 is deterministic for a fixed input and configuration: the schedule is
-data-independent and every channel has a single producer.
+data-independent and every channel has a single producer.  A worker that
+fails aborts the ring, so its peers stop at their next receive instead of
+waiting out the channel timeout.
 
 Every step is one ``pivot_step`` on the worker's two block-columns, with
 ``_Worker._local_transform`` as the local solve.  2F/3F fully diagonalize the
@@ -45,6 +47,8 @@ from .rotations import jacobi_cycle  # noqa: F401,E402
 VARIANTS = ("2F", "2B", "3F", "3B")
 # seconds a worker waits for a neighbor's message before giving up
 CHANNEL_TIMEOUT = 120.0
+# put on every channel by ``Ring.abort``
+_ABORT = object()
 
 
 @dataclass
@@ -74,11 +78,19 @@ class Ring:
 
     def recv(self, src: int, dst: int):
         try:
-            return self._chan[(src, dst)].get(timeout=self.timeout)
+            obj = self._chan[(src, dst)].get(timeout=self.timeout)
         except queue.Empty as exc:
             raise ChannelTimeoutError(
                 f"rank {dst}: no message from rank {src} within {self.timeout}s"
             ) from exc
+        if obj is _ABORT:
+            raise HJacobiError(f"rank {dst}: ring aborted by a failed worker")
+        return obj
+
+    def abort(self):
+        """Make the next receive on every channel raise."""
+        for chan in self._chan.values():
+            chan.put(_ABORT)
 
 
 def exchange_convergence(ring: Ring, rank: int, local: tuple) -> tuple:
@@ -194,6 +206,7 @@ class _Worker:
             self.run()
         except Exception as exc:  # noqa: BLE001 - re-raised by parallel_jacobi
             self.errors.append(exc)
+            self.ring.abort()
 
 
 def parallel_jacobi(G, signs, opts):
@@ -203,7 +216,7 @@ def parallel_jacobi(G, signs, opts):
     Like the other drivers it overwrites G's columns in place: each worker
     updates views of G's block-columns, so G keeps its column order, and
     eigenpairs are read off it with ``extract_eigen``.  An exception raised
-    in a worker is re-raised as it is.
+    in a worker is re-raised as it is, once its peers have stopped.
     """
     if opts.variant not in VARIANTS:
         raise ValueError(f"parallel_jacobi runs the ring variants {VARIANTS}, "

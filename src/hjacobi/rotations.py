@@ -58,15 +58,12 @@ class PlaneRotation:
 class Tolerances:
     """Thresholds of the sweep loop.
 
-    ``orth_tol``/``quad_tol`` default to sqrt(m)*eps and n*eps respectively
-    when left as None (m = row count of the swept factor, n = its column
-    count).  ``orth_tol`` must lie in (0, 1): a pair is skipped once
+    ``orth_tol`` defaults to sqrt(m)*eps when left as None (m = row count of
+    the swept factor) and must lie in (0, 1): a pair is skipped once
     |a_rs| <= orth_tol*sqrt(a_rr*a_ss), which always holds at orth_tol >= 1.
-    ``quad_tol`` must be finite and positive.
     """
 
     orth_tol: float | None = None
-    quad_tol: float | None = None
     max_sweeps: int = 30
 
     def __post_init__(self):
@@ -74,14 +71,9 @@ class Tolerances:
             raise ValueError("max_sweeps must be >= 1")
         if self.orth_tol is not None and not 0.0 < self.orth_tol < 1.0:
             raise ValueError(f"orth_tol must lie in (0, 1), got {self.orth_tol}")
-        if self.quad_tol is not None and not 0.0 < self.quad_tol < math.inf:
-            raise ValueError(f"quad_tol must be finite and positive, got {self.quad_tol}")
 
     def orth(self, m):
         return self.orth_tol if self.orth_tol is not None else math.sqrt(m) * EPS
-
-    def quad(self, n):
-        return self.quad_tol if self.quad_tol is not None else n * EPS
 
     def with_max_sweeps(self, max_sweeps):
         return replace(self, max_sweeps=max_sweeps)
@@ -154,15 +146,16 @@ def apply_rotation(G, W, D, r, s, rot: PlaneRotation):
 def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over G (see the kernel module for pair order).
 
-    Returns the pass's counters as a DiagInfo.  Raises
-    PivotDefinitenessError if a visited pivot is not positive definite.
+    Returns the pass's counters as a DiagInfo, where a big rotation has
+    |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if
+    a visited pivot is not positive definite.
     """
     m = G.shape[0]
     n = n_i if diag_bl else n_i + n_j
     if W is None:
         W = np.zeros((0, G.shape[1]), dtype=G.dtype, order="F")
     nrot, nbig, max_t, fail_r, fail_s = _kernels.sweep_pairs(
-        G, signs, D, W, n_i, n_j, diag_bl, tol.orth(m), tol.quad(n)
+        G, signs, D, W, n_i, n_j, diag_bl, tol.orth(m), n * EPS
     )
     if fail_r >= 0:
         raise PivotDefinitenessError(fail_r, fail_s)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_full_rank, random_hermitian
+from conftest import graded_hermitian, random_full_rank, random_hermitian
 from hjacobi.core import gram
 from hjacobi.errors import RankDeficiencyError, SingularMatrixError
 from hjacobi.factorization import (
@@ -84,6 +84,29 @@ def test_two_by_two_pivot_path(rng):
     np.fill_diagonal(H, 0.0)
     if abs(np.linalg.det(H)) > 1e-8:
         check_factorization(H)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_graded_matrix_factors(complex_scalars):
+    # pivots fall to ~1e-16 * max|H|, far below an absolute threshold, but
+    # each is large against what is left of H
+    n = 32
+    H, _, n_neg = graded_hermitian(np.random.default_rng(8), n, -8, complex_scalars)
+    f = factorize_hermitian_indefinite(H)
+    assert int(np.sum(f.J < 0)) == n_neg
+    err = np.abs(H[np.ix_(f.P, f.P)] - reconstruct(f)).max()
+    assert err <= 50.0 * n * EPS * np.abs(H).max()
+
+
+@pytest.mark.parametrize("n", [5, 20, 64])
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_rank_deficient_rejected(rng, n, complex_scalars):
+    for r in sorted({1, n // 2, n - 1}):
+        V, _ = np.linalg.qr(random_full_rank(rng, n, n, complex_scalars))
+        S = rng.uniform(0.5, 2.0, r) * np.where(np.arange(r) % 2, -1.0, 1.0)
+        H = (V[:, :r] * S) @ V[:, :r].conj().T
+        with pytest.raises(SingularMatrixError):
+            factorize_hermitian_indefinite((H + H.conj().T) / 2.0)
 
 
 def test_order_by_inertia_stable_partition():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,26 @@ def test_worker_exception_reraised(rng, monkeypatch):
     G, J = make_factor(rng, 8, 3)
     with pytest.raises(PivotDefinitenessError) as err:
         parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
+    assert (err.value.r, err.value.s) == (1, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_peers_stop_when_one_worker_fails(rng, monkeypatch, p):
+    # only rank 0 fails: its peers must stop at once, not wait out the
+    # channel timeout for a message rank 0 will never send
+    step = _Worker._step
+
+    def fail_on_rank_0(self, first_step):
+        if self.rank == 0:
+            raise PivotDefinitenessError(1, 2)
+        step(self, first_step)
+
+    monkeypatch.setattr(_Worker, "_step", fail_on_rank_0)
+    G, J = make_factor(rng, 12, 5)
+    t0 = time.perf_counter()
+    with pytest.raises(PivotDefinitenessError) as err:
+        parallel_jacobi(G, J, SolveOptions(variant="2B", p=p))
+    assert time.perf_counter() - t0 < 10.0
     assert (err.value.r, err.value.s) == (1, 2)
 
 
