@@ -1,9 +1,9 @@
 """Hermitian indefinite factorization P H P^T = G J G^*.
 
 Bunch-Parlett (complete-pivoting) elimination with 1x1/2x2 pivots that writes
-G and J as it goes: each pivot block is diagonalized and scaled by the square
-roots of its eigenvalues' moduli, so the signature ends up in J.  Also hosts
-the inertia ordering of J and the scaled-condition diagnostic.
+G and J as it goes, diagonalizing each pivot block so its signs go to J, and
+judges a pivot against what is left of H and its fill-in.  Also hosts the
+inertia ordering of J and the scaled-condition diagnostic.
 """
 
 import math
@@ -49,8 +49,8 @@ def _swap_sym(A, i, j):
     """Symmetric row+column swap of the full Hermitian working matrix."""
     if i == j:
         return
-    A[[i, j], :] = A[[j, i], :]
-    A[:, [i, j]] = A[:, [j, i]]
+    for M in (A, A.T):  # rows, then columns; row views beat fancy indexing
+        M[i], M[j] = M[j].copy(), M[i].copy()
 
 
 def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
@@ -61,9 +61,9 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
     columns E below it, puts Q |lam|^(1/2) on G's diagonal, L = E Q
     sign(lam) |lam|^(-1/2) below it and sign(lam) in J, and subtracts
     L J_p L^* from the Schur complement: G is lower block-triangular.
-    H is singular when every entry left to pivot on is at most 64 n eps
-    times the largest entry of H still to be eliminated, so graded D A D
-    with a well-conditioned A factors however widely D is spread.
+    H is singular when no entry left exceeds 64 n eps times the largest
+    entry of H or fill-in sum_j |G_ij|^2 still to be eliminated, so graded
+    D A D with a well-conditioned A factors however widely D is spread.
 
     P is an index array: (P H P^T)[i, j] == H[P[i], P[j]].
     """
@@ -78,7 +78,8 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
     A = np.asfortranarray(hermitize(H))
     tiny = 64.0 * n * np.finfo(np.float64).eps
     floor = tiny * np.abs(A).max() if n else 0.0
-    perm = np.arange(n)
+    perm, low = np.arange(n), np.tri(n, k=-1, dtype=bool)
+    fill = np.zeros(n)  # sum_j |G[i, :k]|^2: Schur rounding grows with it too
     G = np.zeros_like(A)
     J = np.empty(n, dtype=np.int8)
     k = 0
@@ -86,12 +87,13 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
         T = A[k:, k:]
         diag = np.abs(np.diag(T).real)
         i1 = int(np.argmax(diag))
-        Off = np.abs(np.tril(T, -1))
+        Off = np.where(low[k:, k:], np.abs(T), 0.0)
         r0, c0 = np.unravel_index(int(np.argmax(Off)), Off.shape)
         mu0, mu1 = Off[r0, c0], diag[i1]
-        # the global floor bounds the local one: test locally only below it
         mu = max(mu0, mu1)
-        if mu <= floor and mu <= tiny * np.abs(H[np.ix_(perm[k:], perm[k:])]).max():
+        # the global floor bounds tiny * max|H_rem|: look at H_rem only below it
+        rem = np.abs(H[np.ix_(perm[k:], perm[k:])]).max() if mu <= floor else 0.0
+        if mu <= tiny * max(rem, fill[k:].max()):
             raise SingularMatrixError(
                 "zero pivot: H is numerically singular; supply a factor directly"
             )
@@ -102,7 +104,7 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
         for dst, src in swaps:
             _swap_sym(A, dst, src)
             G[[dst, src], :k] = G[[src, dst], :k]
-            perm[[dst, src]] = perm[[src, dst]]
+            perm[[dst, src]], fill[[dst, src]] = perm[[src, dst]], fill[[src, dst]]
         lam, Q = _eigh_pivot(A, k, s)
         sgn = np.copysign(1.0, lam)
         root = np.sqrt(np.abs(lam))
@@ -110,6 +112,7 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
         G[k : k + s, k : k + s] = Q * root
         G[k + s :, k : k + s] = L
         A[k + s :, k + s :] -= (L * sgn) @ L.conj().T
+        fill[k + s :] += np.einsum("ij,ij->i", L, L.conj()).real
         J[k : k + s] = sgn
         k += s
     return FactoredForm(G=G, J=J, P=perm, P1=np.arange(n))

@@ -101,12 +101,23 @@ def test_graded_matrix_factors(complex_scalars):
 @pytest.mark.parametrize("n", [5, 20, 64])
 @pytest.mark.parametrize("complex_scalars", [False, True])
 def test_rank_deficient_rejected(rng, n, complex_scalars):
+    d = np.logspace(0, -8, n)
     for r in sorted({1, n // 2, n - 1}):
         V, _ = np.linalg.qr(random_full_rank(rng, n, n, complex_scalars))
         S = rng.uniform(0.5, 2.0, r) * np.where(np.arange(r) % 2, -1.0, 1.0)
         H = (V[:, :r] * S) @ V[:, :r].conj().T
-        with pytest.raises(SingularMatrixError):
-            factorize_hermitian_indefinite((H + H.conj().T) / 2.0)
+        for Hs in (H, d[:, None] * H * d[None, :]):  # plain and graded
+            with pytest.raises(SingularMatrixError):
+                factorize_hermitian_indefinite((Hs + Hs.conj().T) / 2.0)
+    # [[A, B^*], [B, 0]] with dependent rows in B: the block left after A is
+    # eliminated is zero in H, only its fill-in is not
+    m = max(2, n // 4)
+    X = random_full_rank(rng, n - m, n - m, complex_scalars)
+    B = rng.standard_normal((m, m - 1)) @ random_full_rank(rng, n - m, m - 1, complex_scalars).T
+    A = X @ X.conj().T + (n - m) * np.eye(n - m)
+    H = np.block([[A, B.conj().T], [B, np.zeros((m, m))]])
+    with pytest.raises(SingularMatrixError):
+        factorize_hermitian_indefinite(H)
 
 
 def test_order_by_inertia_stable_partition():
