@@ -1,0 +1,78 @@
+"""Bit-identity check: fingerprint every solve of a fixed grid as JSON.
+
+Each record holds a solve's sweeps, rotations and ``converged`` flag, and
+SHA-256 hashes of the bytes of its eigenvalues and eigenvectors.  A change
+that leaves the arithmetic and the schedule alone must print the same JSON
+as its parent; run the script against both source trees and diff:
+
+    python benchmarks/equivalence.py --src /path/to/parent/src > before.json
+    python benchmarks/equivalence.py > after.json
+    diff before.json after.json
+
+The grid: seeds 0-11 of a log-uniform spectrum in [1e-3, 1] with 40%
+negative eigenvalues, at n = 32 real, 32 complex, 40 real and 64 real, each
+solved by eight variant configurations (384 solves) with nt_outer = n/4 and
+inner_nt = n/8.  BLAS runs on one thread, because a threaded GEMM may round
+differently from run to run.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = range(12)
+# (n, complex scalars)
+SIZES = ((32, False), (32, True), (40, False), (64, False))
+# (variant, strategy, p)
+CONFIGS = (
+    ("seq", "modulus", 1),
+    ("seqF", "modulus", 1),
+    ("seqB", "modulus", 1),
+    ("2F", "modulus", 2),
+    ("2B", "round_robin", 2),
+    ("3F", "modulus", 2),
+    ("3B", "modulus", 2),
+    ("3B", "modulus", 4),
+)
+
+
+def digest(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                    help="directory that holds the hjacobi package to check")
+    args = ap.parse_args()
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # read when numpy loads
+    sys.path.insert(0, args.src)
+    from hjacobi import EigSpec, SolveOptions, generate_test_matrix, solve_hermitian
+
+    records = []
+    for n, complex_scalars in SIZES:
+        for seed in SEEDS:
+            spec = EigSpec(mode="log_uniform", lo=1e-3, hi=1.0, neg_fraction=0.4, seed=seed)
+            H = generate_test_matrix(n, spec, complex_scalars)
+            for variant, strategy, p in CONFIGS:
+                opts = SolveOptions(variant=variant, strategy=strategy, p=p,
+                                    nt_outer=n // 4, inner_nt=n // 8)
+                res, _ = solve_hermitian(H, opts)
+                records.append({
+                    "n": n, "complex": complex_scalars, "seed": seed,
+                    "variant": variant, "strategy": strategy, "p": p,
+                    "sweeps": res.sweeps, "rotations": res.rotations,
+                    "converged": bool(res.converged),
+                    "eigenvalues": digest(res.eigenvalues),
+                    "eigenvectors": digest(res.eigenvectors),
+                })
+    json.dump(records, sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()

@@ -6,19 +6,16 @@ status and the run continues.
 """
 
 import csv
+import itertools
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .solve import SolveOptions, run_solver
 from .factorization import factorize_hermitian_indefinite, order_by_inertia
 from .rotations import Tolerances
 from .testmat import EigSpec, generate_test_matrix
-
-CSV_HEADER = ("variant", "strategy", "scalar", "n", "p", "nt_outer",
-              "nt_inner", "sweeps", "rotations", "time_s", "c", "status")
-
 
 @dataclass
 class BenchRecord:
@@ -36,9 +33,10 @@ class BenchRecord:
     status: str = "ok"
 
     def row(self):
-        return [self.variant, self.strategy, self.scalar, self.n, self.p,
-                self.nt_outer, self.nt_inner, self.sweeps, self.rotations,
-                f"{self.time_s:.6g}", f"{self.c:.6g}", self.status]
+        return [f"{v:.6g}" if isinstance(v, float) else v for v in astuple(self)]
+
+
+CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
 
 
 @dataclass
@@ -67,12 +65,8 @@ class BenchGrid:
         return cls(**raw)
 
     def cells(self):
-        for n in self.sizes:
-            for p in self.workers:
-                for variant in self.variants:
-                    for strategy in self.strategies:
-                        for nt in self.inner_nt:
-                            yield n, p, variant, strategy, nt
+        return itertools.product(self.sizes, self.workers, self.variants,
+                                 self.strategies, self.inner_nt)
 
 
 def _time_cell(G, J, opts, reps):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import column_norms_squared, gram, hermitize
 from .errors import DefinitenessError
-from .rotations import DEFAULT_TOL, DiagInfo, Tolerances, jacobi_cycle, jacobi_diagonalize
+from .rotations import (DEFAULT_TOL, DiagInfo, Tolerances, jacobi_cycle, jacobi_diagonalize,
+                        sweep_until_quiet)
 
 
 @dataclass(frozen=True)
@@ -218,17 +219,14 @@ def _block_sweeps(G, signs, part, tol, accumulate_V, full):
         diag = _diagonalizer(tol.with_max_sweeps(1))
         off = functools.partial(cross_pass, tol=tol)
     pairs = [(i, j) for j in range(1, part.b) for i in range(j)]
-    info = DiagInfo(W=V)
-    while info.sweeps < tol.max_sweeps:
-        info.sweeps += 1
-        sweep = _diag_block_pass(G, signs, part, diag, V)
+
+    def sweep(k):
+        info = _diag_block_pass(G, signs, part, diag, V)
         lam = [column_norms_squared(G[:, part.columns(i)]) for i in range(part.b)] if full else None
-        sweep.absorb(_pivot_pass(G, signs, part, pairs, off, V, lam))
-        info.absorb(sweep)
-        if sweep.rotations == 0:
-            info.converged = True
-            break
-    return info
+        info.absorb(_pivot_pass(G, signs, part, pairs, off, V, lam))
+        return info
+
+    return sweep_until_quiet(sweep, tol, V)
 
 
 def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,

@@ -11,17 +11,12 @@ import sys
 from . import bench as bench_mod
 from .errors import HJacobiError, NonConvergenceError
 from .factorization import accept_external_factor, order_by_inertia
-from .matio import (
-    MatrixFormatError,
-    read_matrix,
-    read_signs,
-    write_matrix,
-    write_signs,
-)
+from .matio import MatrixFormatError, read_matrix, read_signs, write_matrix
 from .rotations import Tolerances
 from .solve import ALL_VARIANTS, SolveOptions, solve_hermitian
-from .strategies import generate_sweep_schedule, normalize_strategy, steps_per_sweep
-from .testmat import EigSpec, generate_test_matrix, parse_eig_spec
+from .strategies import (STRATEGY_NAMES, generate_sweep_schedule, normalize_strategy,
+                         steps_per_sweep)
+from .testmat import generate_test_matrix, parse_eig_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,8 +55,7 @@ def _build_parser():
     s.add_argument("--factor-in", nargs=2, metavar=("G", "J"),
                    help="pre-factored input: matrix G and sign vector J")
     s.add_argument("--variant", default="seq", choices=ALL_VARIANTS)
-    s.add_argument("--strategy", default="modulus", choices=["modulus", "rr",
-                                                             "round_robin"])
+    s.add_argument("--strategy", default="modulus", choices=STRATEGY_NAMES)
     s.add_argument("--p", type=int, default=1)
     s.add_argument("--nt-outer", type=int, default=64)
     s.add_argument("--inner-nt", type=int, default=32)
@@ -80,8 +74,7 @@ def _build_parser():
     b.add_argument("--out", required=True, help="CSV output path")
 
     c = sub.add_parser("schedule", help="print one sweep of a block schedule")
-    c.add_argument("--strategy", required=True, choices=["modulus", "rr",
-                                                         "round_robin"])
+    c.add_argument("--strategy", required=True, choices=STRATEGY_NAMES)
     c.add_argument("--p", type=int, required=True)
     return ap
 
@@ -119,19 +112,14 @@ def _cmd_solve(args):
             J = read_signs(args.factor_in[1])
             factored = order_by_inertia(accept_external_factor(G, J))
             H = None
-    except (OSError, MatrixFormatError, ValueError) as exc:
-        return _error_record(EXIT_INPUT, exc)
-    except HJacobiError as exc:
-        return _error_record(EXIT_NUMERICAL, exc)
-
-    try:
         tol = Tolerances(orth_tol=args.tol, max_sweeps=args.max_sweeps)
         opts = SolveOptions(variant=args.variant, strategy=args.strategy,
                             p=args.p, nt_outer=args.nt_outer,
                             inner_nt=args.inner_nt, tol=tol)
         result, metrics = solve_hermitian(H, opts, factored=factored,
                                           order=args.order)
-    except ValueError as exc:
+    # MatrixFormatError is an HJacobiError: it must be caught first
+    except (OSError, MatrixFormatError, ValueError) as exc:
         return _error_record(EXIT_INPUT, exc)
     except HJacobiError as exc:
         return _error_record(EXIT_NUMERICAL, exc)

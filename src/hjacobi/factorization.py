@@ -16,6 +16,7 @@ from .core import as_matrix, as_signs, column_norms_squared, gram, hermitize
 from .errors import RankDeficiencyError, SingularMatrixError
 
 ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+HERM_RTOL = 1e-10
 
 
 @dataclass
@@ -53,7 +54,7 @@ def _swap_sym(A, i, j):
         M[i], M[j] = M[j].copy(), M[i].copy()
 
 
-def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
+def factorize_hermitian_indefinite(H):
     """Factor a nonsingular Hermitian H as P H P^T = G J G^*.
 
     Complete (Bunch-Parlett) pivoting with the classical alpha threshold.
@@ -73,7 +74,7 @@ def factorize_hermitian_indefinite(H, herm_rtol=1e-10):
         raise ValueError("H must be square")
     if not np.all(np.isfinite(H)):
         raise ValueError("H is not finite (NaN or infinite entries)")
-    if n and not np.allclose(H, H.conj().T, rtol=herm_rtol, atol=herm_rtol * np.abs(H).max()):
+    if n and not np.allclose(H, H.conj().T, rtol=HERM_RTOL, atol=HERM_RTOL * np.abs(H).max()):
         raise ValueError("H is not Hermitian")
     A = np.asfortranarray(hermitize(H))
     tiny = 64.0 * n * np.finfo(np.float64).eps

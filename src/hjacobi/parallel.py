@@ -2,7 +2,7 @@
 
 Workers are threads connected by point-to-point FIFO queues arranged in a
 ring; each step every worker sends one block-column and receives one, and a
-ring all-reduce of rotation counters runs once per sweep.  The whole runtime
+ring all-reduce of the rotation count ends each sweep.  The whole runtime
 is deterministic for a fixed input and configuration: the schedule is
 data-independent and every channel has a single producer.  A worker that
 fails aborts the ring, so its peers stop at their next receive instead of
@@ -36,7 +36,7 @@ from .blocking import (
 )
 from .core import column_norms_squared
 from .errors import ChannelTimeoutError, HJacobiError
-from .rotations import DiagInfo, jacobi_diagonalize
+from .rotations import DiagInfo, jacobi_diagonalize, sweep_until_quiet
 from .strategies import init_strategy, step_fn, steps_per_sweep
 
 # Not called here: bound so that perfbench/tracing.py can wrap them in this module.
@@ -44,7 +44,6 @@ from .blocking import chol_upper, structured_cholesky  # noqa: F401,E402
 from .core import gram  # noqa: F401,E402
 from .rotations import jacobi_cycle  # noqa: F401,E402
 
-VARIANTS = ("2F", "2B", "3F", "3B")
 # seconds a worker waits for a neighbor's message before giving up
 CHANNEL_TIMEOUT = 120.0
 # put on every channel by ``Ring.abort``
@@ -115,16 +114,15 @@ def exchange_convergence(ring: Ring, rank: int, local: tuple) -> tuple:
 
 
 class _Worker:
-    def __init__(self, rank, opts, ring, blocks, errors):
+    def __init__(self, rank, opts, ring, errors):
         self.rank = rank
         self.opts = opts
         self.ring = ring
-        self.blocks = blocks  # {block index: BlockMessage}
+        self.blocks = {}  # {block index: BlockMessage}
         self.errors = errors
         self.state = init_strategy(rank, 2 * opts.p)
         self.stepper = step_fn(opts.strategy)
-        self.info = DiagInfo()
-        self.sweep_info = DiagInfo()
+        self.steps = steps_per_sweep(opts.strategy, opts.p)
 
     # -- local solves ------------------------------------------------------
 
@@ -143,14 +141,13 @@ class _Worker:
         n_q = R.shape[1]
         blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
         part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt)) if blocked else None
-        if opts.variant in ("2F", "3F"):
+        if opts.full or first_step:  # the whole pivot, to convergence (F) or for one sweep (B)
+            if not opts.full:
+                tol = tol.with_max_sweeps(1)
             if blocked:
-                return full_block(R, Jq, part, tol, accumulate_V=True)
+                driver = full_block if opts.full else block_oriented
+                return driver(R, Jq, part, tol, accumulate_V=True)
             return jacobi_diagonalize(R, Jq, tol, accumulate=True)
-        if first_step:
-            if blocked:
-                return block_oriented(R, Jq, part, tol.with_max_sweeps(1), accumulate_V=True)
-            return jacobi_diagonalize(R, Jq, tol.with_max_sweeps(1), accumulate=True)
         if blocked:
             return off_diagonal_pass(R, Jq, n_i, opts.inner_nt, tol, accumulate_V=True)
         return cross_pass(R, Jq, n_i, tol)
@@ -160,7 +157,7 @@ class _Worker:
     def _step(self, first_step):
         mi = self.blocks[self.state.i_blk]
         mj = self.blocks[self.state.j_blk]
-        lam = (mi.D_seg, mj.D_seg) if self.opts.variant in ("2F", "3F") else None
+        lam = (mi.D_seg, mj.D_seg) if self.opts.full else None
         sub = pivot_step(mi.G_block, mj.G_block, np.concatenate([mi.J_seg, mj.J_seg]),
                          lambda R, J, n_i: self._local_transform(R, J, n_i, first_step),
                          lam)
@@ -170,7 +167,6 @@ class _Worker:
 
     def _exchange(self, plan):
         out = self.blocks.pop(plan.snd_blk)
-        out.index = plan.snd_blk
         self.ring.send(self.rank, plan.snd_rnk, out)
         msg = self.ring.recv(plan.rcv_rnk, self.rank)
         if msg.index != plan.rcv_blk:
@@ -181,29 +177,25 @@ class _Worker:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self):
-        opts = self.opts
-        steps = steps_per_sweep(opts.strategy, opts.p)
-        for sweep in range(1, opts.tol.max_sweeps + 1):
-            self.state.nsweep = sweep
-            self.sweep_info = DiagInfo()
-            if opts.variant in ("2F", "3F"):
-                self._diag_preprocess()
-            for step in range(steps):
-                self._step(first_step=(step == 0))
-                self._exchange(self.stepper(self.state, opts.p))
-            self.info.sweeps = sweep
-            self.info.absorb(self.sweep_info)
-            total_rot, _total_big = exchange_convergence(
-                self.ring, self.rank, (self.sweep_info.rotations, self.sweep_info.big_rotations)
-            )
-            if total_rot == 0:
-                self.info.converged = True
-                break
+    def _sweep(self, k):
+        """Sweep k of this worker; returns its own counters."""
+        self.state.nsweep = k
+        self.sweep_info = DiagInfo()
+        if self.opts.full:
+            self._diag_preprocess()
+        for step in range(self.steps):
+            self._step(first_step=(step == 0))
+            self._exchange(self.stepper(self.state, self.opts.p))
+        return self.sweep_info
 
-    def run_guarded(self):
+    def _ring_quiet(self, stats):
+        """Stop test: no worker rotated in this sweep (a collective)."""
+        (total,) = exchange_convergence(self.ring, self.rank, (stats.rotations,))
+        return total == 0
+
+    def run(self):
         try:
-            self.run()
+            self.info = sweep_until_quiet(self._sweep, self.opts.tol, quiet=self._ring_quiet)
         except Exception as exc:  # noqa: BLE001 - re-raised by parallel_jacobi
             self.errors.append(exc)
             self.ring.abort()
@@ -218,41 +210,34 @@ def parallel_jacobi(G, signs, opts):
     eigenpairs are read off it with ``extract_eigen``.  An exception raised
     in a worker is re-raised as it is, once its peers have stopped.
     """
-    if opts.variant not in VARIANTS:
-        raise ValueError(f"parallel_jacobi runs the ring variants {VARIANTS}, "
-                         f"not {opts.variant!r}")
+    if opts.variant.startswith("seq"):
+        raise ValueError(f"parallel_jacobi runs the ring variants, not {opts.variant!r}")
     n = G.shape[1]
     p = opts.p
-    nbl = 2 * p
-    if nbl > n:
-        raise ValueError(f"need at least {nbl} columns for p={p} workers")
-    part = uniform_partition(n, nbl)
-    blocks_by_rank = [dict() for _ in range(p)]
-    for ell in range(nbl):
-        cols = part.columns(ell)
-        owner = ell if ell < p else nbl - 1 - ell
-        blocks_by_rank[owner][ell + 1] = BlockMessage(
-            index=ell + 1,
-            G_block=G[:, cols],
-            J_seg=signs[cols].copy(),
-            D_seg=column_norms_squared(G[:, cols]),
-        )
+    if 2 * p > n:
+        raise ValueError(f"need at least {2 * p} columns for p={p} workers")
+    part = uniform_partition(n, 2 * p)
     ring = Ring(p)
     errors = []
-    workers = [_Worker(q, opts, ring, blocks_by_rank[q], errors) for q in range(p)]
+    workers = [_Worker(q, opts, ring, errors) for q in range(p)]
+    for w in workers:  # each block starts where its worker's schedule starts
+        for blk in (w.state.i_blk, w.state.j_blk):
+            cols = part.columns(blk - 1)
+            w.blocks[blk] = BlockMessage(index=blk, G_block=G[:, cols], J_seg=signs[cols].copy(),
+                                         D_seg=column_norms_squared(G[:, cols]))
     if p == 1:
         workers[0].run()
     else:
         threads = [
-            threading.Thread(target=w.run_guarded, name=f"hjac-worker-{w.rank}")
+            threading.Thread(target=w.run, name=f"hjac-worker-{w.rank}")
             for w in workers
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        if errors:
-            raise errors[0]
+    if errors:
+        raise errors[0]
     info = DiagInfo(sweeps=max(w.info.sweeps for w in workers),
                     converged=all(w.info.converged for w in workers))
     for w in workers:

@@ -3,7 +3,8 @@
 ``compute_plane_rotation``/``apply_rotation`` expose single rotations for
 direct use and testing, with the kernel's own arithmetic; ``jacobi_cycle``
 runs one annihilation pass through the compiled kernel;
-``jacobi_diagonalize`` iterates cycles to convergence.
+``sweep_until_quiet`` is the convergence loop of every driver, and
+``jacobi_diagonalize`` runs it over cycles.
 """
 
 import math
@@ -162,6 +163,22 @@ def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TO
     return DiagInfo(rotations=nrot, big_rotations=nbig, max_abs_t=max_t)
 
 
+def sweep_until_quiet(sweep, tol: Tolerances, W=None,
+                      quiet=lambda stats: stats.rotations == 0):
+    """The convergence loop of every driver: sums the DiagInfo of sweep(k),
+    k = 1, ..., tol.max_sweeps, up to the first ``quiet`` sweep (by default
+    one that rotates nothing), which sets ``converged``; W is attached."""
+    info = DiagInfo(W=W)
+    for k in range(1, tol.max_sweeps + 1):
+        stats = sweep(k)
+        info.sweeps = k
+        info.absorb(stats)
+        if quiet(stats):
+            info.converged = True
+            break
+    return info
+
+
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):
     """Orthogonalize the columns of G in place by cyclic J-Jacobi sweeps.
 
@@ -172,16 +189,8 @@ def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False
     """
     n = G.shape[1]
     W = np.eye(n, dtype=G.dtype, order="F") if accumulate else None
-    info = DiagInfo(W=W)
-    while info.sweeps < tol.max_sweeps:
-        info.sweeps += 1
-        D = column_norms_squared(G)
-        stats = jacobi_cycle(G, signs, D, W, n, 0, True, tol)
-        info.absorb(stats)
-        if stats.rotations == 0:
-            info.converged = True
-            break
-    return info
+    return sweep_until_quiet(
+        lambda k: jacobi_cycle(G, signs, column_norms_squared(G), W, n, 0, True, tol), tol, W)
 
 
 def extract_eigen(G_final, signs, col_perm=None, sort_descending=False):

@@ -17,12 +17,13 @@ from .factorization import (
     order_by_inertia,
     scaled_condition,
 )
-from .parallel import VARIANTS as PAR_VARIANTS, parallel_jacobi
+from .parallel import parallel_jacobi
 from .rotations import Tolerances, extract_eigen, jacobi_diagonalize
 from .strategies import MODULUS, normalize_strategy
 
-SEQ_VARIANTS = ("seq", "seqF", "seqB")
-ALL_VARIANTS = SEQ_VARIANTS + PAR_VARIANTS
+# seq* run in this process, the others on the worker ring; F variants fully
+# diagonalize every block pivot, B variants give it one pass
+ALL_VARIANTS = ("seq", "seqF", "seqB", "2F", "2B", "3F", "3B")
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,15 @@ class SolveOptions:
         object.__setattr__(self, "strategy", normalize_strategy(self.strategy))
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if self.nt_outer < 1:
+            raise ValueError("nt_outer must be >= 1")
         if self.inner_nt < 1:
             raise ValueError("inner_nt must be >= 1")
+
+    @property
+    def full(self) -> bool:
+        """Whether the variant fully diagonalizes every block pivot (an F variant)."""
+        return self.variant.endswith("F")
 
 
 def run_solver(G, signs, opts: SolveOptions):
@@ -55,9 +63,9 @@ def run_solver(G, signs, opts: SolveOptions):
     G = np.asfortranarray(G)
     if opts.variant == "seq":
         return G, jacobi_diagonalize(G, signs, opts.tol)
-    if opts.variant in ("seqF", "seqB"):
+    if opts.variant.startswith("seq"):
         n = G.shape[1]
-        driver = full_block if opts.variant == "seqF" else block_oriented
+        driver = full_block if opts.full else block_oriented
         return G, driver(G, signs, greedy_partition(n, min(opts.nt_outer, n)), opts.tol)
     return parallel_jacobi(G, signs, opts)
 

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 MODULUS = "modulus"
 ROUND_ROBIN = "round_robin"
 STRATEGIES = (MODULUS, ROUND_ROBIN)
+ALIASES = {"rr": ROUND_ROBIN, "round-robin": ROUND_ROBIN}
+# every name normalize_strategy accepts
+STRATEGY_NAMES = STRATEGIES + tuple(ALIASES)
 
 
 def normalize_strategy(name: str) -> str:
-    alias = {"rr": ROUND_ROBIN, "round-robin": ROUND_ROBIN}
-    name = alias.get(name, name)
+    name = ALIASES.get(name, name)
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}")
     return name

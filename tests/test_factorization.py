@@ -91,11 +91,12 @@ def test_graded_matrix_factors(complex_scalars):
     # pivots fall to ~1e-16 * max|H|, far below an absolute threshold, but
     # each is large against what is left of H
     n = 32
-    H, _, n_neg = graded_hermitian(np.random.default_rng(8), n, -8, complex_scalars)
-    f = factorize_hermitian_indefinite(H)
-    assert int(np.sum(f.J < 0)) == n_neg
-    err = np.abs(H[np.ix_(f.P, f.P)] - reconstruct(f)).max()
-    assert err <= 50.0 * n * EPS * np.abs(H).max()
+    for decades in (-8, -12):
+        H, _, n_neg = graded_hermitian(np.random.default_rng(8), n, decades, complex_scalars)
+        f = factorize_hermitian_indefinite(H)
+        assert int(np.sum(f.J < 0)) == n_neg, decades
+        err = np.abs(H[np.ix_(f.P, f.P)] - reconstruct(f)).max()
+        assert err <= 50.0 * n * EPS * np.abs(H).max(), decades
 
 
 @pytest.mark.parametrize("n", [5, 20, 64])

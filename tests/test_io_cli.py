@@ -186,7 +186,7 @@ def test_solve_numerical_error(tmp_path):
 @pytest.mark.parametrize("option,value", [("--max-sweeps", "0"), ("--tol", "-1"),
                                           ("--tol", "nan"), ("--tol", "inf"),
                                           ("--tol", "1"), ("--p", "0"),
-                                          ("--inner-nt", "0")])
+                                          ("--inner-nt", "0"), ("--nt-outer", "0")])
 def test_solve_out_of_range_option(tmp_path, capsys, option, value):
     h = tmp_path / "h.txt"
     write_matrix(h, np.diag([4.0, -9.0]), text=True)
