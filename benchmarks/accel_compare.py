@@ -1,7 +1,11 @@
-"""Compare the numba-compiled sweep kernel against the pure-numpy fallback.
+"""Time the sweep kernels against each other on the non-blocked solver.
 
-Runs the non-blocked diagonalization on the same factor with both kernels
-and prints per-size timings.  Usage:
+Runs ``jacobi_diagonalize`` on the same factor with each kernel in place of
+``_kernels.sweep_pairs``: the interpreted column-cyclic ``_sweep_pairs``, the
+interpreted round kernel ``sweep_rounds``, and the numba-compiled cyclic
+kernel when numba is importable.  Prints, per size and kernel, the best time
+over the repetitions, sweeps, rotations and microseconds per visited pair.
+Usage:
 
     python benchmarks/accel_compare.py [--sizes 64,128,256] [--reps 3]
 """
@@ -11,25 +15,30 @@ import time
 
 import numpy as np
 
-from hjacobi import EigSpec, generate_test_matrix
-from hjacobi._accel import NUMBA_ENABLED
-from hjacobi._kernels import sweep_pairs_jit, sweep_pairs_py
+from hjacobi import EigSpec, _kernels, generate_test_matrix
 from hjacobi.factorization import factorize_hermitian_indefinite, order_by_inertia
-from hjacobi.rotations import Tolerances
-from hjacobi import rotations as _rot
-from hjacobi import _kernels
+from hjacobi.rotations import Tolerances, jacobi_diagonalize
+
+KERNELS = [("cyclic", _kernels._sweep_pairs), ("rounds", _kernels.sweep_rounds)]
+if _kernels.sweep_pairs_jit is not None:
+    KERNELS.append(("numba", _kernels.sweep_pairs_jit))
 
 
 def time_solve(kernel, G, J, reps):
+    """Best wall time of ``reps`` solves with ``kernel``, and the last DiagInfo."""
+    saved = _kernels.sweep_pairs
     _kernels.sweep_pairs = kernel
-    best = np.inf
-    for _ in range(reps):
-        Gw = G.copy(order="F")
-        t0 = time.perf_counter()
-        info = _rot.jacobi_diagonalize(Gw, J, Tolerances())
-        best = min(best, time.perf_counter() - t0)
-        assert info.converged
-    return best
+    try:
+        best = np.inf
+        for _ in range(reps):
+            Gw = G.copy(order="F")
+            t0 = time.perf_counter()
+            info = jacobi_diagonalize(Gw, J, Tolerances())
+            best = min(best, time.perf_counter() - t0)
+            assert info.converged
+    finally:
+        _kernels.sweep_pairs = saved
+    return best, info
 
 
 def main():
@@ -38,17 +47,16 @@ def main():
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
-    if not NUMBA_ENABLED:
-        print("numba not importable; nothing to compare")
-        return
-    print(f"{'n':>6} {'numpy_s':>10} {'numba_s':>10} {'speedup':>8}")
+    print(f"{'n':>5} {'kernel':>7} {'time_s':>8} {'sweeps':>6} {'rotations':>9} {'us/pair':>8}")
     for n in sizes:
         H = generate_test_matrix(n, EigSpec(seed=n))
         f = order_by_inertia(factorize_hermitian_indefinite(H))
-        t_jit = time_solve(sweep_pairs_jit, f.G, f.J, args.reps)  # warm compile
-        t_jit = time_solve(sweep_pairs_jit, f.G, f.J, args.reps)
-        t_py = time_solve(sweep_pairs_py, f.G, f.J, args.reps)
-        print(f"{n:>6} {t_py:>10.4f} {t_jit:>10.4f} {t_py / t_jit:>8.2f}")
+        for name, kernel in KERNELS:
+            if name == "numba":
+                time_solve(kernel, f.G, f.J, 1)  # compile
+            t, info = time_solve(kernel, f.G, f.J, args.reps)
+            us_pair = 1e6 * t / (info.sweeps * n * (n - 1) // 2)
+            print(f"{n:>5} {name:>7} {t:>8.3f} {info.sweeps:>6} {info.rotations:>9} {us_pair:>8.2f}")
 
 
 if __name__ == "__main__":

@@ -1,19 +1,30 @@
 """Hot inner loop of the one-sided J-Jacobi sweep, and the rotation it applies.
 
-One implementation serves both execution paths: ``sweep_pairs_jit`` is the
-numba-compiled version, ``sweep_pairs_py`` the interpreted pure-numpy one
-(column updates are whole-array expressions, so the fallback still runs at
-BLAS-1 speed).  ``sweep_pairs`` is the compiled one when numba is
-importable, the interpreted one otherwise.  ``plane_rotation`` and
-``rotate_columns`` are the only copies of the rotation formula; the public
+A pass visits column pairs in one of two orders.  ``_sweep_pairs`` takes
+them one at a time, column-cyclically; it is the numba-compiled
+``sweep_pairs_jit`` when numba is importable.  ``sweep_rounds`` takes them
+as rounds of disjoint pairs (``pass_rounds``: round-robin steps for a
+diagonal pass, shifted diagonals for a cross pass) and rotates each round
+with a few whole-array numpy operations.  The interpreted ``sweep_pairs_py``
+runs passes of at least ROUND_MIN_PAIRS pairs per round by rounds and
+narrower ones cyclically.  ``sweep_pairs`` is the compiled kernel when numba
+is importable, the interpreted one otherwise.
+
+``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
+formula, for scalars and for arrays of disjoint pairs alike; the public
 rotation API and the factorization's 2x2 eigensolve call them too.
 """
 
-import math
+import functools
 
 import numpy as np
 
 from ._accel import NUMBA_ENABLED, jit_kernel, jitable
+
+
+# A numpy bool (same_sign, theta >= 0.0) times a Python float takes ~2 us,
+# times a numpy float ~0.15 us
+_TWO = np.float64(2.0)
 
 
 @jitable
@@ -32,30 +43,31 @@ def plane_rotation(d_rr, d_ss, eta, same_sign):
     Both make the 2x2 transformation J-unitary for the pivot's sign pair; the
     diagonal becomes (d_rr + hyp*t*eta, d_ss + t*eta).  A hyperbolic pivot
     with no inner root returns cs == 0.0.
+
+    The arithmetic is branch-free, so the arguments may be scalars or arrays
+    of disjoint pairs alike; theta = (d_ss - d_rr)/(2 eta) for a
+    trigonometric pair and -(d_rr + d_ss)/(2 eta) for a hyperbolic one come
+    out of one expression, bit for bit.
     """
-    if same_sign:
-        hyp = -1.0
-        theta = (d_ss - d_rr) / (2.0 * eta)
-        disc = theta * theta + 1.0
-    else:
-        hyp = 1.0
-        theta = -(d_rr + d_ss) / (2.0 * eta)
-        disc = theta * theta - 1.0
-        if disc <= 0.0:
-            return 0.0, 0.0, 0.0, hyp
-    t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(disc))
-    cs = 1.0 / math.sqrt(1.0 - hyp * t * t)
+    hyp = 1.0 - _TWO * same_sign
+    theta = (-hyp * d_ss - d_rr) / (2.0 * eta)
+    disc = theta * theta - hyp
+    root = disc > 0.0  # false only for a hyperbolic pivot without inner root
+    tm = 1.0 / (abs(theta) + np.sqrt(abs(disc)))
+    # the sign of theta, counting -0.0 (d_rr == d_ss, eta < 0) as +
+    t = (_TWO * (theta >= 0.0) - 1.0) * tm * root
+    cs = 1.0 / np.sqrt(1.0 - hyp * t * t) * root
     return t, cs, cs * t, hyp
 
 
 @jitable
 def rotate_columns(M, r, s, phase, cs, sn, hyp):
-    """Apply ``plane_rotation``'s transformation to columns r, s of M in place."""
+    """Apply ``plane_rotation``'s transformation to columns r, s of M in place;
+    r, s and the coefficients may also be arrays of disjoint pairs."""
     f = phase * M[:, r]
-    new_r = cs * f + (hyp * sn) * M[:, s]
-    new_s = sn * f + cs * M[:, s]
-    M[:, r] = new_r
-    M[:, s] = new_s
+    g = M[:, s]  # a copy when s is an index array
+    M[:, r] = cs * f + (hyp * sn) * g
+    M[:, s] = sn * f + cs * g
 
 
 def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
@@ -114,6 +126,111 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
     return nrot, nbig, max_t, -1, -1
 
 
-sweep_pairs_py = _sweep_pairs
+# Passes with fewer pairs per round stay cyclic.  A round costs ~60-150 us
+# of numpy calls whatever its width, a cyclic pair ~12-20 us.  Measured on
+# square pivot factors with W accumulated (6 passes each, one BLAS thread):
+# at 4 and 5 pairs per round both kernels took the same time within noise,
+# at 6 the rounds were ~30% faster and at 8 ~45% faster.  So the ring's 3B
+# (4-column inner blocks: 2 and 4 pairs per round) stays cyclic, while seq
+# (32 pairs per round at n = 64) and 2B (8 at n = 32, p = 2) run by rounds.
+ROUND_MIN_PAIRS = 6
+# Wider rounds made malloc hand the temporaries' pages back to the system
+# and fault them in again every round: at n = 256 a pass by 128-pair rounds
+# took 74k minor page faults and 3.3x the time of one by 64-pair rounds.
+ROUND_MAX_PAIRS = 64
+
+
+def _frozen(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=64)
+def pass_rounds(n_i, n_j, diag_bl):
+    """The pairs of one pass as rounds of disjoint pairs, each pair once.
+
+    Returns a tuple of read-only (R, S) index arrays, R < S elementwise.
+    diag_bl=True: all pairs r < s < n_i by the circle method, n_i - 1 rounds
+    (n_i for odd n_i).  Columns 0 .. q-1 (q = n_i - 1, or n_i for odd n_i)
+    sit on a circle: round k pairs r with (k - r) mod q, and the one column
+    left over with column q, a padding column for odd n_i whose pair is
+    dropped.  These are the steps of the ring's modified round-robin
+    (``strategies.round_robin_step``) with one column per block; in this
+    order a ``seq`` solve needs about as many rotations as column-cyclically.
+    diag_bl=False: the cross pairs r < n_i <= s < n_i + n_j as
+    max(n_i, n_j) shifted diagonals of the n_i x n_j cross block.  Rounds of
+    more than ROUND_MAX_PAIRS pairs are cut into consecutive rounds of at
+    most that many.
+    """
+    rounds = []
+    if diag_bl:
+        q = n_i - 1 + n_i % 2
+        r = np.arange(q, dtype=np.intp)
+        for k in range(q):
+            s = (k - r) % q
+            s[r == s] = q
+            keep = (r < s) & (s < n_i)
+            rounds.append((r[keep], s[keep]))
+    else:
+        x = np.arange(min(n_i, n_j), dtype=np.intp)
+        for k in range(max(n_i, n_j)):
+            rounds.append((x, n_i + (x + k) % n_j) if n_i <= n_j else ((x + k) % n_i, n_i + x))
+    cut = []
+    for r, s in rounds:
+        for lo in range(0, r.size, ROUND_MAX_PAIRS):
+            cut.append((_frozen(r[lo:lo + ROUND_MAX_PAIRS]), _frozen(s[lo:lo + ROUND_MAX_PAIRS])))
+    return tuple(cut)
+
+
+def sweep_rounds(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
+    """``_sweep_pairs`` with the pass's pairs taken as ``pass_rounds``.
+
+    Every round is a handful of whole-array operations: the Gram entries of
+    its pairs by one einsum, the rotations of the pairs that are not yet
+    orthogonal by ``plane_rotation`` on arrays, and the column updates by
+    ``rotate_columns`` on index arrays.  A round holding a pivot that is not
+    positive definite is not applied; its first such pair is returned.
+    """
+    nrot = 0
+    nbig = 0
+    max_t = 0.0
+    for R, S in pass_rounds(n_i, n_j, diag_bl):
+        a = np.einsum("ij,ij->j", G[:, R].conj(), G[:, S])
+        d_rr = D[R]
+        d_ss = D[S]
+        aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
+        act = ~(aa <= orth_tol * np.sqrt(d_rr * d_ss))  # skip what _sweep_pairs skips
+        if not act.all():
+            if not act.any():
+                continue
+            R, S, a, aa, d_rr, d_ss = R[act], S[act], a[act], aa[act], d_rr[act], d_ss[act]
+        eta = np.where(a.real >= 0.0, aa, -aa)
+        t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[R] == signs[S])
+        bad = (aa * aa >= d_rr * d_ss) | (cs == 0.0)
+        if bad.any():
+            k = np.argmax(bad)
+            return nrot, nbig, max_t, int(R[k]), int(S[k])
+        phase = a / eta
+        D[R] = d_rr + hyp * t * eta
+        D[S] = d_ss + t * eta
+        rotate_columns(G, R, S, phase, cs, sn, hyp)
+        if W.shape[0] > 0:
+            rotate_columns(W, R, S, phase, cs, sn, hyp)
+        at = np.abs(t)
+        nrot += R.size
+        nbig += int(np.count_nonzero(at > quad_tol))
+        max_t = max(max_t, float(at.max()))
+    return nrot, nbig, max_t, -1, -1
+
+
+def sweep_pairs_py(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
+    """The interpreted kernel: ``sweep_rounds`` for passes of at least
+    ROUND_MIN_PAIRS pairs per round, ``_sweep_pairs`` for narrower ones."""
+    per_round = n_i // 2 if diag_bl else min(n_i, n_j)
+    kernel = sweep_rounds if per_round >= ROUND_MIN_PAIRS else _sweep_pairs
+    return kernel(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol)
+
+
 sweep_pairs_jit = jit_kernel(_sweep_pairs) if NUMBA_ENABLED else None
 sweep_pairs = sweep_pairs_jit if NUMBA_ENABLED else sweep_pairs_py

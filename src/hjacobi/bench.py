@@ -52,6 +52,10 @@ class BenchGrid:
     complex_scalars: bool = False
     max_sweeps: int = 30
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, got {self.reps}")
+
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
@@ -115,9 +119,9 @@ def run_bench(grid: BenchGrid, progress=None):
     return records
 
 
-def write_csv(path, records):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for rec in records:
-            w.writerow(rec.row())
+def write_csv(fh, records):
+    """Write the records as CSV to the text file ``fh`` (opened with newline="")."""
+    w = csv.writer(fh)
+    w.writerow(CSV_HEADER)
+    for rec in records:
+        w.writerow(rec.row())

@@ -154,13 +154,15 @@ def _cmd_solve(args):
 def _cmd_bench(args):
     try:
         grid = bench_mod.BenchGrid.from_json(args.grid)
+        out = open(args.out, "w", newline="")  # fail before the grid runs
     except (OSError, ValueError, TypeError) as exc:
         return _error_record(EXIT_INPUT, exc)
-    records = bench_mod.run_bench(
-        grid, progress=lambda r: print(",".join(str(x) for x in r.row()),
-                                       file=sys.stderr),
-    )
-    bench_mod.write_csv(args.out, records)
+    with out:
+        records = bench_mod.run_bench(
+            grid, progress=lambda r: print(",".join(str(x) for x in r.row()),
+                                           file=sys.stderr),
+        )
+        bench_mod.write_csv(out, records)
     return EXIT_OK
 
 
@@ -191,7 +193,10 @@ def main(argv=None):
         "bench": _cmd_bench,
         "schedule": _cmd_schedule,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # an output file that cannot be written
+        return _error_record(EXIT_INPUT, exc)
 
 
 if __name__ == "__main__":

@@ -118,7 +118,8 @@ def compute_plane_rotation(a_rr, a_ss, a_rs, j_rr, j_ss):
     phase = complex(np.divide(a_rs, eta))
     if phase.imag == 0.0:
         phase = phase.real
-    t, cs, sn, _ = _kernels.plane_rotation(a_rr, a_ss, eta, j_rr == j_ss)
+    with np.errstate(over="ignore"):  # theta = +-inf for a tiny a_rs: t = 0, cs = 1
+        t, cs, sn, _ = _kernels.plane_rotation(a_rr, a_ss, eta, j_rr == j_ss)
     if cs == 0.0:
         raise PivotDefinitenessError(0, 1, "hyperbolic pivot has no inner rotation")
     return PlaneRotation(TRIGONOMETRIC if j_rr == j_ss else HYPERBOLIC, cs, sn, phase, t, eta)
@@ -145,7 +146,9 @@ def apply_rotation(G, W, D, r, s, rot: PlaneRotation):
 
 
 def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
-    """One annihilation pass over G (see the kernel module for pair order).
+    """One annihilation pass over G, through ``_kernels.sweep_pairs``: pairs
+    column-cyclically, or by rounds of disjoint pairs on the interpreted
+    path when a round holds at least ``_kernels.ROUND_MIN_PAIRS`` pairs.
 
     Returns the pass's counters as a DiagInfo, where a big rotation has
     |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if
@@ -180,7 +183,7 @@ def sweep_until_quiet(sweep, tol: Tolerances, W=None,
 
 
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):
-    """Orthogonalize the columns of G in place by cyclic J-Jacobi sweeps.
+    """Orthogonalize the columns of G in place by J-Jacobi sweeps.
 
     Each sweep reinitializes the Gram-diagonal cache from the current
     columns, then runs one full cycle.  Termination: a sweep that applies no

@@ -265,3 +265,38 @@ def test_bench_bad_grid(tmp_path):
     grid.write_text(json.dumps({"sizes": [8], "bogus": 1}))
     assert main(["bench", "--grid", str(grid), "--out",
                  str(tmp_path / "o.csv")]) == 3
+
+
+def test_bench_rejects_zero_reps(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sizes": [8], "variants": ["seq"], "reps": 0}))
+    out = tmp_path / "o.csv"
+    assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 3
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert rec["error"] == "ValueError" and "reps" in rec["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "eval-out", "evec-out", "summary", "bench"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    """An output path in a missing directory exits 3 with one JSON error
+    record; bench finds out before it runs its grid."""
+    bad = str(tmp_path / "missing" / "out")
+    h = tmp_path / "h.txt"
+    write_matrix(h, np.diag([4.0, -9.0]), text=True)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sizes": [8], "variants": ["seq"], "reps": 1}))
+    solve = ["solve", "--in", str(h), "--summary", str(tmp_path / "s")]
+    argv = {
+        "gen": ["gen", "--n", "4", "--eigs", "1,2,3,4", "--out", bad],
+        "eval-out": solve + ["--eval-out", bad],
+        "evec-out": solve + ["--eval-out", str(tmp_path / "ev"), "--evec-out", bad],
+        "summary": ["solve", "--in", str(h), "--eval-out", str(tmp_path / "ev"),
+                    "--summary", bad],
+        "bench": ["bench", "--grid", str(grid), "--out", bad],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1  # no bench progress rows: the grid never ran
+    rec = json.loads(err[0])
+    assert rec["error"] == "FileNotFoundError" and rec["exit_code"] == 3

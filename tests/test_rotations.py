@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjacobi import _kernels
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import PivotDefinitenessError
 from hjacobi.rotations import (
@@ -18,6 +19,7 @@ from hjacobi.rotations import (
     jacobi_cycle,
     jacobi_diagonalize,
 )
+from hjacobi.strategies import ROUND_ROBIN, generate_sweep_schedule
 
 EPS = np.finfo(np.float64).eps
 
@@ -139,7 +141,8 @@ def test_diagonal_conservation_laws(a_rr, a_ss, frac, hyperbolic):
 @pytest.mark.parametrize("j_ss", [1, -1])
 def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
     """The sweep kernel and apply_rotation(compute_plane_rotation(...)) are
-    the same arithmetic: G, W and D agree bit for bit."""
+    the same arithmetic: G, W and D agree bit for bit.  The round kernel is
+    pinned too, on a whole pass replayed pair by pair from its Gram entries."""
     J = np.array([1, j_ss], np.int8)
     for _ in range(20):
         G = rng.standard_normal((6, 2))
@@ -157,6 +160,93 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
         assert np.array_equal(G, G_api)
         assert np.array_equal(W, W_api)
         assert np.array_equal(D, D_api)
+
+    n = 2 * _kernels.ROUND_MIN_PAIRS
+    J = np.array([1, j_ss] * (n // 2), np.int8)  # j_ss = -1: both kinds of pair
+    G = rng.standard_normal((n + 3, n))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    G = np.asfortranarray(G)
+    D = column_norms_squared(G)
+    W = np.eye(n, dtype=G.dtype, order="F")
+    G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
+    kinds = set()
+    for R, S in _kernels.pass_rounds(n, 0, True):
+        a = np.einsum("ij,ij->j", G_api[:, R].conj(), G_api[:, S])
+        for r, s, a_rs in zip(R, S, a):
+            rot = compute_plane_rotation(D_api[r], D_api[s], a_rs, J[r], J[s])
+            apply_rotation(G_api, W_api, D_api, r, s, rot)
+            kinds.add(rot.kind)
+    nrot, _, _, fail_r, _ = _kernels.sweep_rounds(G, J, D, W, n, 0, True, 1e-15, 1e-15)
+    assert nrot == n * (n - 1) // 2 and fail_r == -1
+    assert kinds == ({TRIGONOMETRIC} if j_ss == 1 else {TRIGONOMETRIC, HYPERBOLIC})
+    assert np.array_equal(G, G_api)
+    assert np.array_equal(W, W_api)
+    assert np.array_equal(D, D_api)
+
+
+def _pairs_of(rounds):
+    pairs = []
+    for R, S in rounds:
+        assert not R.flags.writeable and not S.flags.writeable
+        assert np.all(R < S)
+        cols = np.concatenate([R, S])
+        assert np.unique(cols).size == cols.size  # disjoint pairs
+        pairs += zip(R.tolist(), S.tolist())
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_diagonal_pass_rounds_cover_each_pair_once(n):
+    """A diagonal pass's rounds are the steps of the ring's round-robin with
+    one column per block (for odd n, less the pairs of a padding column n)."""
+    rounds = _kernels.pass_rounds(n, 0, True)
+    assert len(rounds) == (n if n % 2 else n - 1)
+    pairs = _pairs_of(rounds)
+    assert sorted(pairs) == [(r, s) for r in range(n) for s in range(r + 1, n)]
+    steps = [sorted((min(i, j) - 1, max(i, j) - 1) for i, j in layout if max(i, j) <= n)
+             for layout in generate_sweep_schedule(ROUND_ROBIN, (n + 1) // 2)]
+    assert [list(zip(R.tolist(), S.tolist())) for R, S in rounds] == steps
+
+
+@pytest.mark.parametrize("n_i,n_j", [(1, 3), (2, 5), (3, 3), (4, 4), (5, 2), (3, 1)])
+def test_cross_pass_rounds_cover_each_pair_once(n_i, n_j):
+    rounds = _kernels.pass_rounds(n_i, n_j, False)
+    assert len(rounds) == max(n_i, n_j)
+    pairs = _pairs_of(rounds)
+    assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(n_i, n_i + n_j)]
+
+
+@pytest.mark.parametrize("n_i,n_j,diag_bl", [(131, 0, True), (70, 140, False)])
+def test_wide_rounds_are_cut(n_i, n_j, diag_bl):
+    rounds = _kernels.pass_rounds(n_i, n_j, diag_bl)
+    assert max(R.size for R, _ in rounds) == _kernels.ROUND_MAX_PAIRS
+    pairs = _pairs_of(rounds)
+    if diag_bl:
+        assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(r + 1, n_i)]
+    else:
+        assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(n_i, n_i + n_j)]
+
+
+@pytest.mark.parametrize("n", [4, 2 * _kernels.ROUND_MIN_PAIRS])
+def test_cycle_reports_parallel_columns(rng, n):
+    """A pivot of two parallel columns stops the pass (the cyclic kernel at
+    n = 4, the round kernel at the wide n) and names the pair; the round
+    holding it is not applied, although another of its pairs would rotate."""
+    (R, S), *_ = _kernels.pass_rounds(n, 0, True)
+    r, s = int(R[-1]), int(S[-1])  # the failing pair
+    G = np.eye(n, order="F")
+    G[:, s] = 0.0
+    G[r, s] = 2.0  # column s = 2 * column r: a singular pivot
+    if R.size > 1:  # a pair before it in the same round that would rotate
+        G[S[0], R[0]] = 0.5
+    G0 = G.copy()
+    J = np.ones(n, np.int8)
+    with pytest.raises(PivotDefinitenessError) as exc:
+        jacobi_cycle(G, J, column_norms_squared(G), None, n, 0, True)
+    assert (exc.value.r, exc.value.s) == (r, s)
+    if n >= 2 * _kernels.ROUND_MIN_PAIRS:
+        assert np.array_equal(G, G0)
 
 
 def test_cycle_orthogonal_columns_no_rotations():
