@@ -11,6 +11,7 @@ import json
 import statistics
 import time
 from dataclasses import astuple, dataclass, field, fields
+from typing import get_args, get_origin
 
 from .solve import SolveOptions, run_solver
 from .factorization import factorize_hermitian_indefinite, order_by_inertia
@@ -41,11 +42,11 @@ CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
 
 @dataclass
 class BenchGrid:
-    sizes: list
-    workers: list = field(default_factory=lambda: [1])
-    variants: list = field(default_factory=lambda: ["3F"])
-    strategies: list = field(default_factory=lambda: ["modulus"])
-    inner_nt: list = field(default_factory=lambda: [32])
+    sizes: list[int]
+    workers: list[int] = field(default_factory=lambda: [1])
+    variants: list[str] = field(default_factory=lambda: ["3F"])
+    strategies: list[str] = field(default_factory=lambda: ["modulus"])
+    inner_nt: list[int] = field(default_factory=lambda: [32])
     nt_outer: int = 64
     reps: int = 3
     seed: int = 0
@@ -53,13 +54,26 @@ class BenchGrid:
     max_sweeps: int = 30
 
     def __post_init__(self):
+        # each key must have the type its annotation names, list items included
+        for f in fields(self):
+            value, item = getattr(self, f.name), get_args(f.type)
+            if not isinstance(value, get_origin(f.type) or f.type) or (
+                    item and not all(isinstance(v, item) for v in value)):
+                raise ValueError(f"grid key {f.name!r} must be of type "
+                                 f"{f.type if item else f.type.__name__}, got {value!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
+        # unknown names and out-of-range settings fail the library's own checks
+        for variant, strategy, p, nt in itertools.product(
+                self.variants, self.strategies, self.workers, self.inner_nt):
+            self.options(variant, strategy, p, nt)
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("grid config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -67,6 +81,11 @@ class BenchGrid:
         if "sizes" not in raw:
             raise ValueError("grid config needs a 'sizes' list")
         return cls(**raw)
+
+    def options(self, variant, strategy, p, inner_nt):
+        return SolveOptions(variant=variant, strategy=strategy, p=p,
+                            nt_outer=self.nt_outer, inner_nt=inner_nt,
+                            tol=Tolerances(max_sweeps=self.max_sweeps))
 
     def cells(self):
         return itertools.product(self.sizes, self.workers, self.variants,
@@ -100,11 +119,7 @@ def run_bench(grid: BenchGrid, progress=None):
                 H = generate_test_matrix(n, spec, grid.complex_scalars)
                 factors[n] = order_by_inertia(factorize_hermitian_indefinite(H))
             f = factors[n]
-            opts = SolveOptions(
-                variant=variant, strategy=strategy, p=p,
-                nt_outer=grid.nt_outer, inner_nt=nt,
-                tol=Tolerances(max_sweeps=grid.max_sweeps),
-            )
+            opts = grid.options(variant, strategy, p, nt)
             rec.time_s, info = _time_cell(f.G, f.J, opts, grid.reps)
             rec.sweeps = info.sweeps
             rec.rotations = info.rotations

@@ -130,8 +130,10 @@ def order_by_inertia(f: FactoredForm) -> FactoredForm:
 
 def scaled_condition(A):
     """kappa of A symmetrically scaled to unit diagonal, via a reference
-    spectral decomposition (diagnostic, not a hot path)."""
+    spectral decomposition (diagnostic, not a hot path); 1 for an empty A."""
     A = as_matrix(A)
+    if not A.size:
+        return 1.0
     d = np.diag(A).real
     if np.any(d <= 0):
         raise ValueError("scaled_condition requires a strictly positive diagonal")

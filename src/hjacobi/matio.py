@@ -11,6 +11,7 @@ import struct
 
 import numpy as np
 
+from .core import as_signs
 from .errors import HJacobiError
 
 MAGIC = b"HJAC"
@@ -100,7 +101,7 @@ def read_signs(path):
     with open(path) as fh:
         tokens = fh.read().split()
     try:
-        vals = np.array([int(t) for t in tokens], dtype=np.int8)
-    except ValueError as exc:
+        vals = np.array([int(t) for t in tokens], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
         raise MatrixFormatError(f"{path}: malformed sign vector") from exc
-    return vals
+    return as_signs(vals)  # read wide, so an entry like 300 is a bad sign, not an overflow

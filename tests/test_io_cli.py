@@ -147,7 +147,7 @@ def test_solve_factor_input(tmp_path, rng):
     assert np.all(np.abs(lam - ref) <= 1e-10 * np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["nan_factor", "sign_two", "sign_length"])
+@pytest.mark.parametrize("case", ["nan_factor", "sign_two", "sign_wide", "sign_length"])
 def test_solve_bad_factor_is_input_error(tmp_path, capsys, rng, case):
     G = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     J = [1, -1, 1, -1]
@@ -155,6 +155,8 @@ def test_solve_bad_factor_is_input_error(tmp_path, capsys, rng, case):
         G[2, 1] = np.nan
     elif case == "sign_two":
         J[1] = 2
+    elif case == "sign_wide":
+        J[1] = 300  # outside int8
     else:
         J = J[:3]
     gp, jp = tmp_path / "g.bin", tmp_path / "j.txt"
@@ -195,6 +197,17 @@ def test_solve_out_of_range_option(tmp_path, capsys, option, value):
     assert code == 3
     rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert rec["error"] == "ValueError" and rec["exit_code"] == 3
+
+
+def test_solve_empty_matrix(tmp_path, capsys):
+    h = tmp_path / "e.txt"
+    h.write_text("0 0\n")
+    summ = tmp_path / "s.jsonl"
+    assert main(["solve", "--in", str(h), "--summary", str(summ)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == ""
+    rec = json.loads(summ.read_text())
+    assert rec["n"] == 0 and rec["converged"] and rec["scaled_condition"] == 1.0
 
 
 def test_solve_nonconvergence_exit(tmp_path):
@@ -275,6 +288,63 @@ def test_bench_rejects_zero_reps(tmp_path, capsys):
     rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert rec["error"] == "ValueError" and "reps" in rec["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{"sizes": 5},
+                                    {"sizes": [8], "variants": "3F"},
+                                    {"sizes": [8], "workers": ["2"]},
+                                    {"sizes": [8], "strategies": ["zigzag"]},
+                                    {"sizes": [8], "complex_scalars": "no"},
+                                    5])
+def test_bench_malformed_grid_fails_before_running(tmp_path, capsys, config):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(config))
+    out = tmp_path / "o.csv"
+    assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1  # no progress rows: no cell ran
+    assert json.loads(err[0])["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_bench_numerical_cell_failure_is_a_row(tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sizes": [8], "workers": [8], "variants": ["2B"],
+                                "reps": 1}))
+    out = tmp_path / "o.csv"
+    assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[-1].startswith("error: ValueError")
+
+
+@pytest.mark.parametrize("command,code,error", [
+    ("gen", 3, "ValueError"),
+    ("solve-input", 3, "MatrixFormatError"),
+    ("solve-numerical", 4, "SingularMatrixError"),
+    ("bench", 3, "ValueError"),
+    ("schedule", 3, "ValueError"),
+])
+def test_error_exit_boundary(tmp_path, capsys, command, code, error):
+    """One malformed input per subcommand: its exit code and exactly one JSON
+    error record on stderr."""
+    truncated, singular = tmp_path / "t.bin", tmp_path / "z.txt"
+    write_matrix(truncated, np.eye(4))
+    truncated.write_bytes(truncated.read_bytes()[:-8])
+    write_matrix(singular, np.zeros((3, 3)), text=True)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sizes": [8], "variants": ["seq"], "reps": "3"}))
+    argv = {
+        "gen": ["gen", "--n", "4", "--eigs", "log:1", "--out", str(tmp_path / "h.bin")],
+        "solve-input": ["solve", "--in", str(truncated)],
+        "solve-numerical": ["solve", "--in", str(singular)],
+        "bench": ["bench", "--grid", str(grid), "--out", str(tmp_path / "o.csv")],
+        "schedule": ["schedule", "--strategy", "modulus", "--p", "0"],
+    }[command]
+    assert main(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    rec = json.loads(err[0])
+    assert (rec["error"], rec["exit_code"]) == (error, code) and rec["message"]
 
 
 @pytest.mark.parametrize("command", ["gen", "eval-out", "evec-out", "summary", "bench"])
