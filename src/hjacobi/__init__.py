@@ -1,15 +1,15 @@
 """Dense eigensolver for Hermitian indefinite matrices.
 
 One-sided hyperbolic J-Jacobi method on the factored form P H P^T = G J G^*:
-non-blocked, cache-blocked sequential (full block / block-oriented), and a
-ring-parallel runtime with two- and three-level blocking.  The sweep kernel
-is numba-compiled when numba is importable and pure numpy otherwise.
+non-blocked, cache-blocked sequential (full block / block-oriented), and the
+ring-parallel variants with two- and three-level blocking, whose workers run
+in lock-step in one thread.  The sweep kernel is numba-compiled when numba
+is importable and pure numpy otherwise.
 """
 
 from ._accel import NUMBA_ENABLED
 from .core import EigenResult
 from .errors import (
-    ChannelTimeoutError,
     DefinitenessError,
     HJacobiError,
     NonConvergenceError,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMessage",
     "BlockPartition",
-    "ChannelTimeoutError",
     "DefinitenessError",
     "EigSpec",
     "EigenResult",

@@ -53,16 +53,15 @@ class BlockPartition:
 
 def num_blocks(n: int, n_t: int) -> int:
     """Number of blocks for target block size n_t: ceil(n / n_t)."""
-    if n < 1 or n_t < 1:
-        raise ValueError("n and n_t must be >= 1")
+    if n < 0 or n_t < 1:
+        raise ValueError("need n >= 0 and n_t >= 1")
     return -(-n // n_t)
 
 
 def greedy_partition(n: int, n_t: int) -> BlockPartition:
-    """All blocks of size n_t except a possibly smaller last one."""
-    b = num_blocks(n, n_t)
-    last = (n - 1) % n_t + 1
-    return BlockPartition(tuple([n_t] * (b - 1) + [last]))
+    """All blocks of size n_t except a possibly smaller last one (no blocks
+    when n = 0)."""
+    return BlockPartition(tuple(min(n_t, n - i * n_t) for i in range(num_blocks(n, n_t))))
 
 
 def uniform_partition(n: int, b: int) -> BlockPartition:

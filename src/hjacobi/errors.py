@@ -38,7 +38,3 @@ class RankDeficiencyError(StructuralError):
 
 class NonConvergenceError(HJacobiError):
     """The iteration hit the sweep limit (CLI exit code 5)."""
-
-
-class ChannelTimeoutError(HJacobiError):
-    """A ring receive timed out; a worker likely failed to participate."""

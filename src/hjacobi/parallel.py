@@ -1,12 +1,14 @@
-"""Ring of in-process workers running the parallel block Jacobi variants.
+"""Ring of p workers running the parallel block Jacobi variants in lock-step.
 
-Workers are threads connected by point-to-point FIFO queues arranged in a
-ring; each step every worker sends one block-column and receives one, and a
-ring all-reduce of the rotation count ends each sweep.  The whole runtime
-is deterministic for a fixed input and configuration: the schedule is
-data-independent and every channel has a single producer.  A worker that
-fails aborts the ring, so its peers stop at their next receive instead of
-waiting out the channel timeout.
+The workers take turns in the calling thread.  Each step has three phases:
+every worker rotates its block pair, then every worker sends one
+block-column to a ring neighbor, then every worker receives one.  The
+schedules are the paper's, and their arithmetic does not depend on whether
+the workers run at the same time, so the run is deterministic for a fixed
+input and configuration.  A sweep ends with the all-reduce of the workers'
+counters, and the ring stops at the first sweep in which no worker rotated.
+An error stops the run at once; when several workers would fail in one
+step, the lowest rank's error is raised.
 
 Every step is one ``pivot_step`` on the worker's two block-columns, with
 ``_Worker._local_transform`` as the local solve.  2F/3F fully diagonalize the
@@ -18,8 +20,7 @@ factor to the blocked sequential solvers when it is at least twice the inner
 target block size.
 """
 
-import queue
-import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .blocking import (
     uniform_partition,
 )
 from .core import column_norms_squared
-from .errors import ChannelTimeoutError, HJacobiError
+from .errors import HJacobiError
 from .rotations import DiagInfo, jacobi_diagonalize, sweep_until_quiet
 from .strategies import init_strategy, step_fn, steps_per_sweep
 
@@ -43,11 +44,6 @@ from .strategies import init_strategy, step_fn, steps_per_sweep
 from .blocking import chol_upper, structured_cholesky  # noqa: F401,E402
 from .core import gram  # noqa: F401,E402
 from .rotations import jacobi_cycle  # noqa: F401,E402
-
-# seconds a worker waits for a neighbor's message before giving up
-CHANNEL_TIMEOUT = 120.0
-# put on every channel by ``Ring.abort``
-_ABORT = object()
 
 
 @dataclass
@@ -62,67 +58,45 @@ class BlockMessage:
 
 
 class Ring:
-    """Point-to-point FIFO channels between ring neighbors."""
+    """Point-to-point FIFO channels between ring neighbors.
 
-    def __init__(self, p: int, timeout: float = CHANNEL_TIMEOUT):
-        self.p = p
-        self.timeout = timeout
+    Every message of a step is sent before any is received, so a receive
+    from an empty channel is a misrouted exchange and raises at once.
+    """
+
+    def __init__(self, p: int):
         self._chan = {}
         for src in range(p):
             for dst in ((src + 1) % p, (src - 1) % p):
-                self._chan.setdefault((src, dst), queue.Queue())
+                self._chan.setdefault((src, dst), deque())
 
     def send(self, src: int, dst: int, obj):
-        self._chan[(src, dst)].put(obj)
+        self._chan[(src, dst)].append(obj)
 
     def recv(self, src: int, dst: int):
-        try:
-            obj = self._chan[(src, dst)].get(timeout=self.timeout)
-        except queue.Empty as exc:
-            raise ChannelTimeoutError(
-                f"rank {dst}: no message from rank {src} within {self.timeout}s"
-            ) from exc
-        if obj is _ABORT:
-            raise HJacobiError(f"rank {dst}: ring aborted by a failed worker")
-        return obj
-
-    def abort(self):
-        """Make the next receive on every channel raise."""
-        for chan in self._chan.values():
-            chan.put(_ABORT)
+        chan = self._chan[(src, dst)]
+        if not chan:
+            raise HJacobiError(f"rank {dst}: no message from rank {src}")
+        return chan.popleft()
 
 
-def exchange_convergence(ring: Ring, rank: int, local: tuple) -> tuple:
-    """Ring all-reduce (sum) of per-sweep counters; collective, every worker
-    must call exactly once per sweep."""
-    p = ring.p
-    if p == 1:
-        return tuple(local)
-    nxt = (rank + 1) % p
-    prv = (rank - 1) % p
-    if rank == 0:
-        ring.send(0, nxt, tuple(local))
-        total = ring.recv(prv, 0)
-        ring.send(0, nxt, total)
-    else:
-        partial = ring.recv(prv, rank)
-        ring.send(rank, nxt, tuple(a + b for a, b in zip(partial, local)))
-        total = ring.recv(prv, rank)
-        if rank != p - 1:
-            ring.send(rank, nxt, total)
+def exchange_convergence(infos) -> DiagInfo:
+    """All-reduce of the workers' counters of one sweep: rotations and big
+    rotations sum, max |t| is the maximum."""
+    total = DiagInfo()
+    for info in infos:
+        total.absorb(info)
     return total
 
 
 class _Worker:
-    def __init__(self, rank, opts, ring, errors):
+    def __init__(self, rank, opts, ring):
         self.rank = rank
         self.opts = opts
         self.ring = ring
         self.blocks = {}  # {block index: BlockMessage}
-        self.errors = errors
         self.state = init_strategy(rank, 2 * opts.p)
         self.stepper = step_fn(opts.strategy)
-        self.steps = steps_per_sweep(opts.strategy, opts.p)
 
     # -- local solves ------------------------------------------------------
 
@@ -152,7 +126,13 @@ class _Worker:
             return off_diagonal_pass(R, Jq, n_i, opts.inner_nt, tol, accumulate_V=True)
         return cross_pass(R, Jq, n_i, tol)
 
-    # -- one step ----------------------------------------------------------
+    # -- one sweep ---------------------------------------------------------
+
+    def _start_sweep(self, k):
+        self.state.nsweep = k
+        self.sweep_info = DiagInfo()
+        if self.opts.full:
+            self._diag_preprocess()
 
     def _step(self, first_step):
         mi = self.blocks[self.state.i_blk]
@@ -165,9 +145,11 @@ class _Worker:
         mj.D_seg = column_norms_squared(mj.G_block)
         self.sweep_info.absorb(sub)
 
+    def _send(self, plan):
+        self.ring.send(self.rank, plan.snd_rnk, self.blocks.pop(plan.snd_blk))
+
     def _exchange(self, plan):
-        out = self.blocks.pop(plan.snd_blk)
-        self.ring.send(self.rank, plan.snd_rnk, out)
+        """Receive the block ``plan`` names, once every worker has sent."""
         msg = self.ring.recv(plan.rcv_rnk, self.rank)
         if msg.index != plan.rcv_blk:
             raise HJacobiError(
@@ -175,40 +157,16 @@ class _Worker:
             )
         self.blocks[msg.index] = msg
 
-    # -- main loop ---------------------------------------------------------
-
-    def _sweep(self, k):
-        """Sweep k of this worker; returns its own counters."""
-        self.state.nsweep = k
-        self.sweep_info = DiagInfo()
-        if self.opts.full:
-            self._diag_preprocess()
-        for step in range(self.steps):
-            self._step(first_step=(step == 0))
-            self._exchange(self.stepper(self.state, self.opts.p))
-        return self.sweep_info
-
-    def _ring_quiet(self, stats):
-        """Stop test: no worker rotated in this sweep (a collective)."""
-        (total,) = exchange_convergence(self.ring, self.rank, (stats.rotations,))
-        return total == 0
-
-    def run(self):
-        try:
-            self.info = sweep_until_quiet(self._sweep, self.opts.tol, quiet=self._ring_quiet)
-        except Exception as exc:  # noqa: BLE001 - re-raised by parallel_jacobi
-            self.errors.append(exc)
-            self.ring.abort()
-
 
 def parallel_jacobi(G, signs, opts):
-    """Diagonalize (A = G^* G, J) with ``opts.p`` ring workers, running the
-    ring variant ``opts.variant`` of a SolveOptions; returns (G, info).
+    """Diagonalize (A = G^* G, J) with ``opts.p`` ring workers in lock-step,
+    running the ring variant ``opts.variant`` of a SolveOptions; returns
+    (G, info).
 
     Like the other drivers it overwrites G's columns in place: each worker
     updates views of G's block-columns, so G keeps its column order, and
     eigenpairs are read off it with ``extract_eigen``.  An exception raised
-    in a worker is re-raised as it is, once its peers have stopped.
+    by a worker propagates as it is.
     """
     if opts.variant.startswith("seq"):
         raise ValueError(f"parallel_jacobi runs the ring variants, not {opts.variant!r}")
@@ -218,28 +176,24 @@ def parallel_jacobi(G, signs, opts):
         raise ValueError(f"need at least {2 * p} columns for p={p} workers")
     part = uniform_partition(n, 2 * p)
     ring = Ring(p)
-    errors = []
-    workers = [_Worker(q, opts, ring, errors) for q in range(p)]
+    workers = [_Worker(q, opts, ring) for q in range(p)]
     for w in workers:  # each block starts where its worker's schedule starts
         for blk in (w.state.i_blk, w.state.j_blk):
             cols = part.columns(blk - 1)
             w.blocks[blk] = BlockMessage(index=blk, G_block=G[:, cols], J_seg=signs[cols].copy(),
                                          D_seg=column_norms_squared(G[:, cols]))
-    if p == 1:
-        workers[0].run()
-    else:
-        threads = [
-            threading.Thread(target=w.run, name=f"hjac-worker-{w.rank}")
-            for w in workers
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
-    info = DiagInfo(sweeps=max(w.info.sweeps for w in workers),
-                    converged=all(w.info.converged for w in workers))
-    for w in workers:
-        info.absorb(w.info)
-    return G, info
+
+    def sweep(k):
+        for w in workers:
+            w._start_sweep(k)
+        for step in range(steps_per_sweep(opts.strategy, p)):
+            for w in workers:
+                w._step(first_step=(step == 0))
+            plans = [w.stepper(w.state, p) for w in workers]
+            for w, plan in zip(workers, plans):
+                w._send(plan)
+            for w, plan in zip(workers, plans):
+                w._exchange(plan)
+        return exchange_convergence(w.sweep_info for w in workers)
+
+    return G, sweep_until_quiet(sweep, opts.tol)

@@ -66,7 +66,7 @@ def run_solver(G, signs, opts: SolveOptions):
     if opts.variant.startswith("seq"):
         n = G.shape[1]
         driver = full_block if opts.full else block_oriented
-        return G, driver(G, signs, greedy_partition(n, min(opts.nt_outer, n)), opts.tol)
+        return G, driver(G, signs, greedy_partition(n, opts.nt_outer), opts.tol)
     return parallel_jacobi(G, signs, opts)
 
 

@@ -199,15 +199,17 @@ def test_solve_out_of_range_option(tmp_path, capsys, option, value):
     assert rec["error"] == "ValueError" and rec["exit_code"] == 3
 
 
-def test_solve_empty_matrix(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["seq", "seqF", "seqB"])
+def test_solve_empty_matrix(tmp_path, capsys, variant):
     h = tmp_path / "e.txt"
     h.write_text("0 0\n")
     summ = tmp_path / "s.jsonl"
-    assert main(["solve", "--in", str(h), "--summary", str(summ)]) == 0
+    assert main(["solve", "--in", str(h), "--variant", variant, "--summary", str(summ)]) == 0
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
     rec = json.loads(summ.read_text())
     assert rec["n"] == 0 and rec["converged"] and rec["scaled_condition"] == 1.0
+    assert rec["sweeps"] == 1 and rec["rotations"] == 0
 
 
 def test_solve_nonconvergence_exit(tmp_path):

@@ -1,18 +1,19 @@
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
 from conftest import random_full_rank
+from hjacobi import parallel
 from hjacobi.core import column_norms_squared
-from hjacobi.errors import PivotDefinitenessError
+from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
-    Ring,
     _Worker,
     exchange_convergence,
     parallel_jacobi,
 )
-from hjacobi.rotations import Tolerances, jacobi_diagonalize
+from hjacobi.rotations import DiagInfo, Tolerances, jacobi_diagonalize, sweep_until_quiet
 from hjacobi.solve import SolveOptions
 
 
@@ -64,8 +65,7 @@ def test_worker_exception_reraised(rng, monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_peers_stop_when_one_worker_fails(rng, monkeypatch, p):
-    # only rank 0 fails: its peers must stop at once, not wait out the
-    # channel timeout for a message rank 0 will never send
+    # only rank 0 fails: the run must stop at once
     step = _Worker._step
 
     def fail_on_rank_0(self, first_step):
@@ -149,22 +149,39 @@ def test_nonconvergence_flagged(rng):
 
 
 def test_exchange_convergence_sums():
-    import threading
     for p in (1, 2, 3, 5):
-        ring = Ring(p, timeout=10.0)
-        locals_ = [(3 * q + 1, q) for q in range(p)]
-        out = [None] * p
-        def run(q):
-            out[q] = exchange_convergence(ring, q, locals_[q])
-        threads = [threading.Thread(target=run, args=(q,)) for q in range(p)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        expect = tuple(sum(v) for v in zip(*locals_))
-        assert all(o == expect for o in out), p
+        infos = [DiagInfo(rotations=3 * q + 1, big_rotations=q, max_abs_t=0.1 * ((q + 2) % p))
+                 for q in range(p)]
+        total = exchange_convergence(infos)
+        assert total.rotations == sum(3 * q + 1 for q in range(p)), p
+        assert total.big_rotations == sum(range(p)), p
+        assert total.max_abs_t == max(info.max_abs_t for info in infos), p
 
 
 def test_exchange_convergence_zero_means_converged():
-    ring = Ring(1, timeout=1.0)
-    assert exchange_convergence(ring, 0, (0, 0)) == (0, 0)
+    for p in (1, 2, 3, 5):
+        info = sweep_until_quiet(lambda k: exchange_convergence([DiagInfo()] * p), Tolerances())
+        assert info.converged and info.sweeps == 1 and info.rotations == 0, p
+
+
+def test_misrouted_exchange_fails_at_once(rng, monkeypatch):
+    # rank 0 sends to the neighbor it should receive from, and receives from
+    # the one it should send to
+    correct_step_fn = parallel.step_fn
+
+    def misrouting_step_fn(strategy):
+        stepper = correct_step_fn(strategy)
+
+        def step(state, p):
+            plan = stepper(state, p)
+            if state.rank == 0:
+                plan = dataclasses.replace(plan, snd_rnk=plan.rcv_rnk, rcv_rnk=plan.snd_rnk)
+            return plan
+        return step
+
+    monkeypatch.setattr(parallel, "step_fn", misrouting_step_fn)
+    G, J = make_factor(rng, 12, 5)
+    t0 = time.perf_counter()
+    with pytest.raises(HJacobiError):
+        parallel_jacobi(G, J, SolveOptions(variant="2B", p=3))
+    assert time.perf_counter() - t0 < 10.0
