@@ -3,11 +3,14 @@
 Each record holds a solve's sweeps, rotations and ``converged`` flag, and
 SHA-256 hashes of the bytes of its eigenvalues and eigenvectors.  A change
 that leaves the arithmetic and the schedule alone must print the same JSON
-as its parent; run the script against both source trees and diff:
+as its parent.  Save the parent's fingerprint, then compare this tree with it:
 
     python benchmarks/equivalence.py --src /path/to/parent/src > before.json
-    python benchmarks/equivalence.py > after.json
-    diff before.json after.json
+    python benchmarks/equivalence.py --against before.json
+
+``--against FILE`` prints, instead of the JSON, each solve and field that
+differs from FILE (or a solve found on one side only) and exits 1; it exits
+0 when every solve is identical.
 
 The grid: seeds 0-11 of a log-uniform spectrum in [1e-3, 1] with 40%
 negative eigenvalues, at n = 32 real, 32 complex, 40 real and 64 real, each
@@ -44,10 +47,33 @@ def digest(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 
 
+KEY = ("n", "complex", "seed", "variant", "strategy", "p")
+
+
+def compare(records, saved):
+    """Lines naming each solve and field of ``records`` that differs from ``saved``."""
+    def by_key(recs):
+        return {tuple(r[k] for k in KEY): r for r in recs}
+
+    ours, theirs = by_key(records), by_key(saved)
+    lines = []
+    for key in sorted(ours.keys() | theirs.keys(), key=str):
+        name = " ".join(f"{k}={v}" for k, v in zip(KEY, key))
+        if key not in theirs or key not in ours:
+            lines.append(f"{name}: only in {'this tree' if key in ours else 'the saved file'}")
+            continue
+        for field in ours[key]:
+            if ours[key][field] != theirs[key].get(field):
+                lines.append(f"{name}: {field} {theirs[key].get(field)} -> {ours[key][field]}")
+    return lines
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                     help="directory that holds the hjacobi package to check")
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare with this saved fingerprint; exit 1 if any solve differs")
     args = ap.parse_args()
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # read when numpy loads
     sys.path.insert(0, args.src)
@@ -70,9 +96,17 @@ def main():
                     "eigenvalues": digest(res.eigenvalues),
                     "eigenvectors": digest(res.eigenvectors),
                 })
-    json.dump(records, sys.stdout, indent=1)
-    print()
+    if args.against is None:
+        json.dump(records, sys.stdout, indent=1)
+        print()
+        return 0
+    with open(args.against) as fh:
+        diffs = compare(records, json.load(fh))
+    for line in diffs:
+        print(line)
+    print(f"{len(records)} solves, {len(diffs)} differences from {args.against}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,14 +1,22 @@
 """Hot inner loop of the one-sided J-Jacobi sweep, and the rotation it applies.
 
-A pass visits column pairs in one of two orders.  ``_sweep_pairs`` takes
-them one at a time, column-cyclically; it is the numba-compiled
-``sweep_pairs_jit`` when numba is importable.  ``sweep_rounds`` takes them
-as rounds of disjoint pairs (``pass_rounds``: round-robin steps for a
-diagonal pass, shifted diagonals for a cross pass) and rotates each round
-with a few whole-array numpy operations.  The interpreted ``sweep_pairs_py``
-runs passes of at least ROUND_MIN_PAIRS pairs per round by rounds and
-narrower ones cyclically.  ``sweep_pairs`` is the compiled kernel when numba
-is importable, the interpreted one otherwise.
+A pass rotates one column-major array M: its top m rows are the factor G
+whose columns are orthogonalized, and the rows below are the accumulator W
+of the J-unitary transformation, which the blocked and ring variants apply
+back to their block columns (there are no such rows for the non-blocked
+solver).  Gram entries are read from M[:m], and each rotation is one
+``rotate_columns`` call on all of M.  ``sweep_pairs`` is the entry point:
+it stacks [G; W] into M, runs the pass's body and writes both parts back.
+
+A body visits the pass's column pairs in one of two orders.
+``_sweep_pairs`` takes them one at a time, column-cyclically; numba
+compiles it as ``sweep_pairs_jit`` when numba is importable.
+``sweep_rounds`` takes them as rounds of disjoint pairs (``pass_rounds``:
+round-robin steps for a diagonal pass, shifted diagonals for a cross pass)
+and rotates each round with a few whole-array numpy operations.
+``pass_kernel`` picks the body: the compiled one if there is one, else
+rounds for passes of at least ROUND_MIN_PAIRS pairs per round and the
+cyclic body for narrower ones.
 
 ``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
 formula, for scalars and for arrays of disjoint pairs alike; the public
@@ -70,14 +78,15 @@ def rotate_columns(M, r, s, phase, cs, sn, hyp):
     M[:, s] = sn * f + cs * g
 
 
-def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
-    """Run one annihilation pass over column pairs of G.
+def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
+    """Run one annihilation pass over column pairs of G = M[:m].
 
     diag_bl=True: visit all pairs (r, s), r < s < n_i, column-cyclically.
     diag_bl=False: visit the cross pairs r < n_i <= s < n_i + n_j.
 
-    G and W are updated in place (W may have zero rows to skip accumulation);
-    D caches the Gram diagonal and is updated incrementally.
+    Each rotation updates both columns of all of M in place, so the rows
+    below m (the accumulator W, possibly none) are rotated with G; D caches
+    G's Gram diagonal and is updated incrementally.
 
     Returns (rotations, big_rotations, max_abs_t, fail_r, fail_s), where a
     big rotation has |t| > quad_tol; the fail indices are -1 on success, or
@@ -99,7 +108,7 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
         else:
             r_hi = n_i
         for r in range(r_hi):
-            a = np.vdot(G[:, r], G[:, s])
+            a = np.vdot(M[:m, r], M[:m, s])
             d_rr = D[r]
             d_ss = D[s]
             aa = abs(a)
@@ -114,9 +123,7 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
                 return nrot, nbig, max_t, r, s
             D[r] = d_rr + hyp * t * eta
             D[s] = d_ss + t * eta
-            rotate_columns(G, r, s, phase, cs, sn, hyp)
-            if W.shape[0] > 0:
-                rotate_columns(W, r, s, phase, cs, sn, hyp)
+            rotate_columns(M, r, s, phase, cs, sn, hyp)
             nrot += 1
             at = abs(t)
             if at > max_t:
@@ -127,12 +134,14 @@ def _sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
 
 
 # Passes with fewer pairs per round stay cyclic.  A round costs ~60-150 us
-# of numpy calls whatever its width, a cyclic pair ~12-20 us.  Measured on
-# square pivot factors with W accumulated (6 passes each, one BLAS thread):
-# at 4 and 5 pairs per round both kernels took the same time within noise,
-# at 6 the rounds were ~30% faster and at 8 ~45% faster.  So the ring's 3B
-# (4-column inner blocks: 2 and 4 pairs per round) stays cyclic, while seq
-# (32 pairs per round at n = 64) and 2B (8 at n = 32, p = 2) run by rounds.
+# of numpy calls whatever its width, a cyclic pair ~11-15 us.  Measured on
+# square pivot factors with W accumulated (4 inputs x 30 alternating full
+# diagonalizations per width, one BLAS thread), time per pass of rounds
+# against cyclic, real / complex: 1.47 / 1.30 at 4 pairs per round, 1.12 /
+# 1.13 at 5, 1.00 / 0.96 at 6, 0.94 / 0.81 at 7 and 0.77 / 0.71 at 8.  So
+# the ring's 3B (4-column inner blocks: 2 and 4 pairs per round) stays
+# cyclic, while seq (32 pairs per round at n = 64) and 2B (8 at n = 32,
+# p = 2) run by rounds.
 ROUND_MIN_PAIRS = 6
 # Wider rounds made malloc hand the temporaries' pages back to the system
 # and fault them in again every round: at n = 256 a pass by 128-pair rounds
@@ -183,7 +192,7 @@ def pass_rounds(n_i, n_j, diag_bl):
     return tuple(cut)
 
 
-def sweep_rounds(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
+def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
     """``_sweep_pairs`` with the pass's pairs taken as ``pass_rounds``.
 
     Every round is a handful of whole-array operations: the Gram entries of
@@ -196,7 +205,7 @@ def sweep_rounds(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
     nbig = 0
     max_t = 0.0
     for R, S in pass_rounds(n_i, n_j, diag_bl):
-        a = np.einsum("ij,ij->j", G[:, R].conj(), G[:, S])
+        a = np.einsum("ij,ij->j", M[:m, R].conj(), M[:m, S])
         d_rr = D[R]
         d_ss = D[S]
         aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
@@ -214,9 +223,7 @@ def sweep_rounds(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
         phase = a / eta
         D[R] = d_rr + hyp * t * eta
         D[S] = d_ss + t * eta
-        rotate_columns(G, R, S, phase, cs, sn, hyp)
-        if W.shape[0] > 0:
-            rotate_columns(W, R, S, phase, cs, sn, hyp)
+        rotate_columns(M, R, S, phase, cs, sn, hyp)
         at = np.abs(t)
         nrot += R.size
         nbig += int(np.count_nonzero(at > quad_tol))
@@ -224,13 +231,40 @@ def sweep_rounds(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
     return nrot, nbig, max_t, -1, -1
 
 
-def sweep_pairs_py(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
-    """The interpreted kernel: ``sweep_rounds`` for passes of at least
-    ROUND_MIN_PAIRS pairs per round, ``_sweep_pairs`` for narrower ones."""
-    per_round = n_i // 2 if diag_bl else min(n_i, n_j)
-    kernel = sweep_rounds if per_round >= ROUND_MIN_PAIRS else _sweep_pairs
-    return kernel(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol)
-
-
 sweep_pairs_jit = jit_kernel(_sweep_pairs) if NUMBA_ENABLED else None
-sweep_pairs = sweep_pairs_jit if NUMBA_ENABLED else sweep_pairs_py
+
+
+def pass_kernel(n_i, n_j, diag_bl):
+    """The body that runs a pass: the compiled ``sweep_pairs_jit`` when numba
+    is importable; otherwise ``sweep_rounds`` for passes of at least
+    ROUND_MIN_PAIRS pairs per round and ``_sweep_pairs`` for narrower ones."""
+    if sweep_pairs_jit is not None:
+        return sweep_pairs_jit
+    per_round = n_i // 2 if diag_bl else min(n_i, n_j)
+    return sweep_rounds if per_round >= ROUND_MIN_PAIRS else _sweep_pairs
+
+
+def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
+    """One annihilation pass over column pairs of G by ``pass_kernel``'s body,
+    with the J-unitary transformation accumulated into W.
+
+    G and W (with G's columns and dtype) are rotated in place as one stacked
+    column-major array [G; W], so that each rotation is one column update.
+    A W with zero rows accumulates nothing and the body runs on G itself.
+    Otherwise both parts are written back however the pass ends, so a pass
+    stopped at a non-positive-definite pivot leaves G, W and D as rotated so
+    far.  Returns the body's (rotations, big_rotations, max_abs_t, fail_r,
+    fail_s).
+    """
+    body = pass_kernel(n_i, n_j, diag_bl)
+    m = G.shape[0]
+    if W.shape[0] == 0:
+        return body(G, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol)
+    M = np.empty((m + W.shape[0], G.shape[1]), dtype=G.dtype, order="F")
+    M[:m] = G
+    M[m:] = W
+    try:
+        return body(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol)
+    finally:
+        G[...] = M[:m]
+        W[...] = M[m:]

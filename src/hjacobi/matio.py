@@ -52,12 +52,12 @@ def read_matrix(path):
             raise MatrixFormatError(f"{path}: unknown scalar kind {kind}")
         dtype = _KIND[kind]
         need = m * n * np.dtype(dtype).itemsize
-        payload = fh.read(need)
-        if len(payload) != need:
-            raise MatrixFormatError(
-                f"{path}: truncated payload ({len(payload)} of {need} bytes)"
-            )
-        if fh.read(1):
+        # read what the file holds, not what the header claims: an m*n beyond
+        # the file then cannot make read() overflow or allocate
+        payload = fh.read()
+        if len(payload) < need:
+            raise MatrixFormatError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
+        if len(payload) > need:
             raise MatrixFormatError(f"{path}: trailing bytes after payload")
     flat = np.frombuffer(payload, dtype=dtype)
     return np.asfortranarray(flat.reshape((n, m)).T)

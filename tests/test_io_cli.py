@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_truncated_payload(tmp_path, rng):
         read_matrix(path)
 
 
+def test_trailing_bytes(tmp_path, rng):
+    path = tmp_path / "m.bin"
+    write_matrix(path, rng.standard_normal((6, 6)))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(MatrixFormatError, match="trailing bytes"):
+        read_matrix(path)
+
+
 def test_unknown_version(tmp_path, rng):
     path = tmp_path / "m.bin"
     write_matrix(path, rng.standard_normal((2, 2)))
@@ -62,6 +71,19 @@ def test_unknown_version(tmp_path, rng):
     path.write_bytes(bytes(data))
     with pytest.raises(MatrixFormatError):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("dim", [2**25, 2**31])  # an 8 PB payload; one whose size overflows
+def test_oversized_header_is_input_error(tmp_path, capsys, dim):
+    """A header claiming more payload than the file holds is rejected before
+    anything is read or allocated: exit 3 with a MatrixFormatError record."""
+    path = tmp_path / "huge.bin"
+    path.write_bytes(struct.pack("<4sIIQQ", b"HJAC", 1, 0, dim, dim) + bytes(64))
+    with pytest.raises(MatrixFormatError, match="truncated payload"):
+        read_matrix(path)
+    assert main(["solve", "--in", str(path)]) == 3
+    rec = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (rec["error"], rec["exit_code"]) == ("MatrixFormatError", 3)
 
 
 def test_text_roundtrip(tmp_path, rng):

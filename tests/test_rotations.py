@@ -137,12 +137,22 @@ def test_diagonal_conservation_laws(a_rr, a_ss, frac, hyperbolic):
     assert abs(after - before) <= 32 * EPS * (abs(D[0]) + abs(D[1]) + 1)
 
 
+def _rotate(G, W, D, J, r, s, a_rs):
+    """apply_rotation(compute_plane_rotation(...)) on pair (r, s) whose Gram
+    entry is a_rs; returns the rotation's kind."""
+    rot = compute_plane_rotation(D[r], D[s], a_rs, J[r], J[s])
+    apply_rotation(G, W, D, r, s, rot)
+    return rot.kind
+
+
 @pytest.mark.parametrize("complex_scalars", [False, True])
 @pytest.mark.parametrize("j_ss", [1, -1])
 def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
     """The sweep kernel and apply_rotation(compute_plane_rotation(...)) are
-    the same arithmetic: G, W and D agree bit for bit.  The round kernel is
-    pinned too, on a whole pass replayed pair by pair from its Gram entries."""
+    the same arithmetic: G, W and D agree bit for bit.  Both kernel bodies
+    are pinned too, on a whole pass over the stacked array [G; W] replayed
+    pair by pair from the Gram entries each body reads (by pair in the
+    cyclic ``_sweep_pairs``, by round in ``sweep_rounds``)."""
     J = np.array([1, j_ss], np.int8)
     for _ in range(20):
         G = rng.standard_normal((6, 2))
@@ -162,27 +172,32 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
         assert np.array_equal(D, D_api)
 
     n = 2 * _kernels.ROUND_MIN_PAIRS
+    m = n + 3
     J = np.array([1, j_ss] * (n // 2), np.int8)  # j_ss = -1: both kinds of pair
-    G = rng.standard_normal((n + 3, n))
+    G = rng.standard_normal((m, n))
     if complex_scalars:
         G = G + 1j * rng.standard_normal(G.shape)
-    G = np.asfortranarray(G)
-    D = column_norms_squared(G)
-    W = np.eye(n, dtype=G.dtype, order="F")
-    G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
-    kinds = set()
-    for R, S in _kernels.pass_rounds(n, 0, True):
-        a = np.einsum("ij,ij->j", G_api[:, R].conj(), G_api[:, S])
-        for r, s, a_rs in zip(R, S, a):
-            rot = compute_plane_rotation(D_api[r], D_api[s], a_rs, J[r], J[s])
-            apply_rotation(G_api, W_api, D_api, r, s, rot)
-            kinds.add(rot.kind)
-    nrot, _, _, fail_r, _ = _kernels.sweep_rounds(G, J, D, W, n, 0, True, 1e-15, 1e-15)
-    assert nrot == n * (n - 1) // 2 and fail_r == -1
-    assert kinds == ({TRIGONOMETRIC} if j_ss == 1 else {TRIGONOMETRIC, HYPERBOLIC})
-    assert np.array_equal(G, G_api)
-    assert np.array_equal(W, W_api)
-    assert np.array_equal(D, D_api)
+    for body in (_kernels._sweep_pairs, _kernels.sweep_rounds):
+        M = np.asfortranarray(np.vstack([G, np.eye(n, dtype=G.dtype)]))
+        D = column_norms_squared(M[:m])
+        G_api, W_api, D_api = M[:m].copy(order="F"), M[m:].copy(order="F"), D.copy()
+        kinds = set()
+        if body is _kernels.sweep_rounds:
+            for R, S in _kernels.pass_rounds(n, 0, True):
+                a = np.einsum("ij,ij->j", G_api[:, R].conj(), G_api[:, S])
+                for r, s, a_rs in zip(R, S, a):
+                    kinds.add(_rotate(G_api, W_api, D_api, J, r, s, a_rs))
+        else:
+            for s in range(1, n):
+                for r in range(s):
+                    a_rs = np.vdot(G_api[:, r], G_api[:, s])
+                    kinds.add(_rotate(G_api, W_api, D_api, J, r, s, a_rs))
+        nrot, _, _, fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15)
+        assert nrot == n * (n - 1) // 2 and fail_r == -1
+        assert kinds == ({TRIGONOMETRIC} if j_ss == 1 else {TRIGONOMETRIC, HYPERBOLIC})
+        assert np.array_equal(M[:m], G_api)
+        assert np.array_equal(M[m:], W_api)
+        assert np.array_equal(D, D_api)
 
 
 def _pairs_of(rounds):
@@ -247,6 +262,43 @@ def test_cycle_reports_parallel_columns(rng, n):
     assert (exc.value.r, exc.value.s) == (r, s)
     if n >= 2 * _kernels.ROUND_MIN_PAIRS:
         assert np.array_equal(G, G0)
+
+
+def test_stopped_pass_keeps_rotations_so_far(rng):
+    """A pass that meets a non-positive-definite pivot after some rotations
+    returns that pair and leaves G, W and D as rotated up to it."""
+    n = 5  # a cyclic pass: (0, 1), (0, 2), (1, 2) rotate, pairs with 3 or 4 are orthogonal
+    G = np.zeros((6, n), order="F")
+    G[:3, :3] = rng.standard_normal((3, 3))
+    G[3:, 3] = [1.0, 2.0, 2.0]
+    G[3:, 4] = 2.0 * G[3:, 3]  # (3, 4) is singular, exactly
+    J = np.array([1, -1, 1, 1, -1], np.int8)
+    D = column_norms_squared(G)
+    W = np.eye(n, order="F")
+    G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
+    for r, s in [(0, 1), (0, 2), (1, 2)]:
+        _rotate(G_api, W_api, D_api, J, r, s, np.vdot(G_api[:, r], G_api[:, s]))
+    nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15)
+    assert (nrot, fail_r, fail_s) == (3, 3, 4)
+    assert np.array_equal(G, G_api)
+    assert np.array_equal(W, W_api)
+    assert np.array_equal(D, D_api)
+
+
+@pytest.mark.parametrize("n", [5, 2 * _kernels.ROUND_MIN_PAIRS])
+def test_zero_row_accumulator_rotates_g_in_place(rng, n):
+    """A W with no rows accumulates nothing: G and D come out rotated in
+    place exactly as with an accumulator."""
+    G = np.asfortranarray(rng.standard_normal((n + 2, n)))
+    J = np.array([1, -1] * n, np.int8)[:n]
+    G0, D = G.copy(order="F"), column_norms_squared(G)
+    G_w, D_w = G.copy(order="F"), D.copy()
+    nrot = _kernels.sweep_pairs(G, J, D, np.zeros((0, n)), n, 0, True, 1e-15, 1e-15)[0]
+    W = np.eye(n, order="F")
+    assert nrot == _kernels.sweep_pairs(G_w, J, D_w, W, n, 0, True, 1e-15, 1e-15)[0] > 0
+    assert not np.array_equal(G, G0)
+    assert np.array_equal(G, G_w)
+    assert np.array_equal(D, D_w)
 
 
 def test_cycle_orthogonal_columns_no_rotations():
