@@ -33,7 +33,7 @@ if _kernels.sweep_pairs_jit is not None:
 def time_solve(kernel, G, J, reps, accumulate):
     """Best wall time of ``reps`` solves with ``kernel``, and the last DiagInfo."""
     saved = _kernels.pass_kernel
-    _kernels.pass_kernel = lambda n_i, n_j, diag_bl: kernel
+    _kernels.pass_kernel = lambda *args: kernel
     try:
         best = np.inf
         for _ in range(reps):

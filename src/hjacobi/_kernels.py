@@ -7,16 +7,20 @@ back to their block columns (there are no such rows for the non-blocked
 solver).  Gram entries are read from M[:m], and each rotation is one
 ``rotate_columns`` call on all of M.  ``sweep_pairs`` is the entry point:
 it stacks [G; W] into M, runs the pass's body and writes both parts back.
+M may hold several member factors of one width side by side (the disjoint
+block pivots of a blocked round); each member, starting at its column
+offset, gets its own pass and its own counters.
 
 A body visits the pass's column pairs in one of two orders.
-``_sweep_pairs`` takes them one at a time, column-cyclically; numba
-compiles it as ``sweep_pairs_jit`` when numba is importable.
+``_sweep_pairs`` takes them one at a time, column-cyclically, member after
+member; numba compiles it as ``sweep_pairs_jit`` when numba is importable.
 ``sweep_rounds`` takes them as rounds of disjoint pairs (``pass_rounds``:
-round-robin steps for a diagonal pass, shifted diagonals for a cross pass)
-and rotates each round with a few whole-array numpy operations.
-``pass_kernel`` picks the body: the compiled one if there is one, else
-rounds for passes of at least ROUND_MIN_PAIRS pairs per round and the
-cyclic body for narrower ones.
+round-robin steps for a diagonal pass, shifted diagonals for a cross pass;
+``member_rounds``: round k of every member at once) and rotates each round
+with a few whole-array numpy operations.  ``pass_kernel`` picks the body:
+the compiled one if there is one, else rounds for passes of at least
+ROUND_MIN_PAIRS pairs per round, counted over all members, and the cyclic
+body for narrower ones.
 
 ``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
 formula, for scalars and for arrays of disjoint pairs alike; the public
@@ -78,9 +82,11 @@ def rotate_columns(M, r, s, phase, cs, sn, hyp):
     M[:, s] = sn * f + cs * g
 
 
-def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
-    """Run one annihilation pass over column pairs of G = M[:m].
+def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
+    """Run one annihilation pass over column pairs of G = M[:m], for each
+    member factor in turn.
 
+    Member b's columns start at offsets[b]; relative to that:
     diag_bl=True: visit all pairs (r, s), r < s < n_i, column-cyclically.
     diag_bl=False: visit the cross pairs r < n_i <= s < n_i + n_j.
 
@@ -88,60 +94,76 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
     below m (the accumulator W, possibly none) are rotated with G; D caches
     G's Gram diagonal and is updated incrementally.
 
-    Returns (rotations, big_rotations, max_abs_t, fail_r, fail_s), where a
-    big rotation has |t| > quad_tol; the fail indices are -1 on success, or
-    the pair at which a non-positive-definite pivot was detected (the pass
-    stops there).
+    Adds member b's (rotations, big_rotations, max_abs_t) to stats[b], where
+    a big rotation has |t| > quad_tol.  Returns (fail_r, fail_s): -1 on
+    success, or the columns of M at which a non-positive-definite pivot was
+    detected (the pass stops there).
     """
-    nrot = 0
-    nbig = 0
-    max_t = 0.0
     if diag_bl:
         s_lo = 1
         s_hi = n_i
     else:
         s_lo = n_i
         s_hi = n_i + n_j
-    for s in range(s_lo, s_hi):
-        if diag_bl:
-            r_hi = s
-        else:
-            r_hi = n_i
-        for r in range(r_hi):
-            a = np.vdot(M[:m, r], M[:m, s])
-            d_rr = D[r]
-            d_ss = D[s]
-            aa = abs(a)
-            if aa <= orth_tol * np.sqrt(d_rr * d_ss):
-                continue
-            if aa * aa >= d_rr * d_ss:
-                return nrot, nbig, max_t, r, s
-            eta = aa if a.real >= 0.0 else -aa
-            phase = a / eta
-            t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[r] == signs[s])
-            if cs == 0.0:
-                return nrot, nbig, max_t, r, s
-            D[r] = d_rr + hyp * t * eta
-            D[s] = d_ss + t * eta
-            rotate_columns(M, r, s, phase, cs, sn, hyp)
-            nrot += 1
-            at = abs(t)
-            if at > max_t:
-                max_t = at
-            if at > quad_tol:
-                nbig += 1
-    return nrot, nbig, max_t, -1, -1
+    for b in range(offsets.shape[0]):
+        o = offsets[b]
+        nrot = 0
+        nbig = 0
+        max_t = 0.0
+        fail_r = -1
+        fail_s = -1
+        for s in range(o + s_lo, o + s_hi):
+            if diag_bl:
+                r_hi = s
+            else:
+                r_hi = o + n_i
+            for r in range(o, r_hi):
+                a = np.vdot(M[:m, r], M[:m, s])
+                d_rr = D[r]
+                d_ss = D[s]
+                aa = abs(a)
+                if aa <= orth_tol * np.sqrt(d_rr * d_ss):
+                    continue
+                if aa * aa >= d_rr * d_ss:
+                    fail_r = r
+                    fail_s = s
+                    break
+                eta = aa if a.real >= 0.0 else -aa
+                phase = a / eta
+                t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[r] == signs[s])
+                if cs == 0.0:
+                    fail_r = r
+                    fail_s = s
+                    break
+                D[r] = d_rr + hyp * t * eta
+                D[s] = d_ss + t * eta
+                rotate_columns(M, r, s, phase, cs, sn, hyp)
+                nrot += 1
+                at = abs(t)
+                if at > max_t:
+                    max_t = at
+                if at > quad_tol:
+                    nbig += 1
+            if fail_r >= 0:
+                break
+        stats[b, 0] += nrot
+        stats[b, 1] += nbig
+        stats[b, 2] = max(stats[b, 2], max_t)
+        if fail_r >= 0:
+            return fail_r, fail_s
+    return -1, -1
 
 
-# Passes with fewer pairs per round stay cyclic.  A round costs ~60-150 us
+# Passes with fewer pairs per round stay cyclic; the pairs of a round are
+# counted over all the members of a stacked call.  A round costs ~60-150 us
 # of numpy calls whatever its width, a cyclic pair ~11-15 us.  Measured on
 # square pivot factors with W accumulated (4 inputs x 30 alternating full
 # diagonalizations per width, one BLAS thread), time per pass of rounds
 # against cyclic, real / complex: 1.47 / 1.30 at 4 pairs per round, 1.12 /
 # 1.13 at 5, 1.00 / 0.96 at 6, 0.94 / 0.81 at 7 and 0.77 / 0.71 at 8.  So
-# the ring's 3B (4-column inner blocks: 2 and 4 pairs per round) stays
-# cyclic, while seq (32 pairs per round at n = 64) and 2B (8 at n = 32,
-# p = 2) run by rounds.
+# seq (32 pairs per round at n = 64), 2B (8 at n = 32, p = 2) and the
+# stacked inner passes of 3B (two 4 x 4 cross blocks: 8) run by rounds,
+# while a lone 8-column pivot (4 pairs per round) stays cyclic.
 ROUND_MIN_PAIRS = 6
 # Wider rounds made malloc hand the temporaries' pages back to the system
 # and fault them in again every round: at n = 256 a pass by 128-pair rounds
@@ -153,6 +175,12 @@ def _frozen(a):
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _cut(rounds):
+    """Rounds of more than ROUND_MAX_PAIRS pairs cut into consecutive ones."""
+    return tuple(tuple(_frozen(x[lo:lo + ROUND_MAX_PAIRS]) for x in rnd)
+                 for rnd in rounds for lo in range(0, rnd[0].size, ROUND_MAX_PAIRS))
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,26 +213,41 @@ def pass_rounds(n_i, n_j, diag_bl):
         x = np.arange(min(n_i, n_j), dtype=np.intp)
         for k in range(max(n_i, n_j)):
             rounds.append((x, n_i + (x + k) % n_j) if n_i <= n_j else ((x + k) % n_i, n_i + x))
-    cut = []
-    for r, s in rounds:
-        for lo in range(0, r.size, ROUND_MAX_PAIRS):
-            cut.append((_frozen(r[lo:lo + ROUND_MAX_PAIRS]), _frozen(s[lo:lo + ROUND_MAX_PAIRS])))
-    return tuple(cut)
+    return _cut(rounds)
 
 
-def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
-    """``_sweep_pairs`` with the pass's pairs taken as ``pass_rounds``.
-
-    Every round is a handful of whole-array operations: the Gram entries of
-    its pairs by one einsum, the rotations of the pairs that are not yet
-    orthogonal by ``plane_rotation`` on arrays, and the column updates by
-    ``rotate_columns`` on index arrays.  A round holding a pivot that is not
-    positive definite is not applied; its first such pair is returned.
-    """
-    nrot = 0
-    nbig = 0
-    max_t = 0.0
+@functools.lru_cache(maxsize=256)
+def member_rounds(n_i, n_j, diag_bl, offsets):
+    """``pass_rounds`` of member factors side by side, member b's columns
+    starting at offsets[b] (a tuple): round k holds every member's round k,
+    its indices offset.  Returns read-only (R, S, owner) arrays, owner
+    giving each pair's member as a position in offsets; rounds of more than
+    ROUND_MAX_PAIRS pairs are cut."""
+    own = np.arange(len(offsets), dtype=np.intp)
+    off = np.asarray(offsets, dtype=np.intp)
+    rounds = []
     for R, S in pass_rounds(n_i, n_j, diag_bl):
+        shift = np.repeat(off, R.size)
+        rounds.append((np.tile(R, off.size) + shift, np.tile(S, off.size) + shift,
+                       np.repeat(own, R.size)))
+    return _cut(rounds)
+
+
+def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
+    """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``.
+
+    Every round is a handful of whole-array operations on all the members at
+    once: the Gram entries of its pairs by one einsum, the rotations of the
+    pairs that are not yet orthogonal by ``plane_rotation`` on arrays, and
+    the column updates by ``rotate_columns`` on index arrays.  Each of these
+    is elementwise per pair, so a member gets the bits it gets alone.  A
+    round holding a pivot that is not positive definite is not applied; its
+    first such pair is returned.
+    """
+    ts = []
+    owners = []
+    fail = (-1, -1)
+    for R, S, own in member_rounds(n_i, n_j, diag_bl, tuple(offsets.tolist())):
         a = np.einsum("ij,ij->j", M[:m, R].conj(), M[:m, S])
         d_rr = D[R]
         d_ss = D[S]
@@ -213,58 +256,82 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol):
         if not act.all():
             if not act.any():
                 continue
-            R, S, a, aa, d_rr, d_ss = R[act], S[act], a[act], aa[act], d_rr[act], d_ss[act]
+            R, S, own, a, aa = R[act], S[act], own[act], a[act], aa[act]
+            d_rr, d_ss = d_rr[act], d_ss[act]
         eta = np.where(a.real >= 0.0, aa, -aa)
         t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[R] == signs[S])
         bad = (aa * aa >= d_rr * d_ss) | (cs == 0.0)
         if bad.any():
             k = np.argmax(bad)
-            return nrot, nbig, max_t, int(R[k]), int(S[k])
+            fail = (int(R[k]), int(S[k]))
+            break
         phase = a / eta
         D[R] = d_rr + hyp * t * eta
         D[S] = d_ss + t * eta
         rotate_columns(M, R, S, phase, cs, sn, hyp)
-        at = np.abs(t)
-        nrot += R.size
-        nbig += int(np.count_nonzero(at > quad_tol))
-        max_t = max(max_t, float(at.max()))
-    return nrot, nbig, max_t, -1, -1
+        ts.append(np.abs(t))
+        owners.append(own)
+    if ts:  # the members' counters, once per pass
+        at = np.concatenate(ts)
+        own = np.concatenate(owners)
+        stats[:, 0] += np.bincount(own, minlength=len(stats))
+        stats[:, 1] += np.bincount(own[at > quad_tol], minlength=len(stats))
+        np.maximum.at(stats[:, 2], own, at)
+    return fail
 
 
 sweep_pairs_jit = jit_kernel(_sweep_pairs) if NUMBA_ENABLED else None
 
 
-def pass_kernel(n_i, n_j, diag_bl):
-    """The body that runs a pass: the compiled ``sweep_pairs_jit`` when numba
-    is importable; otherwise ``sweep_rounds`` for passes of at least
-    ROUND_MIN_PAIRS pairs per round and ``_sweep_pairs`` for narrower ones."""
+def pass_kernel(n_i, n_j, diag_bl, members=1):
+    """The body that runs a pass of ``members`` factors side by side: the
+    compiled ``sweep_pairs_jit`` when numba is importable; otherwise
+    ``sweep_rounds`` when a round of the whole call holds at least
+    ROUND_MIN_PAIRS pairs, and ``_sweep_pairs`` when it holds fewer."""
     if sweep_pairs_jit is not None:
         return sweep_pairs_jit
-    per_round = n_i // 2 if diag_bl else min(n_i, n_j)
+    per_round = (n_i // 2 if diag_bl else min(n_i, n_j)) * members
     return sweep_rounds if per_round >= ROUND_MIN_PAIRS else _sweep_pairs
 
 
-def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol):
+ONE_MEMBER = _frozen(np.zeros(1, dtype=np.intp))  # offsets of a lone factor
+
+
+def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
+                offsets=ONE_MEMBER, stats=None):
     """One annihilation pass over column pairs of G by ``pass_kernel``'s body,
     with the J-unitary transformation accumulated into W.
+
+    G may hold several member factors side by side, member b's columns
+    starting at offsets[b] (an intp array; by default one member at 0), each
+    with its own pass over its n_i (+ n_j) columns.  ``stats``, when given,
+    is a zeroed float array of one row per member that receives the
+    member's (rotations, big_rotations, max_abs_t).
 
     G and W (with G's columns and dtype) are rotated in place as one stacked
     column-major array [G; W], so that each rotation is one column update.
     A W with zero rows accumulates nothing and the body runs on G itself.
     Otherwise both parts are written back however the pass ends, so a pass
     stopped at a non-positive-definite pivot leaves G, W and D as rotated so
-    far.  Returns the body's (rotations, big_rotations, max_abs_t, fail_r,
-    fail_s).
+    far.  Returns the totals over the members (rotations, big_rotations,
+    max_abs_t) and the columns (fail_r, fail_s) of G at which the pass
+    stopped, -1 if it did not.
     """
-    body = pass_kernel(n_i, n_j, diag_bl)
+    if stats is None:
+        stats = np.zeros((offsets.size, 3))
+    body = pass_kernel(n_i, n_j, diag_bl, offsets.size)
     m = G.shape[0]
     if W.shape[0] == 0:
-        return body(G, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol)
-    M = np.empty((m + W.shape[0], G.shape[1]), dtype=G.dtype, order="F")
-    M[:m] = G
-    M[m:] = W
-    try:
-        return body(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol)
-    finally:
-        G[...] = M[:m]
-        W[...] = M[m:]
+        fail_r, fail_s = body(G, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats)
+    else:
+        M = np.empty((m + W.shape[0], G.shape[1]), dtype=G.dtype, order="F")
+        M[:m] = G
+        M[m:] = W
+        try:
+            fail_r, fail_s = body(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol,
+                                  offsets, stats)
+        finally:
+            G[...] = M[:m]
+            W[...] = M[m:]
+    nrot, nbig = stats[:, :2].sum(axis=0).tolist()
+    return int(nrot), int(nbig), float(stats[:, 2].max()), fail_r, fail_s

@@ -35,12 +35,13 @@ def as_signs(J, n=None):
 
 
 def hermitize(A):
-    """Average A with its conjugate transpose (exact for Hermitian input)."""
-    return (A + A.conj().T) / 2
+    """Average A (or each matrix of a stack) with its conjugate transpose
+    (exact for Hermitian input)."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2
 
 
 def gram(Gi, Gj=None):
-    """Gram product Gi^* Gj.
+    """Gram product Gi^* Gj, of two matrices or of two stacks of them.
 
     With one argument (or Gj is Gi) the result is explicitly symmetrized so
     downstream Cholesky sees exactly Hermitian input.
@@ -48,9 +49,9 @@ def gram(Gi, Gj=None):
     same = Gj is None or Gj is Gi
     if Gj is None:
         Gj = Gi
-    if Gi.shape[0] != Gj.shape[0]:
-        raise ValueError(f"row counts differ: {Gi.shape[0]} vs {Gj.shape[0]}")
-    A = Gi.conj().T @ Gj
+    if Gi.shape[-2] != Gj.shape[-2]:
+        raise ValueError(f"row counts differ: {Gi.shape[-2]} vs {Gj.shape[-2]}")
+    A = np.matmul(Gi.conj().swapaxes(-1, -2), Gj)
     if same:
         A = hermitize(A)
     return A

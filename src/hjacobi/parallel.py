@@ -17,7 +17,9 @@ re-diagonalizing every diagonal Gram block); 2B/3B run a single annihilation
 pass over its off-diagonal block, except on the first step of a sweep, which
 sweeps the whole local pivot once.  The three-level variants hand the local
 factor to the blocked sequential solvers when it is at least twice the inner
-target block size.
+target block size; these take the inner block pivots by rounds, the disjoint
+pivots of a round as one stacked step (see ``blocking``), so the kernel's
+body is chosen by the pairs per round of a whole round of inner pivots.
 """
 
 from collections import deque
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import (
-    _diagonalizer,
     block_oriented,
     cross_pass,
     full_block,
@@ -102,7 +103,11 @@ class _Worker:
 
     def _diag_preprocess(self):
         """F variants: re-diagonalize the two owned diagonal Gram blocks."""
-        local = _diagonalizer(self.opts.tol)
+        tol = self.opts.tol
+
+        def local(R, J, n_i):
+            return jacobi_diagonalize(R, J, tol, accumulate=True)
+
         for msg in self.blocks.values():
             sub = pivot_step(msg.G_block, None, msg.J_seg, local)
             msg.D_seg = column_norms_squared(msg.G_block)

@@ -2,9 +2,12 @@
 
 ``compute_plane_rotation``/``apply_rotation`` expose single rotations for
 direct use and testing, with the kernel's own arithmetic; ``jacobi_cycle``
-runs one annihilation pass through the compiled kernel;
-``sweep_until_quiet`` is the convergence loop of every driver, and
-``jacobi_diagonalize`` runs it over cycles.
+runs one annihilation pass through the kernel; ``sweep_until_quiet`` is the
+convergence loop of the blocked and ring drivers, and ``jacobi_diagonalize``
+sweeps one factor until a sweep rotates nothing.  ``cycle_members`` and
+``diagonalize_members`` do the same for several factors of equal width side
+by side in one array, in one kernel call per pass, each factor with the
+bits it gets alone.
 """
 
 import math
@@ -145,32 +148,49 @@ def apply_rotation(G, W, D, r, s, rot: PlaneRotation):
             _kernels.rotate_columns(M, r, s, rot.phase, rot.cs, rot.sn, hyp)
 
 
-def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
-    """One annihilation pass over G, through ``_kernels.sweep_pairs``: pairs
-    column-cyclically, or by rounds of disjoint pairs on the interpreted
-    path when a round holds at least ``_kernels.ROUND_MIN_PAIRS`` pairs.
+def cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances, offsets):
+    """``jacobi_cycle`` on member factors of G side by side, as one kernel call.
 
-    Returns the pass's counters as a DiagInfo, where a big rotation has
-    |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if
-    a visited pivot is not positive definite.
+    Member b's columns start at offsets[b] (increasing); each member gets
+    its own pass, with the bits it gets alone, and a DiagInfo of its own in
+    the returned list.  Raises PivotDefinitenessError with the failing
+    member's own pair.
     """
     m = G.shape[0]
     n = n_i if diag_bl else n_i + n_j
     if W is None:
         W = np.zeros((0, G.shape[1]), dtype=G.dtype, order="F")
-    nrot, nbig, max_t, fail_r, fail_s = _kernels.sweep_pairs(
-        G, signs, D, W, n_i, n_j, diag_bl, tol.orth(m), n * EPS
+    offsets = np.asarray(offsets, dtype=np.intp)
+    stats = np.zeros((offsets.size, 3))
+    *_, fail_r, fail_s = _kernels.sweep_pairs(
+        G, signs, D, W, n_i, n_j, diag_bl, tol.orth(m), n * EPS, offsets, stats
     )
     if fail_r >= 0:
-        raise PivotDefinitenessError(fail_r, fail_s)
-    return DiagInfo(rotations=nrot, big_rotations=nbig, max_abs_t=max_t)
+        o = offsets[np.searchsorted(offsets, fail_r, side="right") - 1]
+        raise PivotDefinitenessError(int(fail_r - o), int(fail_s - o))
+    return [DiagInfo(rotations=int(r), big_rotations=int(b), max_abs_t=float(t))
+            for r, b, t in stats.tolist()]
+
+
+def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
+    """One annihilation pass over G, through ``_kernels.sweep_pairs``: pairs
+    column-cyclically, or by rounds of disjoint pairs on the interpreted
+    path when a round holds at least ``_kernels.ROUND_MIN_PAIRS`` pairs
+    (counted over all the members of a ``cycle_members`` call).
+
+    Returns the pass's counters as a DiagInfo, where a big rotation has
+    |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if
+    a visited pivot is not positive definite.
+    """
+    return cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol, _kernels.ONE_MEMBER)[0]
 
 
 def sweep_until_quiet(sweep, tol: Tolerances, W=None,
                       quiet=lambda stats: stats.rotations == 0):
-    """The convergence loop of every driver: sums the DiagInfo of sweep(k),
-    k = 1, ..., tol.max_sweeps, up to the first ``quiet`` sweep (by default
-    one that rotates nothing), which sets ``converged``; W is attached."""
+    """The convergence loop of the blocked and ring drivers: sums the
+    DiagInfo of sweep(k), k = 1, ..., tol.max_sweeps, up to the first
+    ``quiet`` sweep (by default one that rotates nothing), which sets
+    ``converged``; W is attached."""
     info = DiagInfo(W=W)
     for k in range(1, tol.max_sweeps + 1):
         stats = sweep(k)
@@ -182,6 +202,40 @@ def sweep_until_quiet(sweep, tol: Tolerances, W=None,
     return info
 
 
+def eye_blocks(k, members, dtype):
+    """``members`` k x k identities side by side, column-major."""
+    W = np.zeros((k, members * k), dtype=dtype, order="F")
+    W.reshape((k * k, members), order="F")[::k + 1] = 1.0  # each block's diagonal
+    return W
+
+
+def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, accumulate=False):
+    """``jacobi_diagonalize`` on ``members`` factors of equal width side by
+    side in G, with one stacked cycle per sweep.
+
+    Each sweep cycles only the members that have not yet had a sweep without
+    rotations, so every member stops at its own first quiet sweep (or at
+    tol.max_sweeps) and comes out with the bits, counters and W it gets
+    alone.  Returns a DiagInfo per member; their W are column blocks of one
+    accumulator when ``accumulate`` is set.
+    """
+    k = G.shape[1] // members
+    W = eye_blocks(k, members, G.dtype) if accumulate else None
+    infos = [DiagInfo(W=None if W is None else W[:, b * k:(b + 1) * k]) for b in range(members)]
+    active = list(range(members))
+    for sweep in range(1, tol.max_sweeps + 1):
+        stats = cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
+                              [b * k for b in active])
+        for b, st in zip(active, stats):
+            infos[b].sweeps = sweep
+            infos[b].absorb(st)
+            infos[b].converged = st.rotations == 0
+        active = [b for b in active if not infos[b].converged]
+        if not active:
+            break
+    return infos
+
+
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):
     """Orthogonalize the columns of G in place by J-Jacobi sweeps.
 
@@ -190,10 +244,7 @@ def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False
     rotations.  Returns DiagInfo; ``W`` holds the accumulated J-unitary
     transformation when ``accumulate`` is set.
     """
-    n = G.shape[1]
-    W = np.eye(n, dtype=G.dtype, order="F") if accumulate else None
-    return sweep_until_quiet(
-        lambda k: jacobi_cycle(G, signs, column_norms_squared(G), W, n, 0, True, tol), tol, W)
+    return diagonalize_members(G, signs, 1, tol, accumulate)[0]
 
 
 def extract_eigen(G_final, signs, col_perm=None, sort_descending=False):

@@ -15,6 +15,7 @@ from hjacobi.rotations import (
     Tolerances,
     apply_rotation,
     compute_plane_rotation,
+    cycle_members,
     extract_eigen,
     jacobi_cycle,
     jacobi_diagonalize,
@@ -192,8 +193,9 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
                 for r in range(s):
                     a_rs = np.vdot(G_api[:, r], G_api[:, s])
                     kinds.add(_rotate(G_api, W_api, D_api, J, r, s, a_rs))
-        nrot, _, _, fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15)
-        assert nrot == n * (n - 1) // 2 and fail_r == -1
+        stats = np.zeros((1, 3))
+        fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15, _kernels.ONE_MEMBER, stats)
+        assert stats[0, 0] == n * (n - 1) // 2 and fail_r == -1
         assert kinds == ({TRIGONOMETRIC} if j_ss == 1 else {TRIGONOMETRIC, HYPERBOLIC})
         assert np.array_equal(M[:m], G_api)
         assert np.array_equal(M[m:], W_api)
@@ -241,6 +243,52 @@ def test_wide_rounds_are_cut(n_i, n_j, diag_bl):
         assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(r + 1, n_i)]
     else:
         assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(n_i, n_i + n_j)]
+
+
+@pytest.mark.parametrize("n_i,n_j,diag_bl", [(8, 0, True), (7, 0, True), (4, 4, False),
+                                             (3, 5, False), (40, 40, False)])
+@pytest.mark.parametrize("members", [(0,), (0, 1, 2), (1, 3)])
+def test_member_rounds_stay_within_members(n_i, n_j, diag_bl, members):
+    """Stacked rounds are each member's rounds side by side: a pair never
+    joins columns of different members, a round's pairs are disjoint, and
+    member b visits exactly the pairs of ``pass_rounds`` shifted by its
+    offset, in the same round order.  (1, 3): the members left once others
+    are quiet."""
+    k = n_i if diag_bl else n_i + n_j
+    offsets = tuple(b * k for b in members)
+    rounds = _kernels.member_rounds(n_i, n_j, diag_bl, offsets)
+    per_member = [[] for _ in offsets]
+    for R, S, own in rounds:
+        assert R.size <= _kernels.ROUND_MAX_PAIRS
+        assert not own.flags.writeable
+        cols = np.concatenate([R, S])
+        assert np.unique(cols).size == cols.size  # disjoint pairs
+        lo = np.asarray(offsets)[own]
+        assert np.all((lo <= R) & (R < S) & (S < lo + k))  # within the pair's member
+        for r, s, b in zip(R.tolist(), S.tolist(), own.tolist()):
+            per_member[b].append((r - offsets[b], s - offsets[b]))
+    alone = [p for R, S in _kernels.pass_rounds(n_i, n_j, diag_bl)
+             for p in zip(R.tolist(), S.tolist())]
+    assert all(pairs == alone for pairs in per_member)
+
+
+@pytest.mark.parametrize("n", [4, 2 * _kernels.ROUND_MIN_PAIRS])
+def test_failing_member_names_its_own_pair(rng, n):
+    """A stacked pass that meets a singular pivot in one member raises with
+    that member's own pair, the pair the member raises alone."""
+    (R, S), *_ = _kernels.pass_rounds(n, 0, True)
+    r, s = int(R[-1]), int(S[-1])
+    bad = np.eye(n, order="F")
+    bad[:, s] = 0.0
+    bad[r, s] = 2.0  # column s = 2 * column r
+    J = np.ones(n, np.int8)
+    with pytest.raises(PivotDefinitenessError) as alone:
+        jacobi_cycle(bad.copy(order="F"), J, column_norms_squared(bad), None, n, 0, True)
+    G = np.asfortranarray(np.hstack([np.eye(n), rng.standard_normal((n, n)), bad]))
+    with pytest.raises(PivotDefinitenessError) as stacked:
+        cycle_members(G, np.tile(J, 3), column_norms_squared(G), None, n, 0, True,
+                      Tolerances(), [0, n, 2 * n])
+    assert (stacked.value.r, stacked.value.s) == (alone.value.r, alone.value.s) == (r, s)
 
 
 @pytest.mark.parametrize("n", [4, 2 * _kernels.ROUND_MIN_PAIRS])
