@@ -15,9 +15,14 @@ The blocked solvers visit the block pivots by rounds of disjoint pivots,
 taken from ``_kernels.pass_rounds`` at block level, with one stacked step
 per round and pivot width.  The full block solver diagonalizes each pivot's
 factor; the block-oriented solver gives each diagonal block one cycle and
-each off-diagonal pivot one cross pass (``cross_pass``).
-``off_diagonal_pass`` is the single-pass building block reused by the
-three-level parallel variants.
+each off-diagonal pivot one cross pass (``cross_members``).
+``off_diagonal_pass`` is the single pass over a cross block that the
+three-level parallel variants use.  Each of them is the one-member case of
+a member-aware driver (``block_members``, ``off_diagonal_members``) that
+takes several factors of equal width side by side, as the ring has one per
+worker: every member's partition is repeated, round k holds round k of
+every member, and each member keeps its own counters and stops at its own
+first quiet sweep.
 """
 
 import functools
@@ -29,7 +34,7 @@ from ._kernels import pass_rounds
 from .core import column_norms_squared, gram, hermitize
 from .errors import DefinitenessError
 from .rotations import (DEFAULT_TOL, DiagInfo, Tolerances, cycle_members, diagonalize_members,
-                        eye_blocks, sweep_until_quiet)
+                        eye_blocks, members_until_quiet)
 
 # Not called here: bound so that perfbench/tracing.py can wrap them in this module.
 from .rotations import jacobi_cycle, jacobi_diagonalize  # noqa: F401,E402
@@ -262,12 +267,22 @@ def _block_rounds(n_i, n_j, diag_bl):
     return [list(zip(R.tolist(), S.tolist())) for R, S in pass_rounds(n_i, n_j, diag_bl)]
 
 
-def _pivot_pass(G, signs, part, rounds, local, V=None, lam=None):
+def _member_rounds(rounds, nb, active):
+    """Block rounds of member factors side by side, nb blocks each: round k
+    holds round k of every member in ``active``, member b's block indices
+    offset by b*nb (the block-level twin of ``_kernels.member_rounds``)."""
+    return [[(i + b * nb, None if j is None else j + b * nb) for b in active for i, j in rnd]
+            for rnd in rounds]
+
+
+def _pivot_pass(G, signs, part, rounds, local, infos, V=None, lam=None):
     """The block pivots (i, j) of each round (j None: the diagonal block i),
     which must be disjoint within a round: one ``stacked_step`` per round and
-    pivot width.  V, when given, receives every W as well; ``lam``, when
-    given, holds each block's squared column norms and is kept current."""
-    info = DiagInfo()
+    pivot width.  The blocks of ``part`` belong to the members of ``infos``
+    in equal runs, and each pivot's counters go to its member's DiagInfo.
+    V, when given, receives every W as well; ``lam``, when given, maps each
+    block to its squared column norms and is kept current."""
+    nb = part.b // len(infos)
     for rnd in rounds:
         groups = {}
         for i, j in rnd:
@@ -283,59 +298,95 @@ def _pivot_pass(G, signs, part, rounds, local, V=None, lam=None):
             for (i, j), (Gi, Gj, *_), sub in zip(group, views, subs):
                 if sub.rotations and lam is not None:
                     lam[i], lam[j] = column_norms_squared(Gi), column_norms_squared(Gj)
-                info.absorb(sub)
-    return info
+                infos[i // nb].absorb(sub)
 
 
-def _diag_block_pass(G, signs, part, local, V):
-    """Every diagonal block, as one round."""
-    return _pivot_pass(G, signs, part, [[(i, None) for i in range(part.b)]], local, V)
+def _diag_block_pass(G, signs, part, local, infos, active, V):
+    """Every diagonal block of the ``active`` members, as one round."""
+    nb = part.b // len(infos)
+    _pivot_pass(G, signs, part, _member_rounds([[(i, None) for i in range(nb)]], nb, active),
+                local, infos, V)
 
 
-def _block_sweeps(G, signs, part, tol, accumulate_V, full):
-    """Sweeps of a blocked driver until one applies no rotations.
+def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances = DEFAULT_TOL,
+                  accumulate_V=False):
+    """The sweeps of a blocked driver on ``members`` factors of equal width
+    side by side in G, each partitioned by ``part``; returns a DiagInfo per
+    member.
 
     Each sweep visits the diagonal blocks, all in one round, then the
     off-diagonal block pairs by the rounds of the circle method
-    (``_kernels.pass_rounds`` over the b blocks).  ``full`` diagonalizes
-    every pivot, using the structured Cholesky on the off-diagonal ones;
-    otherwise a diagonal block gets one cycle and an off-diagonal pivot one
-    cross pass.
+    (``_kernels.pass_rounds`` over the b blocks); round k holds round k of
+    every member (``_member_rounds``), so a round's pivots of one width run
+    as one stacked step whatever member they belong to.  ``full``
+    diagonalizes every pivot, using the structured Cholesky on the
+    off-diagonal ones; otherwise a diagonal block gets one cycle and an
+    off-diagonal pivot one cross pass.  Every member stops at its own first
+    sweep without rotations (``members_until_quiet``), and comes out with
+    the bits it gets alone, except where the stacking moves a kernel pass
+    to the other body (``_kernels.pass_kernel``).  With ``accumulate_V``
+    each member's W is its block of one accumulator.
     """
-    n = G.shape[1]
-    if part.n != n:
+    n = part.n
+    if G.shape[1] != members * n:
         raise ValueError("partition does not cover all columns")
-    V = np.eye(n, dtype=G.dtype, order="F") if accumulate_V else None
+    nb = part.b
+    whole = BlockPartition(part.sizes * members)
+    V = eye_blocks(n, members, G.dtype) if accumulate_V else None
     if full:
         diag = off = _diagonalizer(tol)
     else:
         diag = _diagonalizer(tol.with_max_sweeps(1))
         off = functools.partial(cross_members, tol=tol)
-    rounds = _block_rounds(part.b, 0, True)
+    rounds = _block_rounds(nb, 0, True)
 
-    def sweep(k):
-        info = _diag_block_pass(G, signs, part, diag, V)
-        lam = [column_norms_squared(G[:, part.columns(i)]) for i in range(part.b)] if full else None
-        info.absorb(_pivot_pass(G, signs, part, rounds, off, V, lam))
-        return info
+    def sweep(k, active):
+        infos = [DiagInfo() for _ in range(members)]
+        _diag_block_pass(G, signs, whole, diag, infos, active, V)
+        lam = {i: column_norms_squared(G[:, whole.columns(i)])
+               for b in active for i in range(b * nb, (b + 1) * nb)} if full else None
+        _pivot_pass(G, signs, whole, _member_rounds(rounds, nb, active), off, infos, V, lam)
+        return [infos[b] for b in active]
 
-    return sweep_until_quiet(sweep, tol, V)
+    return members_until_quiet(sweep, members, tol, V)
 
 
 def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
                accumulate_V=False):
     """Sequential full block solver: per sweep, full diagonalization of every
     diagonal block, then of every block pivot, by rounds of disjoint pivots
-    (see ``_block_sweeps``)."""
-    return _block_sweeps(G, signs, part, tol, accumulate_V, full=True)
+    (``block_members`` of one member)."""
+    return block_members(G, signs, part, 1, True, tol, accumulate_V)[0]
 
 
 def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
                    accumulate_V=False):
     """Sequential block-oriented solver: per sweep, one cycle through each
     diagonal block, then one annihilation pass over each off-diagonal block,
-    by rounds of disjoint pivots (see ``_block_sweeps``)."""
-    return _block_sweeps(G, signs, part, tol, accumulate_V, full=False)
+    by rounds of disjoint pivots (``block_members`` of one member)."""
+    return block_members(G, signs, part, 1, False, tol, accumulate_V)[0]
+
+
+def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
+                         tol: Tolerances = DEFAULT_TOL, accumulate_V=False):
+    """``off_diagonal_pass`` on ``members`` factors of equal width side by
+    side in G, each split at n_r: round k of the inner grid holds round k of
+    every member, so every member comes out with the bits it gets alone,
+    except where the stacking moves a kernel pass to the other body.
+    Returns a DiagInfo per member."""
+    n = G.shape[1] // members
+    if not (0 < n_r < n):
+        raise ValueError("need 0 < n_r < total column count")
+    pr = uniform_partition(n_r, num_blocks(n_r, inner_t))
+    ps = uniform_partition(n - n_r, num_blocks(n - n_r, inner_t))
+    nb = pr.b + ps.b
+    V = eye_blocks(n, members, G.dtype) if accumulate_V else None
+    infos = [DiagInfo(sweeps=1, converged=True, W=None if V is None else V[:, b * n:(b + 1) * n])
+             for b in range(members)]
+    rounds = _member_rounds(_block_rounds(pr.b, ps.b, False), nb, range(members))
+    _pivot_pass(G, signs, BlockPartition((pr.sizes + ps.sizes) * members), rounds,
+                functools.partial(cross_members, tol=tol), infos, V)
+    return infos
 
 
 def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
@@ -346,16 +397,7 @@ def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
     inner block size ``inner_t``, so the inner partition respects the
     boundary between the two outer blocks; every (left, right) inner pair is
     visited exactly once (no convergence loop), by the shifted diagonals of
-    the pr.b x ps.b grid of inner pairs as rounds of disjoint pivots.
+    the pr.b x ps.b grid of inner pairs as rounds of disjoint pivots
+    (``off_diagonal_members`` of one member).
     """
-    n = G.shape[1]
-    if not (0 < n_r < n):
-        raise ValueError("need 0 < n_r < total column count")
-    pr = uniform_partition(n_r, num_blocks(n_r, inner_t))
-    ps = uniform_partition(n - n_r, num_blocks(n - n_r, inner_t))
-    part = BlockPartition(pr.sizes + ps.sizes)
-    V = np.eye(n, dtype=G.dtype, order="F") if accumulate_V else None
-    rounds = _block_rounds(pr.b, ps.b, False)
-    info = _pivot_pass(G, signs, part, rounds, functools.partial(cross_members, tol=tol), V)
-    info.sweeps, info.converged, info.W = 1, True, V
-    return info
+    return off_diagonal_members(G, signs, n_r, inner_t, 1, tol, accumulate_V)[0]

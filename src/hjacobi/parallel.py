@@ -3,48 +3,62 @@
 The workers take turns in the calling thread.  Each step has three phases:
 every worker rotates its block pair, then every worker sends one
 block-column to a ring neighbor, then every worker receives one.  The
-schedules are the paper's, and their arithmetic does not depend on whether
-the workers run at the same time, so the run is deterministic for a fixed
-input and configuration.  A sweep ends with the all-reduce of the workers'
-counters, and the ring stops at the first sweep in which no worker rotated.
-An error stops the run at once; when several workers would fail in one
-step, the lowest rank's error is raised.
+schedules are the paper's: in a step the p workers hold disjoint block
+pairs, so their pivots do not interact, and they run as one
+``blocking.stacked_step`` per pivot width (``uniform_partition(n, 2p)``
+sizes differ by at most one, so a step has one or two), with one local
+solve on every worker's pivot factor at once.  Each worker's pivot comes
+out with the bits it gets alone, except where the stacking moves a kernel
+pass to the other body (``_kernels.pass_kernel``), and the run is
+deterministic for a fixed input and configuration.  A sweep ends with the
+all-reduce of the workers' counters, and the ring stops at the first sweep
+in which no worker rotated.
 
-Every step is one ``pivot_step`` on the worker's two block-columns, with
-``_Worker._local_transform`` as the local solve.  2F/3F fully diagonalize the
-local pivot factor (using the structured Cholesky, since a sweep starts by
-re-diagonalizing every diagonal Gram block); 2B/3B run a single annihilation
-pass over its off-diagonal block, except on the first step of a sweep, which
-sweeps the whole local pivot once.  The three-level variants hand the local
-factor to the blocked sequential solvers when it is at least twice the inner
-target block size; these take the inner block pivots by rounds, the disjoint
-pivots of a round as one stacked step (see ``blocking``), so the kernel's
-body is chosen by the pairs per round of a whole round of inner pivots.
+An error stops the run at once.  When several workers' pivots would fail in
+one step, the error raised is the first one the stacked computation meets,
+which need not be the lowest rank's: the width groups run in the rank order
+of their first worker, and the kernel by rounds takes round k of every
+worker's pass at once, so a higher rank that fails in an earlier round wins
+over a lower rank that fails later.  Within one round, and in the cyclic
+kernel, which runs the workers' passes one after another, the lowest
+failing rank wins.
+
+The local solve is ``_Worker._local_transform``.  2F/3F fully diagonalize
+each local pivot factor (using the structured Cholesky, since a sweep
+starts by re-diagonalizing all 2p diagonal Gram blocks, as one stacked step
+too); 2B/3B run a single annihilation pass over its off-diagonal block,
+except on the first step of a sweep, which sweeps the whole local pivot
+once.  The three-level variants hand the factors to the member-aware blocked
+solvers (``block_members``, ``off_diagonal_members``) when a factor is at
+least twice the inner target block size; these take the inner block pivots
+of every factor by rounds, the disjoint pivots of a round as one stacked
+step.
 """
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocking import (
-    block_oriented,
-    cross_pass,
-    full_block,
+    block_members,
+    cross_members,
     num_blocks,
-    off_diagonal_pass,
-    pivot_step,
+    off_diagonal_members,
+    stacked_step,
     uniform_partition,
 )
 from .core import column_norms_squared
 from .errors import HJacobiError
-from .rotations import DiagInfo, jacobi_diagonalize, sweep_until_quiet
+from .rotations import DiagInfo, diagonalize_members, sweep_until_quiet
 from .strategies import init_strategy, step_fn, steps_per_sweep
 
 # Not called here: bound so that perfbench/tracing.py can wrap them in this module.
-from .blocking import chol_upper, structured_cholesky  # noqa: F401,E402
+from .blocking import (block_oriented, chol_upper, full_block,  # noqa: F401,E402
+                       off_diagonal_pass, structured_cholesky)
 from .core import gram  # noqa: F401,E402
-from .rotations import jacobi_cycle  # noqa: F401,E402
+from .rotations import jacobi_cycle, jacobi_diagonalize  # noqa: F401,E402
 
 
 @dataclass
@@ -99,56 +113,39 @@ class _Worker:
         self.state = init_strategy(rank, 2 * opts.p)
         self.stepper = step_fn(opts.strategy)
 
-    # -- local solves ------------------------------------------------------
+    # -- local solves, on the factors of every worker's pivot at once -------
 
-    def _diag_preprocess(self):
-        """F variants: re-diagonalize the two owned diagonal Gram blocks."""
-        tol = self.opts.tol
+    def _diag_preprocess(self, R, J, n_i, members):
+        """F variants: re-diagonalize the diagonal Gram blocks that start a
+        sweep, every worker's two at once."""
+        return diagonalize_members(R, J, members, self.opts.tol, accumulate=True)
 
-        def local(R, J, n_i):
-            return jacobi_diagonalize(R, J, tol, accumulate=True)
-
-        for msg in self.blocks.values():
-            sub = pivot_step(msg.G_block, None, msg.J_seg, local)
-            msg.D_seg = column_norms_squared(msg.G_block)
-            self.sweep_info.absorb(sub)
-
-    def _local_transform(self, R, Jq, n_i, first_step):
-        """The local solve of one step on the pivot's square factor R."""
+    def _local_transform(self, R, J, n_i, members, first_step):
+        """The local solve of one step on ``members`` pivot factors side by side in R."""
         opts = self.opts
         tol = opts.tol
-        n_q = R.shape[1]
+        n_q = R.shape[1] // members
         blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
-        part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt)) if blocked else None
         if opts.full or first_step:  # the whole pivot, to convergence (F) or for one sweep (B)
             if not opts.full:
                 tol = tol.with_max_sweeps(1)
             if blocked:
-                driver = full_block if opts.full else block_oriented
-                return driver(R, Jq, part, tol, accumulate_V=True)
-            return jacobi_diagonalize(R, Jq, tol, accumulate=True)
+                part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt))
+                return block_members(R, J, part, members, opts.full, tol, accumulate_V=True)
+            return diagonalize_members(R, J, members, tol, accumulate=True)
         if blocked:
-            return off_diagonal_pass(R, Jq, n_i, opts.inner_nt, tol, accumulate_V=True)
-        return cross_pass(R, Jq, n_i, tol)
+            return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, accumulate_V=True)
+        return cross_members(R, J, n_i, members, tol)
 
     # -- one sweep ---------------------------------------------------------
 
     def _start_sweep(self, k):
         self.state.nsweep = k
         self.sweep_info = DiagInfo()
-        if self.opts.full:
-            self._diag_preprocess()
 
-    def _step(self, first_step):
-        mi = self.blocks[self.state.i_blk]
-        mj = self.blocks[self.state.j_blk]
-        lam = (mi.D_seg, mj.D_seg) if self.opts.full else None
-        sub = pivot_step(mi.G_block, mj.G_block, np.concatenate([mi.J_seg, mj.J_seg]),
-                         lambda R, J, n_i: self._local_transform(R, J, n_i, first_step),
-                         lam)
-        mi.D_seg = column_norms_squared(mi.G_block)
-        mj.D_seg = column_norms_squared(mj.G_block)
-        self.sweep_info.absorb(sub)
+    def _step(self):
+        """This worker's pivot of the step: its two block-columns."""
+        return self.blocks[self.state.i_blk], self.blocks[self.state.j_blk]
 
     def _send(self, plan):
         self.ring.send(self.rank, plan.snd_rnk, self.blocks.pop(plan.snd_blk))
@@ -161,6 +158,32 @@ class _Worker:
                 f"rank {self.rank}: expected block {plan.rcv_blk}, got {msg.index}"
             )
         self.blocks[msg.index] = msg
+
+
+def _stacked_pivots(owned, local, structured):
+    """Disjoint pivots as one ``stacked_step`` per pivot width, with the
+    local solve ``local(R, J, n_i, members)``.
+
+    ``owned`` lists (worker, pivot) pairs, a pivot being one or two
+    BlockMessages.  A pivot's counters go to its worker's sweep counters,
+    and the squared column norms of the blocks it rotated are refreshed.
+    ``structured`` factors each pivot by the structured Cholesky from those
+    norms."""
+    groups = {}
+    for owner, pivot in owned:
+        width = tuple(msg.G_block.shape[1] for msg in pivot)
+        groups.setdefault(width, []).append((owner, pivot))
+    for group in groups.values():
+        infos = stacked_step(
+            [(pivot[0].G_block, pivot[1].G_block if len(pivot) > 1 else None)
+             for _, pivot in group],
+            [np.concatenate([msg.J_seg for msg in pivot]) for _, pivot in group], local,
+            [tuple(msg.D_seg for msg in pivot) for _, pivot in group] if structured else None)
+        for (owner, pivot), info in zip(group, infos):
+            if info.rotations:
+                for msg in pivot:
+                    msg.D_seg = column_norms_squared(msg.G_block)
+            owner.sweep_info.absorb(info)
 
 
 def parallel_jacobi(G, signs, opts):
@@ -188,12 +211,18 @@ def parallel_jacobi(G, signs, opts):
             w.blocks[blk] = BlockMessage(index=blk, G_block=G[:, cols], J_seg=signs[cols].copy(),
                                          D_seg=column_norms_squared(G[:, cols]))
 
+    lead = workers[0]  # the local solves read only the options every worker shares
+
     def sweep(k):
         for w in workers:
             w._start_sweep(k)
+        if opts.full:
+            _stacked_pivots([(w, (msg,)) for w in workers for msg in w.blocks.values()],
+                            lead._diag_preprocess, False)
         for step in range(steps_per_sweep(opts.strategy, p)):
-            for w in workers:
-                w._step(first_step=(step == 0))
+            _stacked_pivots([(w, w._step()) for w in workers],
+                            functools.partial(lead._local_transform, first_step=step == 0),
+                            opts.full)
             plans = [w.stepper(w.state, p) for w in workers]
             for w, plan in zip(workers, plans):
                 w._send(plan)

@@ -2,12 +2,12 @@
 
 ``compute_plane_rotation``/``apply_rotation`` expose single rotations for
 direct use and testing, with the kernel's own arithmetic; ``jacobi_cycle``
-runs one annihilation pass through the kernel; ``sweep_until_quiet`` is the
-convergence loop of the blocked and ring drivers, and ``jacobi_diagonalize``
-sweeps one factor until a sweep rotates nothing.  ``cycle_members`` and
-``diagonalize_members`` do the same for several factors of equal width side
-by side in one array, in one kernel call per pass, each factor with the
-bits it gets alone.
+runs one annihilation pass through the kernel; ``members_until_quiet`` is the
+convergence loop of every driver, with ``sweep_until_quiet`` its one-factor
+case, and ``jacobi_diagonalize`` sweeps one factor until a sweep rotates
+nothing.  ``cycle_members`` and ``diagonalize_members`` do the same for
+several factors of equal width side by side in one array, in one kernel
+call per pass, each factor with the bits it gets alone.
 """
 
 import math
@@ -185,28 +185,42 @@ def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TO
     return cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol, _kernels.ONE_MEMBER)[0]
 
 
-def sweep_until_quiet(sweep, tol: Tolerances, W=None,
-                      quiet=lambda stats: stats.rotations == 0):
-    """The convergence loop of the blocked and ring drivers: sums the
-    DiagInfo of sweep(k), k = 1, ..., tol.max_sweeps, up to the first
-    ``quiet`` sweep (by default one that rotates nothing), which sets
-    ``converged``; W is attached."""
-    info = DiagInfo(W=W)
-    for k in range(1, tol.max_sweeps + 1):
-        stats = sweep(k)
-        info.sweeps = k
-        info.absorb(stats)
-        if quiet(stats):
-            info.converged = True
-            break
-    return info
-
-
 def eye_blocks(k, members, dtype):
     """``members`` k x k identities side by side, column-major."""
     W = np.zeros((k, members * k), dtype=dtype, order="F")
     W.reshape((k * k, members), order="F")[::k + 1] = 1.0  # each block's diagonal
     return W
+
+
+def members_until_quiet(sweep, members, tol: Tolerances, W=None):
+    """The convergence loop of every driver, for ``members`` factors at once.
+
+    sweep(k, active) runs sweep k on the members listed in ``active`` and
+    returns a DiagInfo per active member.  A member leaves ``active`` after
+    its first sweep without rotations, which sets its ``converged``, or
+    after tol.max_sweeps sweeps.  Returns a DiagInfo per member, summing
+    its sweeps; their W are the members' column blocks of the accumulator
+    W (equal widths, side by side), when given.
+    """
+    k = None if W is None else W.shape[1] // members
+    infos = [DiagInfo(W=None if W is None else W[:, b * k:(b + 1) * k]) for b in range(members)]
+    active = list(range(members))
+    for sweep_k in range(1, tol.max_sweeps + 1):
+        for b, stats in zip(active, sweep(sweep_k, active)):
+            infos[b].sweeps = sweep_k
+            infos[b].absorb(stats)
+            infos[b].converged = stats.rotations == 0
+        active = [b for b in active if not infos[b].converged]
+        if not active:
+            break
+    return infos
+
+
+def sweep_until_quiet(sweep, tol: Tolerances):
+    """``members_until_quiet`` for one factor: sums the DiagInfo of sweep(k),
+    k = 1, ..., tol.max_sweeps, up to the first sweep that rotates nothing,
+    which sets ``converged``."""
+    return members_until_quiet(lambda k, _: [sweep(k)], 1, tol)[0]
 
 
 def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, accumulate=False):
@@ -221,19 +235,12 @@ def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, accumu
     """
     k = G.shape[1] // members
     W = eye_blocks(k, members, G.dtype) if accumulate else None
-    infos = [DiagInfo(W=None if W is None else W[:, b * k:(b + 1) * k]) for b in range(members)]
-    active = list(range(members))
-    for sweep in range(1, tol.max_sweeps + 1):
-        stats = cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
-                              [b * k for b in active])
-        for b, st in zip(active, stats):
-            infos[b].sweeps = sweep
-            infos[b].absorb(st)
-            infos[b].converged = st.rotations == 0
-        active = [b for b in active if not infos[b].converged]
-        if not active:
-            break
-    return infos
+
+    def sweep(_, active):
+        return cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
+                             [b * k for b in active])
+
+    return members_until_quiet(sweep, members, tol, W)
 
 
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):

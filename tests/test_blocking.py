@@ -10,6 +10,7 @@ from hjacobi import _kernels, blocking
 from hjacobi.blocking import (
     BlockPartition,
     _diagonalizer,
+    block_members,
     block_oriented,
     chol_upper,
     cross_members,
@@ -17,6 +18,7 @@ from hjacobi.blocking import (
     full_block,
     greedy_partition,
     num_blocks,
+    off_diagonal_members,
     off_diagonal_pass,
     pivot_step,
     stacked_step,
@@ -241,6 +243,63 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     assert np.array_equal(stacked[2], members[2])
     assert infos[2].rotations == 0 and infos[2].sweeps == 1 and infos[2].converged
     assert all(infos[b].rotations > 0 for b in (0, 1, 3))
+
+
+def _driver_members(rng, m, k, complex_scalars):
+    """Three m x k factors: a general one, one with orthogonal columns, and
+    one whose columns are nearly orthogonal, which converges in fewer
+    sweeps than the general one."""
+    dtype = complex if complex_scalars else float
+    general = random_full_rank(rng, m, k, complex_scalars)
+    orthogonal = np.asfortranarray(np.eye(m, k, dtype=dtype) * np.arange(1.0, k + 1))
+    Q, _ = np.linalg.qr(random_full_rank(rng, m, k, complex_scalars))
+    near = np.asfortranarray(Q * np.arange(1.0, k + 1)
+                             + 1e-6 * random_full_rank(rng, m, k, complex_scalars))
+    return [general, orthogonal, near]
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("body", ["sweep_rounds", "_sweep_pairs"])
+@pytest.mark.parametrize("driver", ["full", "oriented", "off_diagonal"])
+def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, complex_scalars):
+    """The blocked drivers on member factors side by side give each member
+    the bits in G and W and the counters of a lone call that runs the same
+    kernel body: every member stops at its own first quiet sweep, and the
+    orthogonal member is quiet at sweep 1 and left untouched."""
+    monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
+    m, k = 15, 13
+    members = _driver_members(rng, m, k, complex_scalars)
+    J = np.array([1, -1, 1, 1, -1, 1, -1, -1, 1, -1, 1, 1, -1], np.int8)
+    B = len(members)
+    part = uniform_partition(k, 3)  # 5, 4, 4: two pivot widths
+    if driver == "off_diagonal":
+        def stacked(G):
+            return off_diagonal_members(G, np.tile(J, B), 5, 4, B, accumulate_V=True)
+
+        def lone(G):
+            return off_diagonal_pass(G, J, 5, 4, accumulate_V=True)
+    else:
+        full = driver == "full"
+
+        def stacked(G):
+            return block_members(G, np.tile(J, B), part, B, full, accumulate_V=True)
+
+        def lone(G):
+            return (full_block if full else block_oriented)(G, J, part, accumulate_V=True)
+    G = np.asfortranarray(np.hstack(members))
+    infos = stacked(G)
+    for b, Gb in enumerate(members):
+        alone = Gb.copy(order="F")
+        info = lone(alone)
+        assert np.array_equal(G[:, b * k:(b + 1) * k], alone)
+        assert np.array_equal(infos[b].W, info.W)
+        for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
+            assert getattr(infos[b], field) == getattr(info, field)
+    assert np.array_equal(G[:, k:2 * k], members[1])
+    assert infos[1].rotations == 0 and infos[1].sweeps == 1 and infos[1].converged
+    assert infos[0].rotations > 0 and infos[2].rotations > 0
+    if driver != "off_diagonal":
+        assert infos[0].sweeps > infos[2].sweeps > 1
 
 
 def _record_pivots(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_full_rank
-from hjacobi import parallel
+from hjacobi import _kernels, parallel
 from hjacobi.core import column_norms_squared
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
@@ -51,12 +51,29 @@ def test_rejects_sequential_variant(rng):
         parallel_jacobi(G, J, SolveOptions(variant="seq"))
 
 
-def test_worker_exception_reraised(rng, monkeypatch):
-    # every rank fails in its first step, so no peer waits on the channel
-    def fail(self, first_step):
-        raise PivotDefinitenessError(1, 2)
+def _fail_in_first_step(monkeypatch, pairs):
+    """Make the first step's local solve meet a pivot that is not positive
+    definite: the factor of stacked member b, for each b -> (r, s) in
+    ``pairs``, becomes an identity whose columns r and s are equal, so the
+    kernel skips that member's other pairs and fails at (r, s).  When all
+    pivots share one width, member b is worker b's pivot."""
+    local = _Worker._local_transform
 
-    monkeypatch.setattr(_Worker, "_step", fail)
+    def corrupt(self, R, J, n_i, members, first_step):
+        if first_step:
+            k = R.shape[1] // members
+            for b, (r, s) in pairs.items():
+                Rb = np.eye(k)
+                Rb[:, s] = Rb[:, r]
+                R[:, b * k:(b + 1) * k] = Rb
+        return local(self, R, J, n_i, members, first_step)
+
+    monkeypatch.setattr(_Worker, "_local_transform", corrupt)
+
+
+def test_worker_exception_reraised(rng, monkeypatch):
+    # every rank fails in its first step
+    _fail_in_first_step(monkeypatch, {0: (1, 2), 1: (1, 2)})
     G, J = make_factor(rng, 8, 3)
     with pytest.raises(PivotDefinitenessError) as err:
         parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
@@ -66,20 +83,29 @@ def test_worker_exception_reraised(rng, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_peers_stop_when_one_worker_fails(rng, monkeypatch, p):
     # only rank 0 fails: the run must stop at once
-    step = _Worker._step
-
-    def fail_on_rank_0(self, first_step):
-        if self.rank == 0:
-            raise PivotDefinitenessError(1, 2)
-        step(self, first_step)
-
-    monkeypatch.setattr(_Worker, "_step", fail_on_rank_0)
+    _fail_in_first_step(monkeypatch, {0: (1, 2)})
     G, J = make_factor(rng, 12, 5)
     t0 = time.perf_counter()
     with pytest.raises(PivotDefinitenessError) as err:
         parallel_jacobi(G, J, SolveOptions(variant="2B", p=p))
     assert time.perf_counter() - t0 < 10.0
     assert (err.value.r, err.value.s) == (1, 2)
+
+
+@pytest.mark.parametrize("body,raised", [("sweep_rounds", (2, 3)), ("_sweep_pairs", (1, 2))])
+def test_step_raises_the_first_failure_it_meets(rng, monkeypatch, body, raised):
+    """Both ranks fail in the first step: rank 0 at (1, 2), in round 3 of
+    its 6-column pivot, rank 1 at (2, 3), in round 0.  The kernel by rounds
+    takes round k of both pivots at once and meets rank 1's failure first;
+    the cyclic kernel runs rank 0's pass before rank 1's."""
+    monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
+    assert [(1, 2) in zip(*rnd) for rnd in _kernels.pass_rounds(6, 0, True)].index(True) == 3
+    assert (2, 3) in zip(*_kernels.pass_rounds(6, 0, True)[0])
+    _fail_in_first_step(monkeypatch, {0: (1, 2), 1: (2, 3)})
+    G, J = make_factor(rng, 12, 5)
+    with pytest.raises(PivotDefinitenessError) as err:
+        parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
+    assert (err.value.r, err.value.s) == raised
 
 
 def test_needs_enough_columns(rng):
@@ -111,6 +137,30 @@ def test_cross_variant_cross_p_agreement(rng, complex_scalars):
                                        p=p, inner_nt=8))
                 assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), \
                     (variant, strategy, p)
+
+
+@pytest.mark.parametrize("n,p", [(33, 2), (50, 3), (50, 4)])
+def test_unequal_block_widths(rng, monkeypatch, n, p):
+    """n not divisible by 2p gives blocks of two widths, so a step's pivots
+    run as one stacked step per width group; every ring variant converges
+    to the pencil's eigenvalues under both strategies."""
+    G, J = make_factor(rng, n, n // 3)
+    ref = pencil_eigs(G, J)
+    stacked_step = parallel.stacked_step
+    members = []
+
+    def record(pivots, *args):
+        members.append(len(pivots))
+        return stacked_step(pivots, *args)
+
+    monkeypatch.setattr(parallel, "stacked_step", record)
+    for variant in ("2F", "2B", "3F", "3B"):
+        for strategy in ("modulus", "round_robin"):
+            members.clear()
+            got, _ = solve_eigs(G, J, SolveOptions(variant=variant, strategy=strategy,
+                                                   p=p, inner_nt=8))
+            assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref)), (variant, strategy)
+            assert min(members) < p  # a step split by width
 
 
 def test_orthogonal_columns_converge_immediately(rng):
