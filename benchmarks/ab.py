@@ -15,9 +15,9 @@ child makes once; factorization and diagnostics are left out.
 OLD and NEW are the roots of two source checkouts (for example a revision
 checked out with plain git into a scratch directory).  ``--workload``
 solves the inputs and configurations of a perfbench workload for
-``--seed``; ``--n`` solves ``--inputs`` real inputs of order n (log-uniform
-spectrum in [1e-3, 1], 40% negative) with one configuration and the
-library's default block sizes.
+``--seed``, with perfbench's solve options; ``--n`` solves one real input of
+order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
+``--seed``, with one configuration and the library's default block sizes.
 
 Prints, per configuration of the case and for the whole case, each side's
 median time, the median of the per-pair ratios head/base with their
@@ -38,6 +38,8 @@ import time
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the SolveOptions fields a perfbench workload sets
+OPTION_FIELDS = ("variant", "strategy", "p", "nt_outer", "inner_nt")
 
 
 # -- child: one source tree ---------------------------------------------------
@@ -101,24 +103,21 @@ def make_case(args):
         ops = []
         for i, prob in enumerate(problems):
             n = prob.H.shape[0]
-            for v, strategy, p in wl.variants:
-                ops.append({"input": i, "config": [v, strategy, p, n], "options": {
-                    "variant": v, "strategy": strategy, "p": p,
-                    "nt_outer": max(n // 4, 1), "inner_nt": max(n // 8, 1)}})
+            for v in wl.variant_names:
+                opts = wl.options(v, n)
+                ops.append({"input": i, "config": [v, opts.strategy, opts.p, n],
+                            "options": {f: getattr(opts, f) for f in OPTION_FIELDS}})
         return args.workload, Hs, ops
     import numpy as np
 
     from hjacobi import EigSpec, generate_test_matrix
 
-    seeds = np.random.default_rng(args.seed).integers(2**31, size=args.inputs)
-    Hs = [generate_test_matrix(args.n, EigSpec(mode="log_uniform", lo=1e-3, hi=1.0,
-                                               neg_fraction=0.4, seed=int(s)))
-          for s in seeds]
-    cfg = [args.variant, args.strategy, args.p, args.n]
-    ops = [{"input": i, "config": cfg,
-            "options": {"variant": args.variant, "strategy": args.strategy, "p": args.p}}
-           for i in range(len(Hs))]
-    return f"{args.variant}-{args.strategy}-p{args.p}-n{args.n}", Hs, ops
+    seed = int(np.random.default_rng(args.seed).integers(2**31))
+    H = generate_test_matrix(args.n, EigSpec(mode="log_uniform", lo=1e-3, hi=1.0,
+                                             neg_fraction=0.4, seed=seed))
+    ops = [{"input": 0, "config": [args.variant, args.strategy, args.p, args.n],
+            "options": {"variant": args.variant, "strategy": args.strategy, "p": args.p}}]
+    return f"{args.variant}-{args.strategy}-p{args.p}-n{args.n}", [H], ops
 
 
 class Side:
@@ -207,7 +206,6 @@ def main(argv=None):
     ap.add_argument("--variant")
     ap.add_argument("--strategy", default="modulus")
     ap.add_argument("--p", type=int, default=1)
-    ap.add_argument("--inputs", type=int, default=1, help="inputs of order --n")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", help="append the records to the JSON list in this file")

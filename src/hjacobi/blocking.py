@@ -9,7 +9,6 @@ stacked GEMM.  Disjoint pivots do not interact, and every stacked operation
 acts on each member as it would alone, so a member comes out with the bits
 it gets by itself; only the kernel's body, chosen by the pairs per round of
 the whole call (``_kernels.pass_kernel``), depends on the stacking.
-``pivot_step`` is the one-pivot case.
 
 The blocked solvers visit the block pivots by rounds of disjoint pivots,
 taken from ``_kernels.pass_rounds`` at block level, with one stacked step
@@ -220,14 +219,6 @@ def stacked_step(pivots, signs, local, lam=None, V=None):
     return infos
 
 
-def pivot_step(Gi, Gj, J, local, lam=None):
-    """One block-pivot step on the columns [Gi, Gj] (Gi alone when Gj is
-    None): ``stacked_step`` on this one pivot, with the local solve
-    ``local(R, J, n_i)`` returning one DiagInfo.  Returns that DiagInfo."""
-    return stacked_step([(Gi, Gj)], [J], lambda R, Jp, n_i, _: [local(R, Jp, n_i)],
-                        None if lam is None else [lam])[0]
-
-
 def cross_members(R, J, n_i, members, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over the cross pairs r < n_i <= s of each of
     ``members`` factors side by side in R, with W accumulated; returns a
@@ -239,12 +230,6 @@ def cross_members(R, J, n_i, members, tol: Tolerances = DEFAULT_TOL):
     for b, info in enumerate(infos):
         info.sweeps, info.converged, info.W = 1, True, W[:, b * k:(b + 1) * k]
     return infos
-
-
-def cross_pass(R, J, n_i, tol: Tolerances = DEFAULT_TOL):
-    """One annihilation pass over the cross pairs r < n_i <= s of R, with W
-    accumulated."""
-    return cross_members(R, J, n_i, 1, tol)[0]
 
 
 def _diagonalizer(tol):

@@ -14,13 +14,11 @@ from hjacobi.blocking import (
     block_oriented,
     chol_upper,
     cross_members,
-    cross_pass,
     full_block,
     greedy_partition,
     num_blocks,
     off_diagonal_members,
     off_diagonal_pass,
-    pivot_step,
     stacked_step,
     structured_cholesky,
     uniform_partition,
@@ -148,8 +146,9 @@ def test_update_gram_congruence(rng):
 
 # -- block-pivot step -----------------------------------------------------
 
-def diagonalize_local(R, J, n_i):
-    return jacobi_diagonalize(R, J, accumulate=True)
+def lone_step(Gi, Gj, J, local, lam=None):
+    """``stacked_step`` on the one pivot [Gi, Gj]; returns its DiagInfo."""
+    return stacked_step([(Gi, Gj)], [J], local, None if lam is None else [lam])[0]
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
@@ -160,7 +159,7 @@ def test_pivot_step_full_local_solve(rng, n_i, n_j, complex_scalars):
     G0 = G.copy()
     Gi = G[:, :n_i]
     Gj = G[:, n_i:] if n_j else None
-    info = pivot_step(Gi, Gj, J, diagonalize_local)
+    info = lone_step(Gi, Gj, J, _diagonalizer(DEFAULT_TOL))
     assert info.converged and info.rotations > 0
     assert np.abs(G - G0 @ info.W).max() <= 1e-13 * np.abs(G0).max() * np.abs(info.W).max()
     A = gram(G)
@@ -179,8 +178,8 @@ def test_pivot_step_failed_structured_cholesky_is_dense(rng, complex_scalars):
     with pytest.raises(DefinitenessError):
         structured_cholesky(lam[0], gram(G[:, :n_i], G[:, n_i:]), lam[1])
     dense, scaled = G.copy(order="F"), G.copy(order="F")
-    a = pivot_step(dense[:, :n_i], dense[:, n_i:], J, diagonalize_local)
-    b = pivot_step(scaled[:, :n_i], scaled[:, n_i:], J, diagonalize_local, lam)
+    a = lone_step(dense[:, :n_i], dense[:, n_i:], J, _diagonalizer(DEFAULT_TOL))
+    b = lone_step(scaled[:, :n_i], scaled[:, n_i:], J, _diagonalizer(DEFAULT_TOL), lam)
     assert np.array_equal(dense, scaled) and np.array_equal(a.W, b.W)
 
 
@@ -212,8 +211,8 @@ def _pivot_members(rng, m, n_i, n_j, complex_scalars):
 @pytest.mark.parametrize("solve", ["full", "cross"])
 def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex_scalars):
     """Four disjoint pivots run as one stacked step come out, each, with the
-    bits in G and W and the counters of a lone pivot_step that runs the same
-    kernel body: stacked matmul, Cholesky, einsum and GEMM act on every
+    bits in G and W and the counters of the pivot's step alone, which runs the
+    same kernel body: stacked matmul, Cholesky, einsum and GEMM act on every
     member as the unstacked calls do.  The orthogonal member stays untouched
     and is quiet at its first sweep; the member whose structured Cholesky
     fails is factored densely while the others keep the structured one."""
@@ -226,16 +225,14 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     for G, (li, lj) in zip(members[:3], lam):
         structured_cholesky(li, gram(G[:, :n_i], G[:, n_i:]), lj)
     if solve == "full":
-        stacked_local = _diagonalizer(DEFAULT_TOL)
-        lone_local = lambda R, Jp, n_i: jacobi_diagonalize(R, Jp, accumulate=True)  # noqa: E731
+        local = _diagonalizer(DEFAULT_TOL)
     else:
-        stacked_local = functools.partial(cross_members, tol=DEFAULT_TOL)
-        lone_local = cross_pass
+        local = functools.partial(cross_members, tol=DEFAULT_TOL)
     stacked = [G.copy(order="F") for G in members]
-    infos = stacked_step([(G[:, :n_i], G[:, n_i:]) for G in stacked], [J] * 4, stacked_local, lam)
+    infos = stacked_step([(G[:, :n_i], G[:, n_i:]) for G in stacked], [J] * 4, local, lam)
     for b, G in enumerate(members):
         alone = G.copy(order="F")
-        info = pivot_step(alone[:, :n_i], alone[:, n_i:], J, lone_local, lam[b])
+        info = lone_step(alone[:, :n_i], alone[:, n_i:], J, local, lam[b])
         assert np.array_equal(stacked[b], alone)
         assert np.array_equal(infos[b].W, info.W)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
