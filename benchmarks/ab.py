@@ -20,10 +20,13 @@ order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
 ``--seed``, with one configuration and the library's default block sizes.
 
 Prints, per configuration of the case and for the whole case, each side's
-median time, the median of the per-pair ratios head/base with their
-quartiles, the number of pairs head won, and whether every output
-fingerprint (the solved factor's bytes, sweeps and rotations) is equal on
-both sides.  ``--out FILE`` appends the records to a JSON list in FILE.
+median time, the quartile distance of base's times, the median of the
+per-pair ratios head/base with their quartiles, the number of pairs head
+won, whether every output fingerprint (the solved factor's bytes, sweeps
+and rotations) is equal on both sides, and a ``verdict``: ``faster`` when
+head won at least 9 of 10 pairs and its median time is below base's by more
+than base's quartile distance, ``slower`` by the mirror rule, and
+``unresolved`` otherwise.  ``--out FILE`` appends the records to a JSON list in FILE.
 """
 
 import argparse
@@ -155,16 +158,32 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def verdict(wins, losses, pairs, base_median, head_median, base_iqr):
+    """The claim rule: ``faster`` when head won at least 9 of 10 pairs and
+    its median beats base's by more than base's quartile distance,
+    ``slower`` by the mirror rule, ``unresolved`` otherwise."""
+    if 10 * wins >= 9 * pairs and base_median - head_median > base_iqr:
+        return "faster"
+    if 10 * losses >= 9 * pairs and head_median - base_median > base_iqr:
+        return "slower"
+    return "unresolved"
+
+
 def summarize(pairs, picks):
-    """Medians, ratio quartiles and wins over the ops at positions ``picks``."""
+    """Medians, quartiles, wins and the verdict over the ops at positions
+    ``picks``."""
     base = [sum(b["times"][i] for i in picks) for b, _ in pairs]
     head = [sum(h["times"][i] for i in picks) for _, h in pairs]
     ratios = [h / b for b, h in zip(base, head)]
     q1, q3 = quartiles(ratios)
+    b1, b3 = quartiles(base)
+    wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
+    base_median, head_median = statistics.median(base), statistics.median(head)
     return {
-        "base_median_s": statistics.median(base), "head_median_s": statistics.median(head),
+        "base_median_s": base_median, "head_median_s": head_median, "base_iqr_s": b3 - b1,
         "ratio_median": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3,
-        "head_wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios),
+        "head_wins": wins, "pairs": len(ratios),
+        "verdict": verdict(wins, losses, len(ratios), base_median, head_median, b3 - b1),
     }
 
 

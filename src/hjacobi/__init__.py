@@ -33,12 +33,9 @@ from .blocking import (
     off_diagonal_pass,
     uniform_partition,
 )
-from .parallel import BlockMessage, parallel_jacobi
+from .parallel import parallel_jacobi
 from .rotations import (
-    PlaneRotation,
     Tolerances,
-    apply_rotation,
-    compute_plane_rotation,
     extract_eigen,
     jacobi_cycle,
     jacobi_diagonalize,
@@ -51,7 +48,6 @@ from .matio import read_matrix, write_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockMessage",
     "BlockPartition",
     "DefinitenessError",
     "EigSpec",
@@ -61,16 +57,13 @@ __all__ = [
     "NUMBA_ENABLED",
     "NonConvergenceError",
     "PivotDefinitenessError",
-    "PlaneRotation",
     "RankDeficiencyError",
     "SingularMatrixError",
     "SolveOptions",
     "StructuralError",
     "Tolerances",
     "accept_external_factor",
-    "apply_rotation",
     "block_oriented",
-    "compute_plane_rotation",
     "extract_eigen",
     "factorize_hermitian_indefinite",
     "full_block",

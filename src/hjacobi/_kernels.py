@@ -23,8 +23,8 @@ ROUND_MIN_PAIRS pairs per round, counted over all members, and the cyclic
 body for narrower ones.
 
 ``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
-formula, for scalars and for arrays of disjoint pairs alike; the public
-rotation API and the factorization's 2x2 eigensolve call them too.
+formula, for scalars and for arrays of disjoint pairs alike; the
+factorization's 2x2 eigensolve calls them too.
 """
 
 import functools

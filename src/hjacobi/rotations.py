@@ -1,13 +1,14 @@
-"""J-unitary plane rotations and the non-blocked one-sided Jacobi driver.
+"""Annihilation passes and the non-blocked one-sided Jacobi driver.
 
-``compute_plane_rotation``/``apply_rotation`` expose single rotations for
-direct use and testing, with the kernel's own arithmetic; ``jacobi_cycle``
-runs one annihilation pass through the kernel; ``members_until_quiet`` is the
-convergence loop of every driver, with ``sweep_until_quiet`` its one-factor
-case, and ``jacobi_diagonalize`` sweeps one factor until a sweep rotates
-nothing.  ``cycle_members`` and ``diagonalize_members`` do the same for
-several factors of equal width side by side in one array, in one kernel
-call per pass, each factor with the bits it gets alone.
+The J-unitary plane rotation itself lives only in ``_kernels``: its
+parameters in ``plane_rotation`` and its transformation in
+``rotate_columns``.  ``jacobi_cycle`` runs one annihilation pass through the
+kernel; ``members_until_quiet`` is the convergence loop of every driver,
+with ``sweep_until_quiet`` its one-factor case, and ``jacobi_diagonalize``
+sweeps one factor until a sweep rotates nothing.  ``cycle_members`` and
+``diagonalize_members`` do the same for several factors of equal width side
+by side in one array, in one kernel call per pass, each factor with the
+bits it gets alone.
 """
 
 import math
@@ -20,42 +21,6 @@ from .core import EigenResult, column_norms_squared
 from .errors import PivotDefinitenessError, StructuralError
 
 EPS = float(np.finfo(np.float64).eps)
-
-TRIGONOMETRIC = "trigonometric"
-HYPERBOLIC = "hyperbolic"
-IDENTITY = "identity"
-
-
-@dataclass(frozen=True)
-class PlaneRotation:
-    """Nontrivial 2x2 part of a J-unitary plane transformation.
-
-    For a trigonometric rotation cs^2 + sn^2 = 1 and |t| <= 1; for a
-    hyperbolic one cs^2 - sn^2 = 1 (cs >= 1) and |t| < 1.  ``phase`` is the
-    unit-modulus factor absorbed into the r-column (exactly 1 for real
-    scalars); ``eta`` is the signed modulus of the pivot's off-diagonal
-    entry, kept for the incremental diagonal update.
-    """
-
-    kind: str
-    cs: float
-    sn: float
-    phase: complex
-    t: float
-    eta: float = 0.0
-
-    @property
-    def matrix(self):
-        """The 2x2 matrix W_P such that [g_r', g_s'] = [g_r, g_s] W_P."""
-        if self.kind == IDENTITY:
-            return np.eye(2)
-        sigma = 1.0 if self.kind == HYPERBOLIC else -1.0
-        return np.array(
-            [
-                [self.cs * self.phase, self.sn * self.phase],
-                [sigma * self.sn, self.cs],
-            ]
-        )
 
 
 @dataclass(frozen=True)
@@ -102,50 +67,6 @@ class DiagInfo:
         self.rotations += other.rotations
         self.big_rotations += other.big_rotations
         self.max_abs_t = max(self.max_abs_t, other.max_abs_t)
-
-
-def compute_plane_rotation(a_rr, a_ss, a_rs, j_rr, j_ss):
-    """Rotation parameters annihilating the off-diagonal of a 2x2 Gram pivot.
-
-    The pivot [[a_rr, a_rs], [conj(a_rs), a_ss]] must be positive definite;
-    the trigonometric form is chosen when j_rr == j_ss, hyperbolic otherwise,
-    always taking the minimal-|t| (inner) root (see ``_kernels.plane_rotation``).
-    """
-    if a_rr <= 0.0 or a_ss <= 0.0 or abs(a_rs) ** 2 >= a_rr * a_ss:
-        raise PivotDefinitenessError(0, 1, "2x2 pivot is not positive definite")
-    if a_rs == 0:
-        return PlaneRotation(IDENTITY, 1.0, 0.0, 1.0, 0.0, 0.0)
-    aa = abs(a_rs)
-    eta = aa if a_rs.real >= 0.0 else -aa
-    # numpy's complex division, as in the kernel (Python's can differ by an ulp)
-    phase = complex(np.divide(a_rs, eta))
-    if phase.imag == 0.0:
-        phase = phase.real
-    with np.errstate(over="ignore"):  # theta = +-inf for a tiny a_rs: t = 0, cs = 1
-        t, cs, sn, _ = _kernels.plane_rotation(a_rr, a_ss, eta, j_rr == j_ss)
-    if cs == 0.0:
-        raise PivotDefinitenessError(0, 1, "hyperbolic pivot has no inner rotation")
-    return PlaneRotation(TRIGONOMETRIC if j_rr == j_ss else HYPERBOLIC, cs, sn, phase, t, eta)
-
-
-def apply_rotation(G, W, D, r, s, rot: PlaneRotation):
-    """Apply ``rot`` to columns r, s of G (and of the accumulator W), in place.
-
-    D entries r, s receive the incremental Gram-diagonal update
-    d_rr += hyp*t*eta, d_ss += t*eta, with hyp = +1 for a hyperbolic rotation
-    and -1 for a trigonometric one.
-    """
-    if r == s:
-        raise ValueError("rotation columns must differ")
-    if rot.kind == IDENTITY:
-        return
-    hyp = 1.0 if rot.kind == HYPERBOLIC else -1.0
-    if D is not None:
-        D[r] += hyp * rot.t * rot.eta
-        D[s] += rot.t * rot.eta
-    for M in (G, W):
-        if M is not None and M.shape[0] > 0:
-            _kernels.rotate_columns(M, r, s, rot.phase, rot.cs, rot.sn, hyp)
 
 
 def cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances, offsets):

@@ -6,6 +6,7 @@ reflector.  The spectrum is drawn from an explicit list or a log-uniform /
 uniform magnitude range with a prescribed fraction of negative eigenvalues.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,10 @@ class EigSpec:
         if self.mode == "explicit":
             if not self.values:
                 raise ValueError("explicit mode needs a nonempty value list")
-            if any(v == 0 for v in self.values):
-                raise ValueError("explicit eigenvalues must be nonzero")
-        else:
-            if not (0 < self.lo <= self.hi):
-                raise ValueError("range endpoints must satisfy 0 < lo <= hi")
+            if not all(math.isfinite(v) and v != 0 for v in self.values):
+                raise ValueError("explicit eigenvalues must be finite and nonzero")
+        elif not 0 < self.lo <= self.hi < math.inf:
+            raise ValueError("range endpoints must be finite and satisfy 0 < lo <= hi")
         if not (0.0 <= self.neg_fraction <= 1.0):
             raise ValueError("neg_fraction must lie in [0, 1]")
 

@@ -14,13 +14,11 @@ import pytest
 
 from hjacobi._accel import NUMBA_ENABLED
 
-from conftest import random_full_rank
+from conftest import random_full_rank, rotation_matrices
 from hjacobi.blocking import chol_upper, structured_cholesky
 from hjacobi.cli import main as cli_main
-from hjacobi.core import column_norms_squared, gram
 from hjacobi.factorization import factorize_hermitian_indefinite
 from hjacobi.matio import read_matrix
-from hjacobi.rotations import apply_rotation, compute_plane_rotation
 from hjacobi.solve import ALL_VARIANTS, SolveOptions, solve_hermitian
 from hjacobi.strategies import MODULUS, ROUND_ROBIN, generate_sweep_schedule
 from hjacobi.testmat import EigSpec, generate_test_matrix
@@ -38,7 +36,9 @@ def report(num, name, ok, detail=""):
 
 def test_criterion_1_rotation_contract():
     """10^4 random positive-definite pivots per kind: J-unitarity and
-    annihilation to 16*eps, conservation laws to 32*eps."""
+    annihilation to 16*eps, conservation laws to 32*eps.  W_P is the
+    kernel's own arithmetic, ``rotate_columns`` with ``plane_rotation``'s
+    coefficients on 2x2 identities (``rotation_matrices``)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     n_each = 10_000
@@ -51,25 +51,25 @@ def test_criterion_1_rotation_contract():
         complex_mask = rng.random(n_each) < 0.5
         j_ss = -1 if hyperbolic else 1
         Jp = np.diag([1.0, float(j_ss)])
-        for k in range(n_each):
-            a_rs = frac[k] * math.sqrt(a_rr[k] * a_ss[k])
-            if complex_mask[k]:
-                a_rs = a_rs * phases[k]
-            rot = compute_plane_rotation(a_rr[k], a_ss[k], a_rs, 1, j_ss)
-            W = rot.matrix
-            A = np.array([[a_rr[k], a_rs], [np.conj(a_rs), a_ss[k]]])
-            worst_ju = max(worst_ju,
-                           np.abs(W.conj().T @ Jp @ W - Jp).max() / EPS)
-            B = W.conj().T @ A @ W
-            worst_ann = max(worst_ann,
-                            abs(B[0, 1]) / (EPS * np.abs(A).max()))
+        a_rs = frac * np.sqrt(a_rr * a_ss)
+        for sel in (~complex_mask, complex_mask):  # real pivots, then complex ones
+            d_rr, d_ss = a_rr[sel], a_ss[sel]
+            off = a_rs[sel] * phases[sel] if sel is complex_mask else a_rs[sel]
+            W = rotation_matrices(d_rr, d_ss, off, not hyperbolic)
+            A = np.zeros((off.size, 2, 2), dtype=off.dtype)
+            A[:, 0, 0], A[:, 1, 1], A[:, 0, 1], A[:, 1, 0] = d_rr, d_ss, off, off.conj()
+            Wh = W.conj().transpose(0, 2, 1)
+            worst_ju = max(worst_ju, np.abs(Wh @ Jp @ W - Jp).max() / EPS)
+            B = Wh @ A @ W
+            worst_ann = max(worst_ann, np.max(np.abs(B[:, 0, 1]) /
+                                              (EPS * np.abs(A).max(axis=(1, 2)))))
             # conservation: trig preserves the trace of the transformed
             # pivot, hyperbolic the difference of its diagonal
-            d = np.diag(B).real
-            before = a_rr[k] - a_ss[k] if hyperbolic else a_rr[k] + a_ss[k]
-            after = d[0] - d[1] if hyperbolic else d[0] + d[1]
-            worst_cons = max(worst_cons, abs(after - before) /
-                             (EPS * (abs(d[0]) + abs(d[1]))))
+            d0, d1 = B[:, 0, 0].real, B[:, 1, 1].real
+            before = d_rr - d_ss if hyperbolic else d_rr + d_ss
+            after = d0 - d1 if hyperbolic else d0 + d1
+            worst_cons = max(worst_cons, np.max(np.abs(after - before) /
+                                                (EPS * (np.abs(d0) + np.abs(d1)))))
     dt = time.perf_counter() - t0
     ok = worst_ju <= 16 and worst_ann <= 16 and worst_cons <= 32 and dt < 5
     assert report(1, "rotation contract",

@@ -92,3 +92,15 @@ def test_eigen_result_sign_consistency():
                     eigenvectors=np.eye(2), sweeps=1, rotations=0,
                     converged=True)
     assert r.eigenvalues[0] > 0 > r.eigenvalues[1]
+
+
+def test_root_exports_resolve():
+    """Every name in ``hjacobi.__all__`` is defined, so a deletion cannot
+    leave a stale export behind."""
+    import hjacobi
+
+    namespace = {}
+    exec("from hjacobi import *", namespace)
+    for name in hjacobi.__all__:
+        assert getattr(hjacobi, name) is namespace[name]
+    assert len(set(hjacobi.__all__)) == len(hjacobi.__all__)

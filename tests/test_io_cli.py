@@ -371,6 +371,19 @@ def test_error_exit_boundary(tmp_path, capsys, command, code, error):
     assert (rec["error"], rec["exit_code"]) == (error, code) and rec["message"]
 
 
+@pytest.mark.parametrize("eigs", ["log:1e-3:inf", "1,nan,2,3"])
+def test_gen_non_finite_spectrum_is_input_error(tmp_path, capsys, eigs):
+    """A spectrum with a NaN or infinite value or range endpoint exits 3 with
+    one JSON error record and writes no matrix."""
+    out = tmp_path / "h.bin"
+    assert main(["gen", "--n", "4", "--eigs", eigs, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    rec = json.loads(err[0])
+    assert (rec["error"], rec["exit_code"]) == ("ValueError", 3) and "finite" in rec["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "eval-out", "evec-out", "summary", "bench"])
 def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     """An output path in a missing directory exits 3 with one JSON error

@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kernel_rotation, rotation_matrices
 from hjacobi import _kernels
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import PivotDefinitenessError
 from hjacobi.rotations import (
-    HYPERBOLIC,
-    IDENTITY,
-    TRIGONOMETRIC,
     Tolerances,
-    apply_rotation,
-    compute_plane_rotation,
     cycle_members,
     extract_eigen,
     jacobi_cycle,
@@ -23,6 +19,7 @@ from hjacobi.rotations import (
 from hjacobi.strategies import ROUND_ROBIN, generate_sweep_schedule
 
 EPS = np.finfo(np.float64).eps
+TRIG, HYP = -1.0, 1.0  # plane_rotation's hyp of a trigonometric / hyperbolic pair
 
 
 def pivot_matrix(a_rr, a_ss, a_rs):
@@ -30,22 +27,20 @@ def pivot_matrix(a_rr, a_ss, a_rs):
 
 
 def check_contract(a_rr, a_ss, a_rs, j_rr, j_ss):
-    """J-unitarity + annihilation for one pivot; returns the rotation."""
-    rot = compute_plane_rotation(a_rr, a_ss, a_rs, j_rr, j_ss)
-    W = rot.matrix
+    """J-unitarity + annihilation for one pivot; returns its W_P."""
+    (W,) = rotation_matrices(a_rr, a_ss, a_rs, j_rr == j_ss)
     Jp = np.diag([float(j_rr), float(j_ss)])
     A = pivot_matrix(a_rr, a_ss, a_rs)
     assert np.abs(W.conj().T @ Jp @ W - Jp).max() <= 16 * EPS
     B = W.conj().T @ A @ W
     assert abs(B[0, 1]) <= 16 * EPS * np.abs(A).max()
-    return rot
+    return W
 
 
 def test_trig_example_closed_form():
     # pivot (4, 2, 1) with equal signs: eigenvalues 3 +- sqrt(2)
-    rot = check_contract(4.0, 2.0, 1.0, 1, 1)
-    assert rot.kind == TRIGONOMETRIC
-    W = rot.matrix
+    W = check_contract(4.0, 2.0, 1.0, 1, 1)
+    assert kernel_rotation(4.0, 2.0, 1.0, True)[-1] == TRIG
     B = W.conj().T @ pivot_matrix(4.0, 2.0, 1.0) @ W
     d = sorted(np.diag(B).real)
     assert d == pytest.approx([3 - math.sqrt(2), 3 + math.sqrt(2)], rel=1e-15)
@@ -53,29 +48,42 @@ def test_trig_example_closed_form():
 
 def test_hyperbolic_example_closed_form():
     # pivot (2, 2, 1) with signs (+, -): t = -2 + sqrt(3), diagonal {sqrt(3)}
-    rot = check_contract(2.0, 2.0, 1.0, 1, -1)
-    assert rot.kind == HYPERBOLIC
-    assert rot.t == pytest.approx(-2 + math.sqrt(3), rel=1e-15)
-    W = rot.matrix
+    W = check_contract(2.0, 2.0, 1.0, 1, -1)
+    _, _, t, _, _, hyp = kernel_rotation(2.0, 2.0, 1.0, False)
+    assert hyp == HYP
+    assert t == pytest.approx(-2 + math.sqrt(3), rel=1e-15)
     B = W.conj().T @ pivot_matrix(2.0, 2.0, 1.0) @ W
     assert np.diag(B).real == pytest.approx([math.sqrt(3)] * 2, rel=1e-14)
 
 
 def test_zero_offdiagonal_is_identity():
-    rot = compute_plane_rotation(5.0, 7.0, 0.0, 1, 1)
-    assert rot.kind == IDENTITY and rot.cs == 1.0 and rot.sn == 0.0
+    """A pair whose Gram entry is exactly 0 is skipped, for either sign pair:
+    the pass rotates nothing and leaves G, W and D as they were, bit for bit."""
+    for j_ss in (1, -1):
+        G = np.asfortranarray(np.array([[2.0, -1.0], [1.0, 2.0]]))
+        W = np.eye(2, order="F")
+        D = column_norms_squared(G)
+        G0, D0 = G.copy(), D.copy()
+        assert jacobi_cycle(G, np.array([1, j_ss], np.int8), D, W, 2, 0, True).rotations == 0
+        assert np.array_equal(G, G0) and np.array_equal(D, D0)
+        assert np.array_equal(W, np.eye(2))
 
 
 def test_indefinite_pivot_rejected():
-    with pytest.raises(PivotDefinitenessError):
-        compute_plane_rotation(1.0, 1.0, 2.0, 1, -1)
+    """The kernel's definiteness check on a hyperbolic pair: with the Gram
+    diagonal D = (1, 1) it is given and Gram entry 2, the pivot (1, 1, 2) is
+    indefinite, and the pass stops at that pair."""
+    G = np.asfortranarray(np.array([[1.0, 2.0]]))
+    with pytest.raises(PivotDefinitenessError) as exc:
+        jacobi_cycle(G, np.array([1, -1], np.int8), np.ones(2), None, 2, 0, True)
+    assert (exc.value.r, exc.value.s) == (0, 1)
 
 
 def test_trig_bounds_and_hyperbolic_cs():
-    trig = compute_plane_rotation(4.0, 2.0, 1.0, 1, 1)
-    assert abs(trig.t) <= 1.0 and 0 < trig.cs <= 1.0
-    hyp = compute_plane_rotation(2.0, 2.0, 1.0, 1, -1)
-    assert hyp.cs >= 1.0
+    _, _, t, cs, _, _ = kernel_rotation(4.0, 2.0, 1.0, True)
+    assert abs(t) <= 1.0 and 0 < cs <= 1.0
+    _, _, _, cs, _, _ = kernel_rotation(2.0, 2.0, 1.0, False)
+    assert cs >= 1.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -95,65 +103,65 @@ def test_rotation_contract_property(a_rr, a_ss, frac, phase, complex_piv, hyp):
 
 
 def test_apply_identity_rotation_noop():
-    G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
-    W = np.eye(2, order="F")
-    D = column_norms_squared(G)
-    rot = compute_plane_rotation(5.0, 7.0, 0.0, 1, 1)
-    G0, D0 = G.copy(), D.copy()
-    apply_rotation(G, W, D, 0, 1, rot)
-    assert np.array_equal(G, G0) and np.array_equal(D, D0)
+    """``rotate_columns`` with the identity's coefficients (phase 1, cs 1,
+    sn 0) leaves the column pair as it was, bit for bit, for either kind."""
+    for hyp in (TRIG, HYP):
+        G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
+        G0 = G.copy()
+        _kernels.rotate_columns(G, 0, 1, 1.0, 1.0, 0.0, hyp)
+        assert np.array_equal(G, G0)
 
 
 def test_apply_rotation_two_column_example():
     # gram pivot (4, 2, 2): eigenvalues 3 +- sqrt(5)
     G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
-    W = np.eye(2, order="F")
     D = column_norms_squared(G)
-    rot = compute_plane_rotation(4.0, 2.0, 2.0, 1, 1)
-    apply_rotation(G, W, D, 0, 1, rot)
+    eta, phase, t, cs, sn, hyp = kernel_rotation(4.0, 2.0, 2.0, True)
+    _kernels.rotate_columns(G, 0, 1, phase, cs, sn, hyp)
+    D = D + np.array([hyp * t * eta, t * eta])  # the kernel's update of D
     assert abs(np.vdot(G[:, 0], G[:, 1])) <= 16 * EPS * 4
     norms = sorted(column_norms_squared(G))
     assert norms == pytest.approx([3 - math.sqrt(5), 3 + math.sqrt(5)], rel=1e-14)
-    assert sorted(D) == pytest.approx(sorted(norms), rel=1e-12)
+    assert sorted(D) == pytest.approx(norms, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.2, 5), st.floats(0.2, 5), st.floats(-0.95, 0.95),
        st.booleans())
 def test_diagonal_conservation_laws(a_rr, a_ss, frac, hyperbolic):
-    """Trig preserves D_r + D_s; hyperbolic preserves D_r - D_s."""
+    """Trig preserves D_r + D_s; hyperbolic preserves D_r - D_s: the Gram
+    diagonal a pass on a 2-column factor of the pivot updates."""
     a_rs = frac * math.sqrt(a_rr * a_ss)
     j_ss = -1 if hyperbolic else 1
-    try:
-        rot = compute_plane_rotation(a_rr, a_ss, a_rs, 1, j_ss)
-    except PivotDefinitenessError:
-        return
     D = np.array([a_rr, a_ss])
     L = np.linalg.cholesky(pivot_matrix(a_rr, a_ss, a_rs))
     G = np.asfortranarray(L.conj().T)
     W = np.eye(2, order="F")
-    apply_rotation(G, W, D, 0, 1, rot)
+    jacobi_cycle(G, np.array([1, j_ss], np.int8), D, W, 2, 0, True)
     before = a_rr - a_ss if hyperbolic else a_rr + a_ss
     after = D[0] - D[1] if hyperbolic else D[0] + D[1]
     assert abs(after - before) <= 32 * EPS * (abs(D[0]) + abs(D[1]) + 1)
 
 
-def _rotate(G, W, D, J, r, s, a_rs):
-    """apply_rotation(compute_plane_rotation(...)) on pair (r, s) whose Gram
-    entry is a_rs; returns the rotation's kind."""
-    rot = compute_plane_rotation(D[r], D[s], a_rs, J[r], J[s])
-    apply_rotation(G, W, D, r, s, rot)
-    return rot.kind
+def _rotate(M, D, J, r, s, a_rs):
+    """Rotate columns r, s of M, whose Gram entry is a_rs, by ``rotate_columns``
+    with ``kernel_rotation``'s coefficients, and update the Gram diagonal D
+    as the kernel does; returns the rotation's hyp."""
+    eta, phase, t, cs, sn, hyp = kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])
+    D[r] += hyp * t * eta
+    D[s] += t * eta
+    _kernels.rotate_columns(M, r, s, phase, cs, sn, hyp)
+    return float(hyp)
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
 @pytest.mark.parametrize("j_ss", [1, -1])
 def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
-    """The sweep kernel and apply_rotation(compute_plane_rotation(...)) are
-    the same arithmetic: G, W and D agree bit for bit.  Both kernel bodies
-    are pinned too, on a whole pass over the stacked array [G; W] replayed
-    pair by pair from the Gram entries each body reads (by pair in the
-    cyclic ``_sweep_pairs``, by round in ``sweep_rounds``)."""
+    """The sweep kernel is ``plane_rotation`` and ``rotate_columns`` applied
+    pair by pair (``_rotate``): G, W and D agree bit for bit.  Both kernel
+    bodies are pinned, on a whole pass over the stacked array [G; W]
+    replayed pair by pair from the Gram entries each body reads (by pair in
+    the cyclic ``_sweep_pairs``, by round in ``sweep_rounds``)."""
     J = np.array([1, j_ss], np.int8)
     for _ in range(20):
         G = rng.standard_normal((6, 2))
@@ -163,13 +171,12 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
         G = np.asfortranarray(G)
         D = column_norms_squared(G)
         W = np.eye(2, dtype=G.dtype, order="F")
-        G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
-        rot = compute_plane_rotation(D[0], D[1], np.vdot(G[:, 0], G[:, 1]), J[0], J[1])
-        assert rot.kind == (TRIGONOMETRIC if j_ss == 1 else HYPERBOLIC)
-        apply_rotation(G_api, W_api, D_api, 0, 1, rot)
+        M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
+        hyp = _rotate(M_api, D_api, J, 0, 1, np.vdot(G[:, 0], G[:, 1]))
+        assert hyp == (TRIG if j_ss == 1 else HYP)
         assert jacobi_cycle(G, J, D, W, 2, 0, True).rotations == 1
-        assert np.array_equal(G, G_api)
-        assert np.array_equal(W, W_api)
+        assert np.array_equal(G, M_api[:6])
+        assert np.array_equal(W, M_api[6:])
         assert np.array_equal(D, D_api)
 
     n = 2 * _kernels.ROUND_MIN_PAIRS
@@ -181,24 +188,23 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
     for body in (_kernels._sweep_pairs, _kernels.sweep_rounds):
         M = np.asfortranarray(np.vstack([G, np.eye(n, dtype=G.dtype)]))
         D = column_norms_squared(M[:m])
-        G_api, W_api, D_api = M[:m].copy(order="F"), M[m:].copy(order="F"), D.copy()
+        M_api, D_api = M.copy(order="F"), D.copy()
         kinds = set()
         if body is _kernels.sweep_rounds:
             for R, S in _kernels.pass_rounds(n, 0, True):
-                a = np.einsum("ij,ij->j", G_api[:, R].conj(), G_api[:, S])
+                a = np.einsum("ij,ij->j", M_api[:m, R].conj(), M_api[:m, S])
                 for r, s, a_rs in zip(R, S, a):
-                    kinds.add(_rotate(G_api, W_api, D_api, J, r, s, a_rs))
+                    kinds.add(_rotate(M_api, D_api, J, r, s, a_rs))
         else:
             for s in range(1, n):
                 for r in range(s):
-                    a_rs = np.vdot(G_api[:, r], G_api[:, s])
-                    kinds.add(_rotate(G_api, W_api, D_api, J, r, s, a_rs))
+                    a_rs = np.vdot(M_api[:m, r], M_api[:m, s])
+                    kinds.add(_rotate(M_api, D_api, J, r, s, a_rs))
         stats = np.zeros((1, 3))
         fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15, _kernels.ONE_MEMBER, stats)
         assert stats[0, 0] == n * (n - 1) // 2 and fail_r == -1
-        assert kinds == ({TRIGONOMETRIC} if j_ss == 1 else {TRIGONOMETRIC, HYPERBOLIC})
-        assert np.array_equal(M[:m], G_api)
-        assert np.array_equal(M[m:], W_api)
+        assert kinds == ({TRIG} if j_ss == 1 else {TRIG, HYP})
+        assert np.array_equal(M, M_api)
         assert np.array_equal(D, D_api)
 
 
@@ -323,13 +329,13 @@ def test_stopped_pass_keeps_rotations_so_far(rng):
     J = np.array([1, -1, 1, 1, -1], np.int8)
     D = column_norms_squared(G)
     W = np.eye(n, order="F")
-    G_api, W_api, D_api = G.copy(order="F"), W.copy(order="F"), D.copy()
+    M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
     for r, s in [(0, 1), (0, 2), (1, 2)]:
-        _rotate(G_api, W_api, D_api, J, r, s, np.vdot(G_api[:, r], G_api[:, s]))
+        _rotate(M_api, D_api, J, r, s, np.vdot(M_api[:6, r], M_api[:6, s]))
     nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15)
     assert (nrot, fail_r, fail_s) == (3, 3, 4)
-    assert np.array_equal(G, G_api)
-    assert np.array_equal(W, W_api)
+    assert np.array_equal(G, M_api[:6])
+    assert np.array_equal(W, M_api[6:])
     assert np.array_equal(D, D_api)
 
 
@@ -358,6 +364,7 @@ def test_cycle_orthogonal_columns_no_rotations():
 
 
 def test_cycle_two_column_case():
+    # gram pivot (4, 2, 2): eigenvalues 3 +- sqrt(5)
     G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
     D = column_norms_squared(G)
     W = np.eye(2, order="F")
@@ -365,6 +372,9 @@ def test_cycle_two_column_case():
     assert stats.rotations == 1
     A = gram(G)
     assert abs(A[0, 1]) <= 32 * EPS
+    norms = sorted(column_norms_squared(G))
+    assert norms == pytest.approx([3 - math.sqrt(5), 3 + math.sqrt(5)], rel=1e-14)
+    assert sorted(D) == pytest.approx(norms, rel=1e-12)
 
 
 def test_cycle_cross_pair_count():

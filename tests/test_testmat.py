@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ def test_spec_validation():
         EigSpec(neg_fraction=1.5)
     with pytest.raises(ValueError):
         EigSpec(mode="banana")
+    for values in ((1.0, 2.0, math.nan, 3.0), (1.0, math.inf, 2.0), (-math.inf,)):
+        with pytest.raises(ValueError, match="finite"):
+            EigSpec(mode="explicit", values=values)
+    for mode in ("log_uniform", "uniform"):
+        for lo, hi in ((1e-3, math.inf), (1.0, math.nan), (math.nan, 1.0), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                EigSpec(mode=mode, lo=lo, hi=hi)
 
 
 def test_explicit_length_mismatch():
