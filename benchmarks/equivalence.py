@@ -13,10 +13,11 @@ differs from FILE (or a solve found on one side only) and exits 1; it exits
 0 when every solve is identical.
 
 The grid: seeds 0-11 of a log-uniform spectrum in [1e-3, 1] with 40%
-negative eigenvalues, at n = 32 real, 32 complex, 33 real, 40 real and 64
-real, each solved by eight variant configurations (480 solves) with
-nt_outer = n/4 and inner_nt = n/8.  n = 33 gives uneven blocks: a remainder
-block for seqF/seqB and ring steps whose pivots have two widths.  BLAS runs
+negative eigenvalues, at n = 32 real, 32 complex, 33 real, 40 real, 64 real
+and 64 complex, each solved by eight variant configurations (576 solves)
+with nt_outer = n/4 and inner_nt = n/8.  n = 33 gives uneven blocks: a
+remainder block for seqF/seqB and ring steps whose pivots have two widths;
+n = 64 complex gives ``seq`` full 32-pair complex rounds.  BLAS runs
 on one thread, because a threaded GEMM may round differently from run to
 run.
 """
@@ -31,7 +32,7 @@ from pathlib import Path
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = range(12)
 # (n, complex scalars)
-SIZES = ((32, False), (32, True), (33, False), (40, False), (64, False))
+SIZES = ((32, False), (32, True), (33, False), (40, False), (64, False), (64, True))
 # (variant, strategy, p)
 CONFIGS = (
     ("seq", "modulus", 1),

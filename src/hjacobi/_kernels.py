@@ -4,23 +4,28 @@ A pass rotates one column-major array M: its top m rows are the factor G
 whose columns are orthogonalized, and the rows below are the accumulator W
 of the J-unitary transformation, which the blocked and ring variants apply
 back to their block columns (there are no such rows for the non-blocked
-solver).  Gram entries are read from M[:m], and each rotation is one
-``rotate_columns`` call on all of M.  ``sweep_pairs`` is the entry point:
-it stacks [G; W] into M, runs the pass's body and writes both parts back.
-M may hold several member factors of one width side by side (the disjoint
-block pivots of a blocked round); each member, starting at its column
-offset, gets its own pass and its own counters.
+solver).  Gram entries are read from M[:m], and a rotation updates whole
+columns of M by ``rotate_columns``, which takes a panel of column pairs
+and writes the rotated panel to an output.  ``sweep_pairs`` is the entry
+point: it stacks [G; W] into M, runs the pass's body and writes both parts
+back.  M may hold several member factors of one width side by side (the
+disjoint block pivots of a blocked round); each member, starting at its
+column offset, gets its own pass and its own counters.
 
 A body visits the pass's column pairs in one of two orders.
 ``_sweep_pairs`` takes them one at a time, column-cyclically, member after
-member; numba compiles it as ``sweep_pairs_jit`` when numba is importable.
-``sweep_rounds`` takes them as rounds of disjoint pairs (``pass_rounds``:
-round-robin steps for a diagonal pass, shifted diagonals for a cross pass;
-``member_rounds``: round k of every member at once) and rotates each round
-with a few whole-array numpy operations.  ``pass_kernel`` picks the body:
-the compiled one if there is one, else rounds for passes of at least
-ROUND_MIN_PAIRS pairs per round, counted over all members, and the cyclic
-body for narrower ones.
+member, and rotates a pair's two columns of M in place; numba compiles it
+as ``sweep_pairs_jit`` when numba is importable.  ``sweep_rounds`` takes
+them as rounds of disjoint pairs (``pass_rounds``: round-robin steps for a
+diagonal pass, shifted diagonals for a cross pass; ``member_rounds``: round
+k of every member at once).  A round is one panel of its pairs' columns,
+gathered from M once and scattered back once, and a few whole-array numpy
+operations on it; what does not change during a pass (the rounds' column
+indices, the pairs' kinds) is set up once per pass, and the panels live in
+two buffers kept from pass to pass.
+``pass_kernel`` picks the body: the compiled one if there is one, else
+rounds for passes of at least ROUND_MIN_PAIRS pairs per round, counted over
+all members, and the cyclic body for narrower ones.
 
 ``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
 formula, for scalars and for arrays of disjoint pairs alike; the
@@ -28,26 +33,38 @@ factorization's 2x2 eigensolve calls them too.
 """
 
 import functools
+import itertools
+import threading
 
 import numpy as np
 
 from ._accel import NUMBA_ENABLED, jit_kernel, jitable
 
 
-# A numpy bool (same_sign, theta >= 0.0) times a Python float takes ~2 us,
-# times a numpy float ~0.15 us
+TRIG = -1.0  # plane_rotation's hyp of a trigonometric pair; +1.0 is hyperbolic
+# A numpy bool times a Python float takes ~2 us, times a numpy float ~0.15 us;
+# a numpy bool divided by a float takes ~1.5 us, and a bool array divided by
+# a float array costs a cast
+_ONE = np.float64(1.0)
 _TWO = np.float64(2.0)
 
 
 @jitable
-def plane_rotation(d_rr, d_ss, eta, same_sign):
+def pair_kind(same_sign):
+    """``plane_rotation``'s kind of a column pair: TRIG = -1.0 if its J signs
+    are equal (same_sign), +1.0 if they are opposite; scalar or array."""
+    return 1.0 - _TWO * same_sign
+
+
+@jitable
+def plane_rotation(d_rr, d_ss, eta, hyp):
     """Rotation annihilating the off-diagonal of a positive definite 2x2 pivot.
 
     The pivot has diagonal (d_rr, d_ss) and off-diagonal eta * phase, with
-    eta real and phase unit-modulus.  Returns (t, cs, sn, hyp), all real,
-    taking the minimal-|t| root:
+    eta real and phase unit-modulus; hyp is the pair's kind (``pair_kind``).
+    Returns (t, cs, sn), all real, taking the minimal-|t| root:
 
-    * trigonometric pair (same_sign, hyp = -1):  new_r = cs*f - sn*g_s,
+    * trigonometric pair (equal J signs, hyp = -1):  new_r = cs*f - sn*g_s,
       new_s = sn*f + cs*g_s, with f = phase*g_r, cs^2 + sn^2 = 1;
     * hyperbolic pair (opposite J signs, hyp = +1):  new_r = cs*f + sn*g_s,
       new_s = sn*f + cs*g_s, with cs^2 - sn^2 = 1 (cs = cosh, sn = sinh).
@@ -59,27 +76,44 @@ def plane_rotation(d_rr, d_ss, eta, same_sign):
     The arithmetic is branch-free, so the arguments may be scalars or arrays
     of disjoint pairs alike; theta = (d_ss - d_rr)/(2 eta) for a
     trigonometric pair and -(d_rr + d_ss)/(2 eta) for a hyperbolic one come
-    out of one expression, bit for bit.
+    out of one expression, bit for bit.  t takes the sign of theta, and a
+    theta of -0.0 (d_rr == d_ss) counts as +.
     """
-    hyp = 1.0 - _TWO * same_sign
-    theta = (-hyp * d_ss - d_rr) / (2.0 * eta)
+    theta = (hyp * d_ss + d_rr) / (-2.0 * eta)
     disc = theta * theta - hyp
-    root = disc > 0.0  # false only for a hyperbolic pivot without inner root
-    tm = 1.0 / (abs(theta) + np.sqrt(abs(disc)))
-    # the sign of theta, counting -0.0 (d_rr == d_ss, eta < 0) as +
-    t = (_TWO * (theta >= 0.0) - 1.0) * tm * root
-    cs = 1.0 / np.sqrt(1.0 - hyp * t * t) * root
-    return t, cs, cs * t, hyp
+    root = _ONE * (disc > 0.0)  # 0.0 only for a hyperbolic pivot without inner root
+    # theta + 0.0 turns -0.0 into +0.0
+    t = np.copysign(root / (abs(theta) + np.sqrt(abs(disc))), theta + 0.0)
+    cs = root / np.sqrt(1.0 - hyp * t * t)
+    return t, cs, cs * t
 
 
 @jitable
-def rotate_columns(M, r, s, phase, cs, sn, hyp):
-    """Apply ``plane_rotation``'s transformation to columns r, s of M in place;
-    r, s and the coefficients may also be arrays of disjoint pairs."""
-    f = phase * M[:, r]
-    g = M[:, s]  # a copy when s is an index array
-    M[:, r] = cs * f + (hyp * sn) * g
-    M[:, s] = sn * f + cs * g
+def rotate_columns(P, phase, cs, sn, hyp, out):
+    """Apply ``plane_rotation``'s transformation to the column pairs of the
+    panel P, writing the rotated pairs into ``out`` (P's shape).
+
+    P = [X | Y] holds k pairs, pair j's r column in X[:, j] and its s column
+    in Y[:, j]; cs, sn and hyp are scalars or length-k arrays.  With
+    F = phase * X (F = X when phase is None, the real case of phase 1.0),
+    out = [cs*F + hyp*sn*Y | sn*F + cs*Y].  P serves as scratch space and
+    is overwritten; out must not overlap P.
+    """
+    k = P.shape[1] // 2
+    X = P[:, :k]
+    Y = P[:, k:]
+    out_r = out[:, :k]
+    out_s = out[:, k:]
+    F = X
+    if phase is not None:
+        F = out_s
+        np.multiply(phase, X, F)
+    np.multiply(cs, F, out_r)
+    np.multiply(sn, F, out_s)
+    np.multiply(hyp * sn, Y, X)
+    np.add(out_r, X, out_r)
+    np.multiply(cs, Y, Y)
+    np.add(out_s, Y, out_s)
 
 
 def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
@@ -129,15 +163,16 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                     fail_s = s
                     break
                 eta = aa if a.real >= 0.0 else -aa
-                phase = a / eta
-                t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[r] == signs[s])
+                hyp = pair_kind(signs[r] == signs[s])
+                t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
                 if cs == 0.0:
                     fail_r = r
                     fail_s = s
                     break
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
-                rotate_columns(M, r, s, phase, cs, sn, hyp)
+                pair = M[:, r:s + 1:s - r]  # columns r and s, a view
+                rotate_columns(pair.T.copy().T, a / eta, cs, sn, hyp, pair)
                 nrot += 1
                 at = abs(t)
                 if at > max_t:
@@ -155,19 +190,25 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 
 
 # Passes with fewer pairs per round stay cyclic; the pairs of a round are
-# counted over all the members of a stacked call.  A round costs ~60-150 us
-# of numpy calls whatever its width, a cyclic pair ~11-15 us.  Measured on
-# square pivot factors with W accumulated (4 inputs x 30 alternating full
-# diagonalizations per width, one BLAS thread), time per pass of rounds
-# against cyclic, real / complex: 1.47 / 1.30 at 4 pairs per round, 1.12 /
-# 1.13 at 5, 1.00 / 0.96 at 6, 0.94 / 0.81 at 7 and 0.77 / 0.71 at 8.  So
-# seq (32 pairs per round at n = 64), 2B (8 at n = 32, p = 2) and the
-# stacked inner passes of 3B (two 4 x 4 cross blocks: 8) run by rounds,
-# while a lone 8-column pivot (4 pairs per round) stays cyclic.
+# counted over all the members of a stacked call.  A round costs ~65-100 us
+# of numpy calls at 4 to 32 pairs (real, W accumulated), a cyclic pair
+# ~12-23 us.  Measured on square pivot factors with W accumulated (4 inputs
+# x 30 alternating full diagonalizations per width, one BLAS thread, 2-core
+# Xeon), time per sweep by rounds against cyclic, real / complex: 1.85 /
+# 1.81 at 2 pairs per round, 1.18 / 1.29 at 3, 0.90 / 0.98 at 4, 0.68 /
+# 0.85 at 5, 0.62 / 0.74 at 6, 0.62 / 0.63 at 7 and 0.49 / 0.52 at 8.  So
+# rounds pay from 4 pairs per round on; the threshold is still 6, because
+# lowering it moves 4- and 5-pair passes to the other body and so changes
+# their rounding.  seq (32 pairs per round at n = 64), 2B (8 at n = 32,
+# p = 2) and the stacked inner passes of 3B (two 4 x 4 cross blocks: 8) run
+# by rounds, while a lone 8-column pivot (4 pairs per round) stays cyclic.
 ROUND_MIN_PAIRS = 6
-# Wider rounds made malloc hand the temporaries' pages back to the system
-# and fault them in again every round: at n = 256 a pass by 128-pair rounds
-# took 74k minor page faults and 3.3x the time of one by 64-pair rounds.
+# Rounds are cut at 64 pairs.  The cut was made when every round allocated
+# its own temporaries, and wider rounds made malloc hand their pages back
+# and fault them in again every round.  With the panels in kept buffers,
+# 128-pair rounds gave the same bits and were faster: at n = 256 (one
+# BLAS thread, 6 alternating solves) seq took 0.80 s against 0.91 s and
+# 3B at p = 2 0.75 s against 0.89 s.
 ROUND_MAX_PAIRS = 64
 
 
@@ -233,46 +274,114 @@ def member_rounds(n_i, n_j, diag_bl, offsets):
     return _cut(rounds)
 
 
+@functools.lru_cache(maxsize=256)
+def round_panels(n_i, n_j, diag_bl, offsets):
+    """``member_rounds`` as ``sweep_rounds`` takes them: (panels, R, S,
+    width).  Per round, panels holds (RS, own, lo), with RS = [R, S] of the
+    round concatenated and its pairs at positions lo .. lo + k of the whole
+    pass's R and S, all rounds' concatenated; width is the most pairs of a
+    round.  All arrays are read-only."""
+    rounds = member_rounds(n_i, n_j, diag_bl, offsets)
+    sizes = [own.size for _, _, own in rounds]
+    panels = tuple((_frozen(np.concatenate([R, S])), own, lo)
+                   for (R, S, own), lo in zip(rounds, itertools.accumulate(sizes, initial=0)))
+    none = [np.zeros(0, dtype=np.intp)]
+    R = _frozen(np.concatenate(none + [R for R, _, _ in rounds]))
+    S = _frozen(np.concatenate(none + [S for _, S, _ in rounds]))
+    return panels, R, S, max(sizes, default=0)
+
+
+_workspace = threading.local()
+
+
+def _panel_buffers(size, dtype):
+    """Two buffers of at least ``size`` elements of ``dtype`` for the panels
+    of ``sweep_rounds``.  They are kept per thread from pass to pass: a
+    pass allocating its own gave the pages of a 128-pair panel back to the
+    system at its end and faulted them in again at the next pass."""
+    bufs = _workspace.__dict__.get(dtype)
+    if bufs is None or bufs.shape[1] < size:
+        bufs = _workspace.__dict__[dtype] = np.empty((2, size), dtype=dtype)
+    return bufs
+
+
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
     """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``.
 
     Every round is a handful of whole-array operations on all the members at
-    once: the Gram entries of its pairs by one einsum, the rotations of the
-    pairs that are not yet orthogonal by ``plane_rotation`` on arrays, and
-    the column updates by ``rotate_columns`` on index arrays.  Each of these
-    is elementwise per pair, so a member gets the bits it gets alone.  A
-    round holding a pivot that is not positive definite is not applied; its
-    first such pair is returned.
+    once, on one panel: its pairs' columns are gathered from M once, the
+    Gram entries read from the panel's first m rows by one einsum, the pairs
+    that are not yet orthogonal rotated by ``plane_rotation`` on arrays and
+    ``rotate_columns`` on the panel, and the rotated panel and its D entries
+    scattered back once.  The pairs' kinds are taken once per pass, and the
+    panels live in the two buffers of ``_panel_buffers``.  Each operation is
+    elementwise per pair, so a member gets the bits it gets alone.  A round
+    holding a pivot that is not positive definite is not applied; its first
+    such pair is returned.  M is column-major.
     """
+    rounds, R_all, S_all, width = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
+    kinds = pair_kind(signs[R_all] == signs[S_all])
+    real = M.dtype.kind != "c"
+    rows = M.shape[0]
+    MT = M.T  # row c of MT is column c of M, contiguous
+    bufs = _panel_buffers(2 * width * rows, M.dtype)
+    views = {}
+
+    def panel(b, k):
+        """The column-major (rows, 2k) panel at the start of bufs[b]."""
+        if (b, k) not in views:
+            views[b, k] = bufs[b][:2 * k * rows].reshape(2 * k, rows).T
+        return views[b, k]
+
     ts = []
     owners = []
     fail = (-1, -1)
-    for R, S, own in member_rounds(n_i, n_j, diag_bl, tuple(offsets.tolist())):
-        a = np.einsum("ij,ij->j", M[:m, R].conj(), M[:m, S])
-        d_rr = D[R]
-        d_ss = D[S]
-        aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
-        act = ~(aa <= orth_tol * np.sqrt(d_rr * d_ss))  # skip what _sweep_pairs skips
-        if not act.all():
-            if not act.any():
+    for RS, own, lo in rounds:
+        k = own.size
+        src, dst = 0, 1  # the buffers of the gathered panel and of the rotated one
+        P = panel(src, k)
+        MT.take(RS, axis=0, out=P.T, mode="clip")
+        if real:
+            a = np.einsum("ij,ij->j", P[:m, :k], P[:m, k:])
+            aa = np.abs(a)
+        else:
+            a = np.einsum("ij,ij->j", np.conjugate(P[:m, :k], out=panel(dst, k)[:m, :k]), P[:m, k:])
+            aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
+        d = D[RS]
+        dd = d[:k] * d[k:]
+        skip = aa <= orth_tol * np.sqrt(dd)  # what _sweep_pairs skips
+        nskip = np.count_nonzero(skip)
+        hyp = kinds[lo:lo + k]
+        if nskip:
+            if nskip == k:
                 continue
-            R, S, own, a, aa = R[act], S[act], own[act], a[act], aa[act]
-            d_rr, d_ss = d_rr[act], d_ss[act]
-        eta = np.where(a.real >= 0.0, aa, -aa)
-        t, cs, sn, hyp = plane_rotation(d_rr, d_ss, eta, signs[R] == signs[S])
-        bad = (aa * aa >= d_rr * d_ss) | (cs == 0.0)
-        if bad.any():
-            k = np.argmax(bad)
-            fail = (int(R[k]), int(S[k]))
+            act = np.flatnonzero(~skip)
+            act2 = np.concatenate([act, act + k])
+            RS, own, a, aa, d, dd, hyp = RS[act2], own[act], a[act], aa[act], d[act2], dd[act], hyp[act]
+            k -= nskip
+            P = panel(dst, k)  # the active pairs' columns, compacted
+            panel(src, k + nskip).T.take(act2, axis=0, out=P.T, mode="clip")
+            src, dst = dst, src
+        d_rr = d[:k]
+        d_ss = d[k:]
+        eta = a if real else np.where(a.real >= 0.0, aa, -aa)
+        t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
+        bad = (aa * aa >= dd) | (cs == 0.0)
+        if np.count_nonzero(bad):
+            j = np.argmax(bad)
+            fail = (int(RS[j]), int(RS[k + j]))
             break
-        phase = a / eta
-        D[R] = d_rr + hyp * t * eta
-        D[S] = d_ss + t * eta
-        rotate_columns(M, R, S, phase, cs, sn, hyp)
-        ts.append(np.abs(t))
+        te = t * eta
+        d_rr += hyp * te
+        d_ss += te
+        D[RS] = d
+        out = panel(dst, k)
+        rotate_columns(P, None if real else a / eta, cs, sn, hyp, out)
+        MT[RS] = out.T
+        ts.append(t)
         owners.append(own)
     if ts:  # the members' counters, once per pass
-        at = np.concatenate(ts)
+        at = np.abs(np.concatenate(ts))
         own = np.concatenate(owners)
         stats[:, 0] += np.bincount(own, minlength=len(stats))
         stats[:, 1] += np.bincount(own[at > quad_tol], minlength=len(stats))

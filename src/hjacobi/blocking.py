@@ -25,6 +25,7 @@ first quiet sweep.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,9 @@ class BlockPartition:
     def n(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return tuple(out)
+        return (0, *itertools.accumulate(self.sizes))
 
     def columns(self, i):
         """Column slice of block i (0-based)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import plane_rotation, rotate_columns
+from ._kernels import TRIG, plane_rotation, rotate_columns
 from .core import as_matrix, as_signs, column_norms_squared, gram, hermitize
 from .errors import RankDeficiencyError, SingularMatrixError
 
@@ -34,16 +34,17 @@ class FactoredForm:
 def _eigh_pivot(A, k, s):
     """(lam, Q) with A[k:k+s, k:k+s] = Q diag(lam) Q^*, s = 1 or 2, from its
     lower triangle; a 2x2 block takes the trigonometric ``plane_rotation``
-    with eta = |b|, and Q is the identity rotated by ``rotate_columns``."""
+    with eta = |b|, and Q is the identity's column pair rotated by
+    ``rotate_columns``."""
     a = A[k, k].real
     if s == 1:
         return np.array([a]), np.array([[1.0]])
     b = np.conj(A[k + 1, k])  # upper entry (k, k+1)
     c = A[k + 1, k + 1].real
     ab = abs(b)  # > 0: a 2x2 pivot holds the largest off-diagonal entry left
-    t, cs, sn, hyp = plane_rotation(a, c, ab, True)
-    Q = np.eye(2, dtype=A.dtype)
-    rotate_columns(Q, 0, 1, b / ab, cs, sn, hyp)
+    t, cs, sn = plane_rotation(a, c, ab, TRIG)
+    Q = np.empty((2, 2), dtype=A.dtype)
+    rotate_columns(np.eye(2, dtype=A.dtype), b / ab, cs, sn, TRIG, Q)
     return np.array([a - t * ab, c + t * ab]), Q
 
 

@@ -22,6 +22,14 @@ EPS = np.finfo(np.float64).eps
 TRIG, HYP = -1.0, 1.0  # plane_rotation's hyp of a trigonometric / hyperbolic pair
 
 
+def rotate_pair(M, r, s, phase, cs, sn, hyp):
+    """Columns r, s of M rotated in place by ``rotate_columns`` on their
+    panel M[:, [r, s]]."""
+    out = np.empty((M.shape[0], 2), dtype=M.dtype, order="F")
+    _kernels.rotate_columns(M[:, [r, s]], phase, cs, sn, hyp, out)
+    M[:, [r, s]] = out
+
+
 def pivot_matrix(a_rr, a_ss, a_rs):
     return np.array([[a_rr, a_rs], [np.conj(a_rs), a_ss]])
 
@@ -86,6 +94,24 @@ def test_trig_bounds_and_hyperbolic_cs():
     assert cs >= 1.0
 
 
+@pytest.mark.parametrize("eta", [-0.5, 0.5])
+def test_equal_diagonals_take_plus_one(eta):
+    """A trigonometric pivot with equal diagonals has theta = (d_ss - d_rr) /
+    (2 eta) = -0.0 for eta < 0 and +0.0 for eta > 0.  ``plane_rotation``
+    counts both as +: t = +1 and cs = sn = 1/sqrt(2), for a scalar pivot and
+    for an array of pivots alike, and the rotation annihilates the pivot."""
+    d = np.float64(2.0)
+    scalar = _kernels.plane_rotation(d, d, np.float64(eta), _kernels.TRIG)
+    array = _kernels.plane_rotation(np.full(3, d), np.full(3, d), np.full(3, eta),
+                                    np.full(3, _kernels.TRIG))
+    for t, cs, sn in (scalar, array):
+        assert np.all(t == 1.0) and not np.any(np.signbit(t))
+        assert np.all(cs == sn)
+        assert np.all(np.abs(cs - math.sqrt(0.5)) <= EPS)
+    assert all(np.array_equal(np.full(3, x), y) for x, y in zip(scalar, array))
+    check_contract(2.0, 2.0, eta, 1, 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.1, 10), st.floats(0.1, 10), st.floats(-1, 1),
        st.floats(0, 2 * math.pi), st.booleans(), st.booleans())
@@ -108,7 +134,7 @@ def test_apply_identity_rotation_noop():
     for hyp in (TRIG, HYP):
         G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
         G0 = G.copy()
-        _kernels.rotate_columns(G, 0, 1, 1.0, 1.0, 0.0, hyp)
+        rotate_pair(G, 0, 1, 1.0, 1.0, 0.0, hyp)
         assert np.array_equal(G, G0)
 
 
@@ -117,7 +143,7 @@ def test_apply_rotation_two_column_example():
     G = np.asfortranarray(np.array([[2.0, 1.0], [0.0, 1.0]]))
     D = column_norms_squared(G)
     eta, phase, t, cs, sn, hyp = kernel_rotation(4.0, 2.0, 2.0, True)
-    _kernels.rotate_columns(G, 0, 1, phase, cs, sn, hyp)
+    rotate_pair(G, 0, 1, phase, cs, sn, hyp)
     D = D + np.array([hyp * t * eta, t * eta])  # the kernel's update of D
     assert abs(np.vdot(G[:, 0], G[:, 1])) <= 16 * EPS * 4
     norms = sorted(column_norms_squared(G))
@@ -150,7 +176,7 @@ def _rotate(M, D, J, r, s, a_rs):
     eta, phase, t, cs, sn, hyp = kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])
     D[r] += hyp * t * eta
     D[s] += t * eta
-    _kernels.rotate_columns(M, r, s, phase, cs, sn, hyp)
+    rotate_pair(M, r, s, phase, cs, sn, hyp)
     return float(hyp)
 
 
@@ -206,6 +232,56 @@ def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
         assert kinds == ({TRIG} if j_ss == 1 else {TRIG, HYP})
         assert np.array_equal(M, M_api)
         assert np.array_equal(D, D_api)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
+    """A pass by rounds on two members side by side in which some pairs are
+    exactly orthogonal, so that rounds are partly active and the round body
+    takes its filter path.  Each member's columns split in two groups with
+    disjoint row supports: a pair across the groups has a Gram entry of
+    exactly 0, is skipped, and stays so, since a rotation mixes only the
+    columns of one group.  G, W and D agree bit for bit with a replay pair
+    by pair (``_rotate`` on the Gram entries each round reads), and so do
+    each member's counters: rotations, big rotations and max |t|."""
+    n = 2 * _kernels.ROUND_MIN_PAIRS
+    m, h = n + 3, (n + 3) // 2
+    offsets = (0, n)
+    J = np.tile(np.array([1, -1] * (n // 2), np.int8), 2)
+    G = rng.standard_normal((m, 2 * n))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    low = np.r_[np.arange(n) % 3 == 0, np.arange(n) < 4]  # member 0: every third column
+    G[:h, low] = 0.0
+    G[h:, ~low] = 0.0
+    M = np.asfortranarray(np.vstack([G, np.eye(2 * n, dtype=G.dtype)]))
+    D = column_norms_squared(M[:m])
+    M_api, D_api = M.copy(order="F"), D.copy()
+    orth_tol = 1e-15
+    ts = [[], []]
+    partial = 0
+    for R, S, own in _kernels.member_rounds(n, 0, True, offsets):
+        a = np.einsum("ij,ij->j", M_api[:m, R].conj(), M_api[:m, S])
+        rotated = 0
+        for r, s, b, a_rs in zip(R, S, own, a):
+            if abs(a_rs) <= orth_tol * np.sqrt(D_api[r] * D_api[s]):
+                continue
+            ts[b].append(abs(kernel_rotation(D_api[r], D_api[s], a_rs, J[r] == J[s])[2]))
+            _rotate(M_api, D_api, J, r, s, a_rs)
+            rotated += 1
+        partial += 0 < rotated < R.size
+    assert partial > 0
+    quad_tol = float(np.median(np.concatenate(ts)))  # some rotations big, some not
+    stats = np.zeros((2, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, orth_tol, quad_tol,
+                                 np.array(offsets, np.intp), stats)
+    assert fail == (-1, -1)
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
+    for b in (0, 1):
+        at = np.array(ts[b])
+        assert stats[b].tolist() == [at.size, np.count_nonzero(at > quad_tol), at.max()]
+    assert 0 < stats[:, 1].sum() < stats[:, 0].sum()
 
 
 def _pairs_of(rounds):
