@@ -21,8 +21,7 @@ diagonal pass, shifted diagonals for a cross pass; ``member_rounds``: round
 k of every member at once).  A round is one panel of its pairs' columns,
 gathered from M once and scattered back once, and a few whole-array numpy
 operations on it; what does not change during a pass (the rounds' column
-indices, the pairs' kinds) is set up once per pass, and the panels live in
-two buffers kept from pass to pass.
+indices, the pairs' kinds, the panel buffers) is set up once per pass.
 ``pass_kernel`` picks the body: the compiled one if there is one, else
 rounds for passes of at least ROUND_MIN_PAIRS pairs per round, counted over
 all members, and the cyclic body for narrower ones.
@@ -34,7 +33,6 @@ factorization's 2x2 eigensolve calls them too.
 
 import functools
 import itertools
-import threading
 
 import numpy as np
 
@@ -82,8 +80,9 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
     theta = (hyp * d_ss + d_rr) / (-2.0 * eta)
     disc = theta * theta - hyp
     root = _ONE * (disc > 0.0)  # 0.0 only for a hyperbolic pivot without inner root
-    # theta + 0.0 turns -0.0 into +0.0
-    t = np.copysign(root / (abs(theta) + np.sqrt(abs(disc))), theta + 0.0)
+    # theta + sign(theta) sqrt|disc| is sign(theta) (|theta| + sqrt|disc|)
+    # exactly; theta + 0.0 turns -0.0 into +0.0
+    t = root / (theta + np.copysign(np.sqrt(abs(disc)), theta + 0.0))
     cs = root / np.sqrt(1.0 - hyp * t * t)
     return t, cs, cs * t
 
@@ -139,6 +138,7 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     else:
         s_lo = n_i
         s_hi = n_i + n_j
+    rotated = np.empty((2, M.shape[0]), dtype=M.dtype).T  # a column-major pair panel
     for b in range(offsets.shape[0]):
         o = offsets[b]
         nrot = 0
@@ -172,7 +172,8 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
                 pair = M[:, r:s + 1:s - r]  # columns r and s, a view
-                rotate_columns(pair.T.copy().T, a / eta, cs, sn, hyp, pair)
+                rotate_columns(pair, a / eta, cs, sn, hyp, rotated)
+                pair[...] = rotated
                 nrot += 1
                 at = abs(t)
                 if at > max_t:
@@ -203,12 +204,10 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 # p = 2) and the stacked inner passes of 3B (two 4 x 4 cross blocks: 8) run
 # by rounds, while a lone 8-column pivot (4 pairs per round) stays cyclic.
 ROUND_MIN_PAIRS = 6
-# Rounds are cut at 64 pairs.  The cut was made when every round allocated
-# its own temporaries, and wider rounds made malloc hand their pages back
-# and fault them in again every round.  With the panels in kept buffers,
-# 128-pair rounds gave the same bits and were faster: at n = 256 (one
-# BLAS thread, 6 alternating solves) seq took 0.80 s against 0.91 s and
-# 3B at p = 2 0.75 s against 0.89 s.
+# Rounds are cut at 64 pairs.  The cut kept each round's temporaries from
+# being unmapped and faulted in again every round; now that the panels live
+# in buffers made once per pass, 128-pair rounds give the same bits and ran
+# faster at n = 256 (ROADMAP, open item 7).
 ROUND_MAX_PAIRS = 64
 
 
@@ -291,20 +290,6 @@ def round_panels(n_i, n_j, diag_bl, offsets):
     return panels, R, S, max(sizes, default=0)
 
 
-_workspace = threading.local()
-
-
-def _panel_buffers(size, dtype):
-    """Two buffers of at least ``size`` elements of ``dtype`` for the panels
-    of ``sweep_rounds``.  They are kept per thread from pass to pass: a
-    pass allocating its own gave the pages of a 128-pair panel back to the
-    system at its end and faulted them in again at the next pass."""
-    bufs = _workspace.__dict__.get(dtype)
-    if bufs is None or bufs.shape[1] < size:
-        bufs = _workspace.__dict__[dtype] = np.empty((2, size), dtype=dtype)
-    return bufs
-
-
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
     """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``.
 
@@ -314,7 +299,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     that are not yet orthogonal rotated by ``plane_rotation`` on arrays and
     ``rotate_columns`` on the panel, and the rotated panel and its D entries
     scattered back once.  The pairs' kinds are taken once per pass, and the
-    panels live in the two buffers of ``_panel_buffers``.  Each operation is
+    panels live in two buffers allocated once per pass.  Each operation is
     elementwise per pair, so a member gets the bits it gets alone.  A round
     holding a pivot that is not positive definite is not applied; its first
     such pair is returned.  M is column-major.
@@ -324,7 +309,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     real = M.dtype.kind != "c"
     rows = M.shape[0]
     MT = M.T  # row c of MT is column c of M, contiguous
-    bufs = _panel_buffers(2 * width * rows, M.dtype)
+    bufs = np.empty((2, 2 * width * rows), dtype=M.dtype)
     views = {}
 
     def panel(b, k):
@@ -343,7 +328,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         MT.take(RS, axis=0, out=P.T, mode="clip")
         if real:
             a = np.einsum("ij,ij->j", P[:m, :k], P[:m, k:])
-            aa = np.abs(a)
+            aa = np.abs(a)  # hypot(a, 0.0) exactly
         else:
             a = np.einsum("ij,ij->j", np.conjugate(P[:m, :k], out=panel(dst, k)[:m, :k]), P[:m, k:])
             aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
@@ -364,7 +349,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
             src, dst = dst, src
         d_rr = d[:k]
         d_ss = d[k:]
-        eta = a if real else np.where(a.real >= 0.0, aa, -aa)
+        eta = a if real else np.where(a.real >= 0.0, aa, -aa)  # real: phase 1.0
         t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
         bad = (aa * aa >= dd) | (cs == 0.0)
         if np.count_nonzero(bad):
