@@ -172,7 +172,7 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
                 pair = M[:, r:s + 1:s - r]  # columns r and s, a view
-                rotate_columns(pair, a / eta, cs, sn, hyp, rotated)
+                rotate_columns(pair, a / eta, cs, sn, hyp, rotated)  # pair is scratch
                 pair[...] = rotated
                 nrot += 1
                 at = abs(t)
@@ -207,7 +207,7 @@ ROUND_MIN_PAIRS = 6
 # Rounds are cut at 64 pairs.  The cut kept each round's temporaries from
 # being unmapped and faulted in again every round; now that the panels live
 # in buffers made once per pass, 128-pair rounds give the same bits and ran
-# faster at n = 256 (ROADMAP, open item 7).
+# faster at n = 256 (see ROADMAP.md).
 ROUND_MAX_PAIRS = 64
 
 
