@@ -19,14 +19,25 @@ solves the inputs and configurations of a perfbench workload for
 order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
 ``--seed``, with one configuration and the library's default block sizes.
 
+Each child times perfbench's fixed reference computation
+(``perfbench/reference.py``, taken from the harness's own checkout, so both
+sides time the same work) before the first op of a pass and after every
+op, and reads each op's time in units of the mean of the two samples on
+either side of it, as perfbench reads a solve's: the host's speed changes
+within seconds, and only a reference taken next to an op sees the same
+host.  A pass's time in reference units is the sum over its ops.
+
 Prints, per configuration of the case and for the whole case, each side's
-median time, the quartile distance of base's times, the median of the
-per-pair ratios head/base with their quartiles, the number of pairs head
-won, whether every output fingerprint (the solved factor's bytes, sweeps
-and rotations) is equal on both sides, and a ``verdict``: ``faster`` when
-head won at least 9 of 10 pairs and its median time is below base's by more
-than base's quartile distance, ``slower`` by the mirror rule, and
-``unresolved`` otherwise.  ``--out FILE`` appends the records to a JSON list in FILE.
+median time in seconds and in reference units, the quartile distance of
+base's times in both, each side's median reference sample in seconds, the
+median of the per-pair ratios head/base of the times in reference units
+with their quartiles, the number of pairs head won, whether every output
+fingerprint (the solved factor's bytes, sweeps and rotations) is equal on
+both sides, and a ``verdict``: ``faster`` when head won at least 9 of 10
+pairs and its median in reference units is below base's by more than
+base's quartile distance in those units, ``slower`` by the mirror rule,
+and ``unresolved`` otherwise.  ``--out FILE`` appends the records to a
+JSON list in FILE.
 """
 
 import argparse
@@ -41,6 +52,7 @@ import time
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the SolveOptions fields a perfbench workload sets
 OPTION_FIELDS = ("variant", "strategy", "p", "nt_outer", "inner_nt")
 
@@ -48,9 +60,12 @@ OPTION_FIELDS = ("variant", "strategy", "p", "nt_outer", "inner_nt")
 # -- child: one source tree ---------------------------------------------------
 
 def child(src, inputs):
-    """Serve passes over stdin/stdout: one JSON request per line, one reply."""
-    sys.path.insert(0, src)
+    """Serve passes over stdin/stdout: one JSON request per line, one reply
+    with the pass's op times, their fingerprints and the reference samples
+    taken before the first op and after every op."""
+    sys.path[:0] = [src, str(PERFBENCH)]
     import numpy as np
+    import reference
 
     from hjacobi import SolveOptions, _accel, factorize_hermitian_indefinite, order_by_inertia
     from hjacobi.solve import run_solver
@@ -59,9 +74,16 @@ def child(src, inputs):
     ops = json.loads(str(data["ops"]))
     factored = [order_by_inertia(factorize_hermitian_indefinite(data[f"H{i}"]))
                 for i in range(int(data["count"]))]
+    ref_arrays = reference.ref_arrays()
+
+    def time_ref():
+        t0 = time.perf_counter()
+        reference.ref_computation(ref_arrays)
+        return time.perf_counter() - t0
+
     print(json.dumps({"numba": bool(_accel.NUMBA_ENABLED)}), flush=True)
     for _line in sys.stdin:
-        times, prints = [], []
+        times, prints, refs = [], [], [time_ref()]
         for op in ops:
             f = factored[op["input"]]
             opts = SolveOptions(**op["options"])
@@ -74,7 +96,8 @@ def child(src, inputs):
                 out = [type(exc).__name__, 0, 0]
             times.append(time.perf_counter() - t0)
             prints.append(out)
-        print(json.dumps({"times": times, "prints": prints}), flush=True)
+            refs.append(time_ref())
+        print(json.dumps({"times": times, "prints": prints, "refs": refs}), flush=True)
 
 
 # -- harness --------------------------------------------------------------------
@@ -171,16 +194,30 @@ def verdict(wins, losses, pairs, base_median, head_median, base_iqr):
 
 def summarize(pairs, picks):
     """Medians, quartiles, wins and the verdict over the ops at positions
-    ``picks``."""
-    base = [sum(b["times"][i] for i in picks) for b, _ in pairs]
-    head = [sum(h["times"][i] for i in picks) for _, h in pairs]
+    ``picks``, the verdict on times in reference units."""
+    def seconds(reply):
+        return sum(reply["times"][i] for i in picks)
+
+    def in_refs(reply):
+        r = reply["refs"]
+        return sum(2 * reply["times"][i] / (r[i] + r[i + 1]) for i in picks)
+
+    base = [in_refs(b) for b, _ in pairs]
+    head = [in_refs(h) for _, h in pairs]
     ratios = [h / b for b, h in zip(base, head)]
     q1, q3 = quartiles(ratios)
     b1, b3 = quartiles(base)
+    s1, s3 = quartiles([seconds(b) for b, _ in pairs])
     wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
     base_median, head_median = statistics.median(base), statistics.median(head)
     return {
-        "base_median_s": base_median, "head_median_s": head_median, "base_iqr_s": b3 - b1,
+        "base_median_s": statistics.median(seconds(b) for b, _ in pairs),
+        "head_median_s": statistics.median(seconds(h) for _, h in pairs),
+        "base_iqr_s": s3 - s1,
+        "base_median_ref": base_median, "head_median_ref": head_median,
+        "base_iqr_ref": b3 - b1,
+        "base_ref_s": statistics.median(t for b, _ in pairs for t in b["refs"]),
+        "head_ref_s": statistics.median(t for _, h in pairs for t in h["refs"]),
         "ratio_median": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3,
         "head_wins": wins, "pairs": len(ratios),
         "verdict": verdict(wins, losses, len(ratios), base_median, head_median, b3 - b1),

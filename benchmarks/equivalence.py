@@ -1,16 +1,21 @@
 """Bit-identity check: fingerprint every solve of a fixed grid as JSON.
 
-Each record holds a solve's sweeps, rotations and ``converged`` flag, and
-SHA-256 hashes of the bytes of its eigenvalues and eigenvectors.  A change
-that leaves the arithmetic and the schedule alone must print the same JSON
-as its parent.  Save the parent's fingerprint, then compare this tree with it:
+Each record holds a solve's sweeps, rotations and ``converged`` flag,
+SHA-256 hashes of the bytes of its eigenvalues and eigenvectors, and the
+eigenvalues themselves (``values``; JSON floats round-trip exactly).  A
+change that leaves the arithmetic and the schedule alone must print the
+same JSON as its parent.  Save the parent's fingerprint, then compare this
+tree with it:
 
     python benchmarks/equivalence.py --src /path/to/parent/src > before.json
     python benchmarks/equivalence.py --against before.json
 
 ``--against FILE`` prints, instead of the JSON, each solve and field that
-differs from FILE (or a solve found on one side only) and exits 1; it exits
-0 when every solve is identical.
+differs from FILE (or a solve found on one side only), with the largest
+relative change of a differing solve's eigenvalues, then the count of
+differing solves and the largest relative eigenvalue change over the grid,
+and exits 1; it exits 0 when every solve is identical.  A saved file
+without ``values`` is compared by the hashes alone.
 
 The grid: seeds 0-11 of a log-uniform spectrum in [1e-3, 1] with 40%
 negative eigenvalues, at n = 32 real, 32 complex, 33 real, 40 real, 64 real
@@ -53,22 +58,40 @@ def digest(a):
 KEY = ("n", "complex", "seed", "variant", "strategy", "p")
 
 
+def relative_change(old, new):
+    """The largest |new - old| / |old| over the eigenvalues, or None when
+    either side has none saved."""
+    if old is None or new is None:
+        return None
+    return max(abs(b - a) / abs(a) for a, b in zip(old, new))
+
+
 def compare(records, saved):
-    """Lines naming each solve and field of ``records`` that differs from ``saved``."""
+    """Lines naming each solve and field of ``records`` that differs from
+    ``saved``, the number of solves that differ, and the largest relative
+    eigenvalue change among them (None if none was measured)."""
     def by_key(recs):
         return {tuple(r[k] for k in KEY): r for r in recs}
 
     ours, theirs = by_key(records), by_key(saved)
-    lines = []
+    lines, differing, worst = [], 0, None
     for key in sorted(ours.keys() | theirs.keys(), key=str):
         name = " ".join(f"{k}={v}" for k, v in zip(KEY, key))
         if key not in theirs or key not in ours:
             lines.append(f"{name}: only in {'this tree' if key in ours else 'the saved file'}")
+            differing += 1
             continue
-        for field in ours[key]:
-            if ours[key][field] != theirs[key].get(field):
-                lines.append(f"{name}: {field} {theirs[key].get(field)} -> {ours[key][field]}")
-    return lines
+        new, old = ours[key], theirs[key]
+        fields = [f for f in new if f != "values" and new[f] != old.get(f)]
+        if not fields:
+            continue
+        differing += 1
+        lines += [f"{name}: {f} {old.get(f)} -> {new[f]}" for f in fields]
+        change = relative_change(old.get("values"), new["values"])
+        if change is not None:
+            lines.append(f"{name}: eigenvalues moved by at most {change:.2e} relative")
+            worst = change if worst is None else max(worst, change)
+    return lines, differing, worst
 
 
 def main():
@@ -98,17 +121,19 @@ def main():
                     "converged": bool(res.converged),
                     "eigenvalues": digest(res.eigenvalues),
                     "eigenvectors": digest(res.eigenvectors),
+                    "values": res.eigenvalues.tolist(),
                 })
     if args.against is None:
         json.dump(records, sys.stdout, indent=1)
         print()
         return 0
     with open(args.against) as fh:
-        diffs = compare(records, json.load(fh))
-    for line in diffs:
+        lines, differing, worst = compare(records, json.load(fh))
+    for line in lines:
         print(line)
-    print(f"{len(records)} solves, {len(diffs)} differences from {args.against}")
-    return 1 if diffs else 0
+    moved = "" if worst is None else f"; eigenvalues moved by at most {worst:.2e} relative"
+    print(f"{len(records)} solves, {differing} differ from {args.against}{moved}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

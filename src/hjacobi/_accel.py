@@ -3,8 +3,7 @@
 The hot sweep kernel is compiled with ``numba.njit`` if and only if numba is
 importable; the scalar helpers it calls are marked ``jitable``, so they
 compile into the kernel and stay plain Python functions everywhere else.
-``benchmarks/accel_compare.py`` times the compiled kernel against the
-interpreted one.
+``benchmarks/ab.py`` records which kernel ran on each side of an A/B.
 """
 
 try:

@@ -12,19 +12,19 @@ back.  M may hold several member factors of one width side by side (the
 disjoint block pivots of a blocked round); each member, starting at its
 column offset, gets its own pass and its own counters.
 
-A body visits the pass's column pairs in one of two orders.
-``_sweep_pairs`` takes them one at a time, column-cyclically, member after
-member, and rotates a pair's two columns of M in place; numba compiles it
-as ``sweep_pairs_jit`` when numba is importable.  ``sweep_rounds`` takes
-them as rounds of disjoint pairs (``pass_rounds``: round-robin steps for a
-diagonal pass, shifted diagonals for a cross pass; ``member_rounds``: round
-k of every member at once).  A round is one panel of its pairs' columns,
-gathered from M once and scattered back once, and a few whole-array numpy
-operations on it; what does not change during a pass (the rounds' column
-indices, the pairs' kinds, the panel buffers) is set up once per pass.
-``pass_kernel`` picks the body: the compiled one if there is one, else
-rounds for passes of at least ROUND_MIN_PAIRS pairs per round, counted over
-all members, and the cyclic body for narrower ones.
+The body is a property of the platform, not of the pass (``pass_kernel``).
+With numba, every pass runs ``_sweep_pairs`` compiled as
+``sweep_pairs_jit``: it takes the pairs one at a time, column-cyclically,
+member after member, and rotates a pair's two columns of M in place.
+Without numba, every pass runs ``sweep_rounds``: it takes them as rounds of
+disjoint pairs (``pass_rounds``: round-robin steps for a diagonal pass,
+shifted diagonals for a cross pass; ``member_rounds``: round k of every
+member at once).  A round is one panel of its pairs' columns, gathered from
+M once and scattered back once, and a few whole-array numpy operations on
+it; what does not change during a pass (the rounds' column indices, the
+pairs' kinds, the panel buffers) is set up once per pass.  Either body
+treats each member as it would alone, so stacking never changes a member's
+bits.
 
 ``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
 formula, for scalars and for arrays of disjoint pairs alike; the
@@ -190,24 +190,10 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     return -1, -1
 
 
-# Passes with fewer pairs per round stay cyclic; the pairs of a round are
-# counted over all the members of a stacked call.  A round costs ~65-100 us
-# of numpy calls at 4 to 32 pairs (real, W accumulated), a cyclic pair
-# ~12-23 us.  Measured on square pivot factors with W accumulated (4 inputs
-# x 30 alternating full diagonalizations per width, one BLAS thread, 2-core
-# Xeon), time per sweep by rounds against cyclic, real / complex: 1.85 /
-# 1.81 at 2 pairs per round, 1.18 / 1.29 at 3, 0.90 / 0.98 at 4, 0.68 /
-# 0.85 at 5, 0.62 / 0.74 at 6, 0.62 / 0.63 at 7 and 0.49 / 0.52 at 8.  So
-# rounds pay from 4 pairs per round on; the threshold is still 6, because
-# lowering it moves 4- and 5-pair passes to the other body and so changes
-# their rounding.  seq (32 pairs per round at n = 64), 2B (8 at n = 32,
-# p = 2) and the stacked inner passes of 3B (two 4 x 4 cross blocks: 8) run
-# by rounds, while a lone 8-column pivot (4 pairs per round) stays cyclic.
-ROUND_MIN_PAIRS = 6
-# Rounds are cut at 64 pairs.  The cut kept each round's temporaries from
-# being unmapped and faulted in again every round; now that the panels live
-# in buffers made once per pass, 128-pair rounds give the same bits and ran
-# faster at n = 256 (see ROADMAP.md).
+# Rounds are cut at 64 pairs.  Uncut rounds give the same bits, but on
+# `seq` (benchmarks/ab.py, 30 pairs, interpreted, one BLAS thread, 2-core
+# Xeon) they ran n = 256 at 0.93x of the cut ones (19 of 30 pairs won, within
+# the spread) and n = 512, 256-pair rounds, at 1.18x (3 of 30 won).
 ROUND_MAX_PAIRS = 64
 
 
@@ -377,15 +363,10 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 sweep_pairs_jit = jit_kernel(_sweep_pairs) if NUMBA_ENABLED else None
 
 
-def pass_kernel(n_i, n_j, diag_bl, members=1):
-    """The body that runs a pass of ``members`` factors side by side: the
-    compiled ``sweep_pairs_jit`` when numba is importable; otherwise
-    ``sweep_rounds`` when a round of the whole call holds at least
-    ROUND_MIN_PAIRS pairs, and ``_sweep_pairs`` when it holds fewer."""
-    if sweep_pairs_jit is not None:
-        return sweep_pairs_jit
-    per_round = (n_i // 2 if diag_bl else min(n_i, n_j)) * members
-    return sweep_rounds if per_round >= ROUND_MIN_PAIRS else _sweep_pairs
+def pass_kernel():
+    """The body of every pass: the compiled ``sweep_pairs_jit`` when numba
+    is importable, else ``sweep_rounds``."""
+    return sweep_rounds if sweep_pairs_jit is None else sweep_pairs_jit
 
 
 ONE_MEMBER = _frozen(np.zeros(1, dtype=np.intp))  # offsets of a lone factor
@@ -413,7 +394,7 @@ def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
     """
     if stats is None:
         stats = np.zeros((offsets.size, 3))
-    body = pass_kernel(n_i, n_j, diag_bl, offsets.size)
+    body = pass_kernel()
     m = G.shape[0]
     if W.shape[0] == 0:
         fail_r, fail_s = body(G, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats)

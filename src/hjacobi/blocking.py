@@ -7,8 +7,7 @@ stack, orthogonalize the factors by one local solve on them side by side,
 and apply each accumulated transformation back to its block columns by one
 stacked GEMM.  Disjoint pivots do not interact, and every stacked operation
 acts on each member as it would alone, so a member comes out with the bits
-it gets by itself; only the kernel's body, chosen by the pairs per round of
-the whole call (``_kernels.pass_kernel``), depends on the stacking.
+it gets by itself.
 
 The blocked solvers visit the block pivots by rounds of disjoint pivots,
 taken from ``_kernels.pass_rounds`` at block level, with one stacked step
@@ -306,9 +305,8 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     off-diagonal ones; otherwise a diagonal block gets one cycle and an
     off-diagonal pivot one cross pass.  Every member stops at its own first
     sweep without rotations (``members_until_quiet``), and comes out with
-    the bits it gets alone, except where the stacking moves a kernel pass
-    to the other body (``_kernels.pass_kernel``).  With ``accumulate_V``
-    each member's W is its block of one accumulator.
+    the bits it gets alone.  With ``accumulate_V`` each member's W is its
+    block of one accumulator.
     """
     n = part.n
     if G.shape[1] != members * n:
@@ -354,8 +352,7 @@ def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
                          tol: Tolerances = DEFAULT_TOL, accumulate_V=False):
     """``off_diagonal_pass`` on ``members`` factors of equal width side by
     side in G, each split at n_r: round k of the inner grid holds round k of
-    every member, so every member comes out with the bits it gets alone,
-    except where the stacking moves a kernel pass to the other body.
+    every member, so every member comes out with the bits it gets alone.
     Returns a DiagInfo per member."""
     n = G.shape[1] // members
     if not (0 < n_r < n):

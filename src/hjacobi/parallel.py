@@ -8,19 +8,17 @@ pairs, so their pivots do not interact, and they run as one
 ``blocking.stacked_step`` per pivot width (``uniform_partition(n, 2p)``
 sizes differ by at most one, so a step has one or two), with one local
 solve on every worker's pivot factor at once.  Each worker's pivot comes
-out with the bits it gets alone, except where the stacking moves a kernel
-pass to the other body (``_kernels.pass_kernel``), and the run is
-deterministic for a fixed input and configuration.  A sweep ends with the
-all-reduce of the workers' counters, and the ring stops at the first sweep
-in which no worker rotated.
+out with the bits it gets alone, and the run is deterministic for a fixed
+input and configuration.  A sweep ends with the all-reduce of the workers'
+counters, and the ring stops at the first sweep in which no worker rotated.
 
 An error stops the run at once.  When several workers' pivots would fail in
 one step, the error raised is the first one the stacked computation meets,
 which need not be the lowest rank's: the width groups run in the rank order
 of their first worker, and the kernel by rounds takes round k of every
 worker's pass at once, so a higher rank that fails in an earlier round wins
-over a lower rank that fails later.  Within one round, and in the cyclic
-kernel, which runs the workers' passes one after another, the lowest
+over a lower rank that fails later.  Within one round, and under numba,
+whose cyclic kernel runs the workers' passes one after another, the lowest
 failing rank wins.
 
 The local solve is ``_Worker._local_transform``.  2F/3F fully diagonalize

@@ -95,9 +95,8 @@ def cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances, offsets):
 
 def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over G, through ``_kernels.sweep_pairs``: pairs
-    column-cyclically, or by rounds of disjoint pairs on the interpreted
-    path when a round holds at least ``_kernels.ROUND_MIN_PAIRS`` pairs
-    (counted over all the members of a ``cycle_members`` call).
+    column-cyclically under numba, by rounds of disjoint pairs on the
+    interpreted path.
 
     Returns the pass's counters as a DiagInfo, where a big rotation has
     |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if

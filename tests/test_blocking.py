@@ -26,7 +26,7 @@ from hjacobi.blocking import (
 )
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import DefinitenessError
-from hjacobi.rotations import DEFAULT_TOL, Tolerances, jacobi_diagonalize
+from hjacobi.rotations import DEFAULT_TOL, Tolerances, diagonalize_members, jacobi_diagonalize
 
 EPS = np.finfo(np.float64).eps
 
@@ -240,6 +240,35 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     assert np.array_equal(stacked[2], members[2])
     assert infos[2].rotations == 0 and infos[2].sweeps == 1 and infos[2].converged
     assert all(infos[b].rotations > 0 for b in (0, 1, 3))
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("solve", ["full", "cross"])
+def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, complex_scalars):
+    """With the kernel body left to ``pass_kernel``, four 8-column pivot
+    factors side by side (4 pairs per round each, 16 for the whole call)
+    come out, each, with the bits in G and W and the counters of the factor
+    run alone: a full diagonalization (``diagonalize_members``) or one cross
+    pass of its 4 x 4 cross block (``cross_members``)."""
+    k, B = 8, 4
+    members = [random_full_rank(rng, k, k, complex_scalars) for _ in range(B)]
+    J = np.array([1, -1, 1, 1, -1, 1, -1, -1], np.int8)
+    if solve == "full":
+        def run(G, count):
+            return diagonalize_members(G, np.tile(J, count), count, accumulate=True)
+    else:
+        def run(G, count):
+            return cross_members(G, np.tile(J, count), k // 2, count)
+    stacked = np.asfortranarray(np.hstack(members))
+    infos = run(stacked, B)
+    for b, G in enumerate(members):
+        alone = G.copy(order="F")
+        (info,) = run(alone, 1)
+        assert np.array_equal(stacked[:, b * k:(b + 1) * k], alone)
+        assert np.array_equal(infos[b].W, info.W)
+        for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
+            assert getattr(infos[b], field) == getattr(info, field)
+        assert info.rotations > 0
 
 
 def _driver_members(rng, m, k, complex_scalars):

@@ -180,58 +180,116 @@ def _rotate(M, D, J, r, s, a_rs):
     return float(hyp)
 
 
+BODIES = (_kernels._sweep_pairs, _kernels.sweep_rounds)
+
+
+def pin_body(monkeypatch, body):
+    """Run every pass by ``body``, in place of ``pass_kernel``'s choice."""
+    monkeypatch.setattr(_kernels, "pass_kernel", lambda: body)
+
+
+def replay_pass(M, D, J, m, n_i, n_j, diag_bl, body):
+    """The pass of ``body`` over the stacked array M = [G; W], replayed pair
+    by pair by ``_rotate`` from the Gram entries the body reads: one pair at
+    a time, column-cyclically, by ``np.vdot`` for ``_sweep_pairs``; all the
+    pairs of a round at once, by one einsum, for ``sweep_rounds``.  Pairs
+    orthogonal to 1e-15, the tests' orth_tol, are skipped.  At a pivot that is not positive
+    definite the replay stops, and the rounds body leaves that pivot's round
+    unapplied.  Returns the kinds of the rotations applied, in order, and
+    the failing pair, (-1, -1) if there is none."""
+    if body is _kernels.sweep_rounds:
+        order = _kernels.pass_rounds(n_i, n_j, diag_bl)
+    else:
+        cols = range(1, n_i) if diag_bl else range(n_i, n_i + n_j)
+        order = [([r], [s]) for s in cols for r in range(s if diag_bl else n_i)]
+    kinds = []
+    for R, S in order:
+        if body is _kernels.sweep_rounds:
+            a = np.einsum("ij,ij->j", M[:m, R].conj(), M[:m, S])
+        else:
+            a = [np.vdot(M[:m, R[0]], M[:m, S[0]])]
+        active = [(r, s, a_rs) for r, s, a_rs in zip(R, S, a)
+                  if abs(a_rs) > 1e-15 * np.sqrt(D[r] * D[s])]
+        for r, s, a_rs in active:
+            if abs(a_rs) ** 2 >= D[r] * D[s] \
+                    or kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])[3] == 0.0:
+                return kinds, (int(r), int(s))
+        kinds += [_rotate(M, D, J, r, s, a_rs) for r, s, a_rs in active]
+    return kinds, (-1, -1)
+
+
 @pytest.mark.parametrize("complex_scalars", [False, True])
 @pytest.mark.parametrize("j_ss", [1, -1])
-def test_kernel_matches_public_rotation(rng, complex_scalars, j_ss):
+def test_kernel_matches_public_rotation(rng, monkeypatch, complex_scalars, j_ss):
     """The sweep kernel is ``plane_rotation`` and ``rotate_columns`` applied
     pair by pair (``_rotate``): G, W and D agree bit for bit.  Both kernel
-    bodies are pinned, on a whole pass over the stacked array [G; W]
-    replayed pair by pair from the Gram entries each body reads (by pair in
-    the cyclic ``_sweep_pairs``, by round in ``sweep_rounds``)."""
+    bodies are pinned, on the public path at n = 2 and on a whole pass over
+    the stacked array [G; W] at n = 12, each replayed pair by pair from the
+    Gram entries the body reads (``replay_pass``)."""
     J = np.array([1, j_ss], np.int8)
-    for _ in range(20):
-        G = rng.standard_normal((6, 2))
-        if complex_scalars:
-            G = G + 1j * rng.standard_normal((6, 2))
-        G[:, 1] += 0.3 * G[:, 0]  # a clearly non-orthogonal pair
-        G = np.asfortranarray(G)
-        D = column_norms_squared(G)
-        W = np.eye(2, dtype=G.dtype, order="F")
-        M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
-        hyp = _rotate(M_api, D_api, J, 0, 1, np.vdot(G[:, 0], G[:, 1]))
-        assert hyp == (TRIG if j_ss == 1 else HYP)
-        assert jacobi_cycle(G, J, D, W, 2, 0, True).rotations == 1
-        assert np.array_equal(G, M_api[:6])
-        assert np.array_equal(W, M_api[6:])
-        assert np.array_equal(D, D_api)
+    for body in BODIES:
+        pin_body(monkeypatch, body)
+        for _ in range(20):
+            G = rng.standard_normal((6, 2))
+            if complex_scalars:
+                G = G + 1j * rng.standard_normal((6, 2))
+            G[:, 1] += 0.3 * G[:, 0]  # a clearly non-orthogonal pair
+            G = np.asfortranarray(G)
+            D = column_norms_squared(G)
+            W = np.eye(2, dtype=G.dtype, order="F")
+            M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
+            hyps, _ = replay_pass(M_api, D_api, J, 6, 2, 0, True, body)
+            assert hyps == [TRIG if j_ss == 1 else HYP]
+            assert jacobi_cycle(G, J, D, W, 2, 0, True).rotations == 1
+            assert np.array_equal(G, M_api[:6])
+            assert np.array_equal(W, M_api[6:])
+            assert np.array_equal(D, D_api)
 
-    n = 2 * _kernels.ROUND_MIN_PAIRS
+    n = 12
     m = n + 3
     J = np.array([1, j_ss] * (n // 2), np.int8)  # j_ss = -1: both kinds of pair
     G = rng.standard_normal((m, n))
     if complex_scalars:
         G = G + 1j * rng.standard_normal(G.shape)
-    for body in (_kernels._sweep_pairs, _kernels.sweep_rounds):
+    for body in BODIES:
         M = np.asfortranarray(np.vstack([G, np.eye(n, dtype=G.dtype)]))
         D = column_norms_squared(M[:m])
         M_api, D_api = M.copy(order="F"), D.copy()
-        kinds = set()
-        if body is _kernels.sweep_rounds:
-            for R, S in _kernels.pass_rounds(n, 0, True):
-                a = np.einsum("ij,ij->j", M_api[:m, R].conj(), M_api[:m, S])
-                for r, s, a_rs in zip(R, S, a):
-                    kinds.add(_rotate(M_api, D_api, J, r, s, a_rs))
-        else:
-            for s in range(1, n):
-                for r in range(s):
-                    a_rs = np.vdot(M_api[:m, r], M_api[:m, s])
-                    kinds.add(_rotate(M_api, D_api, J, r, s, a_rs))
+        kinds, _ = replay_pass(M_api, D_api, J, m, n, 0, True, body)
         stats = np.zeros((1, 3))
         fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15, _kernels.ONE_MEMBER, stats)
         assert stats[0, 0] == n * (n - 1) // 2 and fail_r == -1
-        assert kinds == ({TRIG} if j_ss == 1 else {TRIG, HYP})
+        assert set(kinds) == ({TRIG} if j_ss == 1 else {TRIG, HYP})
         assert np.array_equal(M, M_api)
         assert np.array_equal(D, D_api)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("n_i,n_j,diag_bl", [(2, 0, True), (3, 0, True), (4, 0, True),
+                                             (5, 0, True), (1, 4, False), (4, 1, False),
+                                             (1, 1, False), (3, 2, False)])
+def test_narrow_rounds_match_replay(rng, n_i, n_j, diag_bl, complex_scalars):
+    """Narrow passes by rounds: one-pair rounds, the padding column of an
+    odd diagonal pass, and cross passes of 1 x k and k x 1.  G, W and D agree
+    bit for bit with the replay by rounds (``replay_pass``), and every pair
+    rotates once."""
+    n = n_i if diag_bl else n_i + n_j
+    m = n + 3
+    J = np.array([1, -1, -1, 1, 1], np.int8)[:n]
+    G = rng.standard_normal((m, n))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    M = np.asfortranarray(np.vstack([G, np.eye(n, dtype=G.dtype)]))
+    D = column_norms_squared(M[:m])
+    M_api, D_api = M.copy(order="F"), D.copy()
+    kinds, _ = replay_pass(M_api, D_api, J, m, n_i, n_j, diag_bl, _kernels.sweep_rounds)
+    stats = np.zeros((1, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15,
+                                 _kernels.ONE_MEMBER, stats)
+    pairs = n_i * (n_i - 1) // 2 if diag_bl else n_i * n_j
+    assert fail == (-1, -1) and stats[0, 0] == len(kinds) == pairs
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
@@ -244,7 +302,7 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     columns of one group.  G, W and D agree bit for bit with a replay pair
     by pair (``_rotate`` on the Gram entries each round reads), and so do
     each member's counters: rotations, big rotations and max |t|."""
-    n = 2 * _kernels.ROUND_MIN_PAIRS
+    n = 12
     m, h = n + 3, (n + 3) // 2
     offsets = (0, n)
     J = np.tile(np.array([1, -1] * (n // 2), np.int8), 2)
@@ -354,81 +412,92 @@ def test_member_rounds_stay_within_members(n_i, n_j, diag_bl, members):
     assert all(pairs == alone for pairs in per_member)
 
 
-@pytest.mark.parametrize("n", [4, 2 * _kernels.ROUND_MIN_PAIRS])
-def test_failing_member_names_its_own_pair(rng, n):
+@pytest.mark.parametrize("n", [4, 12])
+def test_failing_member_names_its_own_pair(rng, monkeypatch, n):
     """A stacked pass that meets a singular pivot in one member raises with
-    that member's own pair, the pair the member raises alone."""
+    that member's own pair, the pair the member raises alone, by either
+    kernel body."""
     (R, S), *_ = _kernels.pass_rounds(n, 0, True)
     r, s = int(R[-1]), int(S[-1])
     bad = np.eye(n, order="F")
     bad[:, s] = 0.0
     bad[r, s] = 2.0  # column s = 2 * column r
     J = np.ones(n, np.int8)
-    with pytest.raises(PivotDefinitenessError) as alone:
-        jacobi_cycle(bad.copy(order="F"), J, column_norms_squared(bad), None, n, 0, True)
     G = np.asfortranarray(np.hstack([np.eye(n), rng.standard_normal((n, n)), bad]))
-    with pytest.raises(PivotDefinitenessError) as stacked:
-        cycle_members(G, np.tile(J, 3), column_norms_squared(G), None, n, 0, True,
-                      Tolerances(), [0, n, 2 * n])
-    assert (stacked.value.r, stacked.value.s) == (alone.value.r, alone.value.s) == (r, s)
+    for body in BODIES:
+        pin_body(monkeypatch, body)
+        with pytest.raises(PivotDefinitenessError) as alone:
+            jacobi_cycle(bad.copy(order="F"), J, column_norms_squared(bad), None, n, 0, True)
+        with pytest.raises(PivotDefinitenessError) as stacked:
+            cycle_members(G.copy(order="F"), np.tile(J, 3), column_norms_squared(G), None,
+                          n, 0, True, Tolerances(), [0, n, 2 * n])
+        assert (stacked.value.r, stacked.value.s) == (alone.value.r, alone.value.s) == (r, s)
 
 
-@pytest.mark.parametrize("n", [4, 2 * _kernels.ROUND_MIN_PAIRS])
-def test_cycle_reports_parallel_columns(rng, n):
-    """A pivot of two parallel columns stops the pass (the cyclic kernel at
-    n = 4, the round kernel at the wide n) and names the pair; the round
-    holding it is not applied, although another of its pairs would rotate."""
+@pytest.mark.parametrize("n", [4, 12])
+def test_cycle_reports_parallel_columns(monkeypatch, n):
+    """A pivot of two parallel columns stops the pass, by either kernel
+    body, and names the pair; by rounds, the round holding it is not
+    applied, although another of its pairs would rotate."""
     (R, S), *_ = _kernels.pass_rounds(n, 0, True)
     r, s = int(R[-1]), int(S[-1])  # the failing pair
-    G = np.eye(n, order="F")
-    G[:, s] = 0.0
-    G[r, s] = 2.0  # column s = 2 * column r: a singular pivot
+    G0 = np.eye(n, order="F")
+    G0[:, s] = 0.0
+    G0[r, s] = 2.0  # column s = 2 * column r: a singular pivot
     if R.size > 1:  # a pair before it in the same round that would rotate
-        G[S[0], R[0]] = 0.5
-    G0 = G.copy()
+        G0[S[0], R[0]] = 0.5
     J = np.ones(n, np.int8)
-    with pytest.raises(PivotDefinitenessError) as exc:
-        jacobi_cycle(G, J, column_norms_squared(G), None, n, 0, True)
-    assert (exc.value.r, exc.value.s) == (r, s)
-    if n >= 2 * _kernels.ROUND_MIN_PAIRS:
-        assert np.array_equal(G, G0)
+    for body in BODIES:
+        pin_body(monkeypatch, body)
+        G = G0.copy(order="F")
+        with pytest.raises(PivotDefinitenessError) as exc:
+            jacobi_cycle(G, J, column_norms_squared(G), None, n, 0, True)
+        assert (exc.value.r, exc.value.s) == (r, s)
+        if body is _kernels.sweep_rounds:
+            assert np.array_equal(G, G0)
 
 
-def test_stopped_pass_keeps_rotations_so_far(rng):
+def test_stopped_pass_keeps_rotations_so_far(rng, monkeypatch):
     """A pass that meets a non-positive-definite pivot after some rotations
-    returns that pair and leaves G, W and D as rotated up to it."""
-    n = 5  # a cyclic pass: (0, 1), (0, 2), (1, 2) rotate, pairs with 3 or 4 are orthogonal
-    G = np.zeros((6, n), order="F")
-    G[:3, :3] = rng.standard_normal((3, 3))
-    G[3:, 3] = [1.0, 2.0, 2.0]
-    G[3:, 4] = 2.0 * G[3:, 3]  # (3, 4) is singular, exactly
+    returns that pair and leaves G, W and D as rotated up to it, by either
+    kernel body: column-cyclically (0, 1), (0, 2) and (1, 2) rotate before
+    (3, 4); by rounds only (0, 1), since (3, 4) shares its round with
+    (0, 2).  Pairs with 3 or 4 are orthogonal to the others."""
+    n = 5
+    G0 = np.zeros((6, n), order="F")
+    G0[:3, :3] = rng.standard_normal((3, 3))
+    G0[3:, 3] = [1.0, 2.0, 2.0]
+    G0[3:, 4] = 2.0 * G0[3:, 3]  # (3, 4) is singular, exactly
     J = np.array([1, -1, 1, 1, -1], np.int8)
-    D = column_norms_squared(G)
-    W = np.eye(n, order="F")
-    M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
-    for r, s in [(0, 1), (0, 2), (1, 2)]:
-        _rotate(M_api, D_api, J, r, s, np.vdot(M_api[:6, r], M_api[:6, s]))
-    nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15)
-    assert (nrot, fail_r, fail_s) == (3, 3, 4)
-    assert np.array_equal(G, M_api[:6])
-    assert np.array_equal(W, M_api[6:])
-    assert np.array_equal(D, D_api)
+    for body, rotated in zip(BODIES, (3, 1)):
+        pin_body(monkeypatch, body)
+        G, D, W = G0.copy(order="F"), column_norms_squared(G0), np.eye(n, order="F")
+        M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
+        kinds, fail = replay_pass(M_api, D_api, J, 6, n, 0, True, body)
+        assert len(kinds) == rotated and fail == (3, 4)
+        nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15)
+        assert (nrot, fail_r, fail_s) == (rotated, 3, 4)
+        assert np.array_equal(G, M_api[:6])
+        assert np.array_equal(W, M_api[6:])
+        assert np.array_equal(D, D_api)
 
 
-@pytest.mark.parametrize("n", [5, 2 * _kernels.ROUND_MIN_PAIRS])
-def test_zero_row_accumulator_rotates_g_in_place(rng, n):
+@pytest.mark.parametrize("n", [5, 12])
+def test_zero_row_accumulator_rotates_g_in_place(rng, monkeypatch, n):
     """A W with no rows accumulates nothing: G and D come out rotated in
-    place exactly as with an accumulator."""
-    G = np.asfortranarray(rng.standard_normal((n + 2, n)))
+    place exactly as with an accumulator, by either kernel body."""
+    G0 = np.asfortranarray(rng.standard_normal((n + 2, n)))
     J = np.array([1, -1] * n, np.int8)[:n]
-    G0, D = G.copy(order="F"), column_norms_squared(G)
-    G_w, D_w = G.copy(order="F"), D.copy()
-    nrot = _kernels.sweep_pairs(G, J, D, np.zeros((0, n)), n, 0, True, 1e-15, 1e-15)[0]
-    W = np.eye(n, order="F")
-    assert nrot == _kernels.sweep_pairs(G_w, J, D_w, W, n, 0, True, 1e-15, 1e-15)[0] > 0
-    assert not np.array_equal(G, G0)
-    assert np.array_equal(G, G_w)
-    assert np.array_equal(D, D_w)
+    for body in BODIES:
+        pin_body(monkeypatch, body)
+        G, D = G0.copy(order="F"), column_norms_squared(G0)
+        G_w, D_w = G.copy(order="F"), D.copy()
+        nrot = _kernels.sweep_pairs(G, J, D, np.zeros((0, n)), n, 0, True, 1e-15, 1e-15)[0]
+        W = np.eye(n, order="F")
+        assert nrot == _kernels.sweep_pairs(G_w, J, D_w, W, n, 0, True, 1e-15, 1e-15)[0] > 0
+        assert not np.array_equal(G, G0)
+        assert np.array_equal(G, G_w)
+        assert np.array_equal(D, D_w)
 
 
 def test_cycle_orthogonal_columns_no_rotations():
