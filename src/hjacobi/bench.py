@@ -15,8 +15,9 @@ from typing import get_args, get_origin
 
 from .solve import SolveOptions, run_solver
 from .factorization import factorize_hermitian_indefinite, order_by_inertia
-from .rotations import Tolerances
 from .testmat import EigSpec, generate_test_matrix
+
+_DEFAULTS = SolveOptions()
 
 @dataclass
 class BenchRecord:
@@ -45,13 +46,13 @@ class BenchGrid:
     sizes: list[int]
     workers: list[int] = field(default_factory=lambda: [1])
     variants: list[str] = field(default_factory=lambda: ["3F"])
-    strategies: list[str] = field(default_factory=lambda: ["modulus"])
-    inner_nt: list[int] = field(default_factory=lambda: [32])
-    nt_outer: int = 64
+    strategies: list[str] = field(default_factory=lambda: [_DEFAULTS.strategy])
+    inner_nt: list[int] = field(default_factory=lambda: [_DEFAULTS.inner_nt])
+    nt_outer: int = _DEFAULTS.nt_outer
     reps: int = 3
     seed: int = 0
     complex_scalars: bool = False
-    max_sweeps: int = 30
+    max_sweeps: int = _DEFAULTS.tol.max_sweeps
 
     def __post_init__(self):
         # each key must have the type its annotation names, list items included
@@ -85,7 +86,7 @@ class BenchGrid:
     def options(self, variant, strategy, p, inner_nt):
         return SolveOptions(variant=variant, strategy=strategy, p=p,
                             nt_outer=self.nt_outer, inner_nt=inner_nt,
-                            tol=Tolerances(max_sweeps=self.max_sweeps))
+                            tol=_DEFAULTS.tol.with_max_sweeps(self.max_sweeps))
 
     def cells(self):
         return itertools.product(self.sizes, self.workers, self.variants,

@@ -21,16 +21,16 @@ over a lower rank that fails later.  Within one round, and under numba,
 whose cyclic kernel runs the workers' passes one after another, the lowest
 failing rank wins.
 
-The local solve is ``_Worker._local_transform``.  2F/3F fully diagonalize
-each local pivot factor (using the structured Cholesky, since a sweep
-starts by re-diagonalizing all 2p diagonal Gram blocks, as one stacked step
-too); 2B/3B run a single annihilation pass over its off-diagonal block,
-except on the first step of a sweep, which sweeps the whole local pivot
-once.  The three-level variants hand the factors to the member-aware blocked
-solvers (``block_members``, ``off_diagonal_members``) when a factor is at
-least twice the inner target block size; these take the inner block pivots
-of every factor by rounds, the disjoint pivots of a round as one stacked
-step.
+The local solve is ``_Worker._local_transform``.  2F/3F sweep each local
+pivot factor until a sweep is quiet (using the structured Cholesky, since
+a sweep starts by re-diagonalizing all 2p diagonal Gram blocks, as one
+stacked step too); 2B/3B run one annihilation pass over its off-diagonal
+block, except on a sweep's first step, which sweeps the whole pivot once.
+3F/3B hand a factor at least twice the inner target block size to the
+member-aware blocked solvers (``block_members``, ``off_diagonal_members``),
+which take the inner block pivots of every factor by rounds, the disjoint
+pivots of a round as one stacked step; their whole-pivot sweeps are
+block-oriented, so a 3F pivot is fully diagonalized by repeating them.
 """
 
 import functools
@@ -119,17 +119,16 @@ class _Worker:
         return diagonalize_members(R, J, members, self.opts.tol, accumulate=True)
 
     def _local_transform(self, R, J, n_i, members, first_step):
-        """The local solve of one step on ``members`` pivot factors side by side in R."""
+        """The local solve of one step on ``members`` pivot factors side by side
+        in R.  A whole pivot is swept until a sweep is quiet (F) or once (B)."""
         opts = self.opts
-        tol = opts.tol
         n_q = R.shape[1] // members
         blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
-        if opts.full or first_step:  # the whole pivot, to convergence (F) or for one sweep (B)
-            if not opts.full:
-                tol = tol.with_max_sweeps(1)
+        tol = opts.tol.with_max_sweeps(1) if first_step and not opts.full else opts.tol
+        if opts.full or first_step:  # the whole pivot
             if blocked:
                 part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt))
-                return block_members(R, J, part, members, opts.full, tol, accumulate_V=True)
+                return block_members(R, J, part, members, False, tol, accumulate_V=True)
             return diagonalize_members(R, J, members, tol, accumulate=True)
         if blocked:
             return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, accumulate_V=True)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from hjacobi.bench import BenchGrid
 from hjacobi.cli import main
 from hjacobi.matio import (
     MatrixFormatError,
@@ -12,6 +13,7 @@ from hjacobi.matio import (
     write_matrix,
     write_signs,
 )
+from hjacobi.solve import SolveOptions
 
 
 # -- matrix I/O -------------------------------------------------------------
@@ -296,6 +298,9 @@ def test_bench_command(tmp_path):
         fields = line.split(",")
         assert fields[-1] == "ok"
         assert float(fields[-2]) > 0  # c
+    # a grid that names only its sizes runs with the library's default options
+    only = BenchGrid(sizes=[16])
+    assert only.options("3F", *only.strategies, 1, *only.inner_nt) == SolveOptions(variant="3F")
 
 def test_bench_bad_grid(tmp_path):
     grid = tmp_path / "grid.json"

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_full_rank
 from hjacobi import _kernels, parallel
-from hjacobi.core import column_norms_squared
+from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
     _Worker,
@@ -106,6 +106,39 @@ def test_step_raises_the_first_failure_it_meets(rng, monkeypatch, body, raised):
     with pytest.raises(PivotDefinitenessError) as err:
         parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
     assert (err.value.r, err.value.s) == raised
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["2F", "3F"])
+def test_f_worker_pivot_ends_each_step_diagonalized(rng, monkeypatch, variant, p,
+                                                    complex_scalars):
+    """What F means at the ring level: every step's local solve leaves each
+    worker's pivot factor R_b converged, with the largest scaled off-diagonal
+    entry of gram(R_b) within orth_tol of its width.  The factor 2 only
+    covers recomputing the Gram product here from the rotated factor.  With
+    inner_nt = 8 the 3F pivots of 24 and 48 columns (p = 2, 1) take the
+    blocked inner path; the 12-column ones of p = 4 are below twice it."""
+    local = _Worker._local_transform
+    ratios = []
+
+    def check(self, R, J, n_i, members, first_step):
+        infos = local(self, R, J, n_i, members, first_step)
+        k = R.shape[1] // members
+        for b, info in enumerate(infos):
+            assert info.converged
+            A = gram(R[:, b * k:(b + 1) * k])
+            d = np.sqrt(np.diag(A).real)
+            off = np.abs(A - np.diag(np.diag(A))) / np.outer(d, d)
+            ratios.append(off.max() / self.opts.tol.orth(k))
+        return infos
+
+    monkeypatch.setattr(_Worker, "_local_transform", check)
+    G, J = make_factor(rng, 48, 20, complex_scalars)
+    _, info = parallel_jacobi(G.copy(order="F"), J,
+                              SolveOptions(variant=variant, p=p, inner_nt=8))
+    assert info.converged and ratios
+    assert max(ratios) <= 2.0
 
 
 def test_needs_enough_columns(rng):
