@@ -115,8 +115,8 @@ def test_f_worker_pivot_ends_each_step_diagonalized(rng, monkeypatch, variant, p
                                                     complex_scalars):
     """What F means at the ring level: every step's local solve leaves each
     worker's pivot factor R_b converged, with the largest scaled off-diagonal
-    entry of gram(R_b) within orth_tol of its width.  The factor 2 only
-    covers recomputing the Gram product here from the rotated factor.  With
+    entry of gram(R_b) at most 2 orth_tol(k), k being R_b's width.  The
+    factor 2 only covers recomputing the Gram product here.  With
     inner_nt = 8 the 3F pivots of 24 and 48 columns (p = 2, 1) take the
     blocked inner path; the 12-column ones of p = 4 are below twice it."""
     local = _Worker._local_transform
