@@ -104,7 +104,7 @@ def child(src, inputs):
 
 def git_sha(root):
     """HEAD of the checkout at ``root``, with '-dirty' for uncommitted edits
-    to tracked files; None outside git."""
+    to tracked files; ``source_hash`` outside git."""
     def git(*args):
         return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
@@ -112,7 +112,19 @@ def git_sha(root):
         sha = git("rev-parse", "HEAD")
         return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
     except (OSError, subprocess.CalledProcessError):
+        return source_hash(root)
+
+
+def source_hash(root):
+    """'src-' and the first 16 hex digits of the sha256 over the names and
+    bytes of the tree's src/hjacobi/*.py, in name order; None if it has none."""
+    files = sorted((Path(root) / "src" / "hjacobi").glob("*.py"))
+    if not files:
         return None
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return "src-" + h.hexdigest()[:16]
 
 
 def make_case(args):

@@ -5,30 +5,32 @@ whose columns are orthogonalized, and the rows below are the accumulator W
 of the J-unitary transformation, which the blocked and ring variants apply
 back to their block columns (there are no such rows for the non-blocked
 solver).  Gram entries are read from M[:m], and a rotation updates whole
-columns of M by ``rotate_columns``, which takes a panel of column pairs
-and writes the rotated panel to an output.  ``sweep_pairs`` is the entry
-point: it stacks [G; W] into M, runs the pass's body and writes both parts
-back.  M may hold several member factors of one width side by side (the
-disjoint block pivots of a blocked round); each member, starting at its
-column offset, gets its own pass and its own counters.
+columns of M.  ``sweep_pairs`` is the entry point: it stacks [G; W] into M,
+runs the pass's body and writes both parts back.  M may hold several
+member factors of one width side by side (the disjoint block pivots of a
+blocked round); each member, starting at its column offset, gets its own
+pass and its own counters.
 
 The body is a property of the platform, not of the pass (``pass_kernel``).
 With numba, every pass runs ``_sweep_pairs`` compiled as
 ``sweep_pairs_jit``: it takes the pairs one at a time, column-cyclically,
-member after member, and rotates a pair's two columns of M in place.
-Without numba, every pass runs ``sweep_rounds``: it takes them as rounds of
-disjoint pairs (``pass_rounds``: round-robin steps for a diagonal pass,
-shifted diagonals for a cross pass; ``member_rounds``: round k of every
-member at once).  A round is one panel of its pairs' columns, gathered from
-M once and scattered back once, and a few whole-array numpy operations on
-it; what does not change during a pass (the rounds' column indices, the
-pairs' kinds, the panel buffers) is set up once per pass.  Either body
+member after member, and rotates a pair's two columns of M in place by a
+2-D product with its ``rotation_matrices``.  Without numba, every pass runs
+``sweep_rounds``: it takes them as rounds of disjoint pairs
+(``pass_rounds``: round-robin steps for a diagonal pass, shifted diagonals
+for a cross pass; ``member_rounds``: round k of every member at once).  A
+round is one panel of its pairs' columns, gathered from M once and
+scattered back once, and two BLAS calls on it: one batched dot for the
+Gram entries and one batched 2x2 matmul (``rotate_columns``) for the
+rotation; what does not change during a pass (the rounds' column indices,
+the pairs' kinds, the panel buffers) is set up once per pass.  Either body
 treats each member as it would alone, so stacking never changes a member's
 bits.
 
-``plane_rotation`` and ``rotate_columns`` are the only copies of the rotation
-formula, for scalars and for arrays of disjoint pairs alike; the
-factorization's 2x2 eigensolve calls them too.
+``plane_rotation`` is the only copy of the rotation's parameters, and
+``rotation_matrices`` of its 2x2 matrix, for scalars and for arrays of
+disjoint pairs alike; ``rotate_columns`` applies the matrices to pairs of
+columns, and the factorization's 2x2 eigensolve calls it too.
 """
 
 import functools
@@ -88,31 +90,38 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
 
 
 @jitable
-def rotate_columns(P, phase, cs, sn, hyp, out):
-    """Apply ``plane_rotation``'s transformation to the column pairs of the
-    panel P, writing the rotated pairs into ``out`` (P's shape).
+def rotation_matrices(phase, cs, sn, hyp, Q):
+    """Fill Q, of shape (..., 2, 2), with the matrices of ``plane_rotation``'s
+    transformation, [[cs*phase, hyp*sn], [sn*phase, cs]]: a pair whose
+    columns x_r, x_s are the rows of [x_r; x_s] becomes Q @ [x_r; x_s].
 
-    P = [X | Y] holds k pairs, pair j's r column in X[:, j] and its s column
-    in Y[:, j]; cs, sn and hyp are scalars or length-k arrays.  With
-    F = phase * X (F = X when phase is None, the real case of phase 1.0),
-    out = [cs*F + hyp*sn*Y | sn*F + cs*Y].  P serves as scratch space and
-    is overwritten; out must not overlap P.
+    phase, cs, sn and hyp are scalars, or arrays of Q's leading shape; a
+    phase of None is 1.0 (the real case).  The only copy of the matrix's
+    entries.
     """
-    k = P.shape[1] // 2
-    X = P[:, :k]
-    Y = P[:, k:]
-    out_r = out[:, :k]
-    out_s = out[:, k:]
-    F = X
-    if phase is not None:
-        F = out_s
-        np.multiply(phase, X, F)
-    np.multiply(cs, F, out_r)
-    np.multiply(sn, F, out_s)
-    np.multiply(hyp * sn, Y, X)
-    np.add(out_r, X, out_r)
-    np.multiply(cs, Y, Y)
-    np.add(out_s, Y, out_s)
+    if phase is None:
+        Q[..., 0, 0] = cs
+        Q[..., 1, 0] = sn
+    else:
+        Q[..., 0, 0] = cs * phase
+        Q[..., 1, 0] = sn * phase
+    Q[..., 0, 1] = hyp * sn
+    Q[..., 1, 1] = cs
+
+
+def rotate_columns(P, phase, cs, sn, hyp, out):
+    """Apply ``plane_rotation``'s transformation to the column pairs in P,
+    writing the rotated pairs into ``out`` (P's shape).
+
+    P is one pair (2, rows), or a stack (k, 2, rows) of k pairs: P[j, 0] is
+    pair j's r column and P[j, 1] its s column; phase, cs, sn and hyp are
+    scalars, or length-k arrays.  With F = phase * x_r (phase None for
+    1.0), the pair becomes [cs*F + hyp*sn*x_s, sn*F + cs*x_s]: one matmul by
+    ``rotation_matrices``, a BLAS product per pair.  out must not overlap P.
+    """
+    Q = np.empty(np.shape(cs) + (2, 2), dtype=out.dtype)
+    rotation_matrices(phase, cs, sn, hyp, Q)
+    np.matmul(Q, P, out)
 
 
 def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
@@ -138,7 +147,7 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     else:
         s_lo = n_i
         s_hi = n_i + n_j
-    rotated = np.empty((2, M.shape[0]), dtype=M.dtype).T  # a column-major pair panel
+    Q = np.empty((2, 2), dtype=M.dtype)
     for b in range(offsets.shape[0]):
         o = offsets[b]
         nrot = 0
@@ -171,9 +180,9 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                     break
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
-                pair = M[:, r:s + 1:s - r]  # columns r and s, a view
-                rotate_columns(pair, a / eta, cs, sn, hyp, rotated)  # pair is scratch
-                pair[...] = rotated
+                rotation_matrices(a / eta, cs, sn, hyp, Q)
+                pair = M[:, r:s + 1:s - r].T  # columns r and s as rows, a view
+                pair[...] = Q @ pair  # rotate_columns by a 2-D product, which numba compiles
                 nrot += 1
                 at = abs(t)
                 if at > max_t:
@@ -191,9 +200,9 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 
 
 # Rounds are cut at 64 pairs.  Uncut rounds give the same bits, but on
-# `seq` (benchmarks/ab.py, 30 pairs, interpreted, one BLAS thread, 2-core
-# Xeon) they ran n = 256 at 0.93x of the cut ones (19 of 30 pairs won, within
-# the spread) and n = 512, 256-pair rounds, at 1.18x (3 of 30 won).
+# `seq` (benchmarks/ab.py, 10 pairs, interpreted, one BLAS thread, 2-core
+# Xeon) they ran n = 256 at 0.95x of the cut ones (7 of 10 pairs won, within
+# the spread) and n = 512, 256-pair rounds, at 1.43x (0 of 10 won).
 ROUND_MAX_PAIRS = 64
 
 
@@ -281,14 +290,15 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 
     Every round is a handful of whole-array operations on all the members at
     once, on one panel: its pairs' columns are gathered from M once, the
-    Gram entries read from the panel's first m rows by one einsum, the pairs
-    that are not yet orthogonal rotated by ``plane_rotation`` on arrays and
-    ``rotate_columns`` on the panel, and the rotated panel and its D entries
+    Gram entries read from the panel's first m rows by one batched dot, the
+    pairs that are not yet orthogonal rotated by ``plane_rotation`` on
+    arrays and ``rotate_columns`` on the panel's (k, 2, rows) view of pairs
+    (one batched 2x2 matmul), and the rotated panel and its D entries
     scattered back once.  The pairs' kinds are taken once per pass, and the
-    panels live in two buffers allocated once per pass.  Each operation is
-    elementwise per pair, so a member gets the bits it gets alone.  A round
-    holding a pivot that is not positive definite is not applied; its first
-    such pair is returned.  M is column-major.
+    panels live in two buffers allocated once per pass.  Each operation,
+    BLAS products included, is done per pair, so a member gets the bits it
+    gets alone.  A round holding a pivot that is not positive definite is
+    not applied; its first such pair is returned.  M is column-major.
     """
     rounds, R_all, S_all, width = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
     kinds = pair_kind(signs[R_all] == signs[S_all])
@@ -299,9 +309,15 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     views = {}
 
     def panel(b, k):
-        """The column-major (rows, 2k) panel at the start of bufs[b]."""
+        """Views of the first 2k columns of the panel bufs[b], held as rows:
+        (PT, pairs, x, y), PT the (2k, rows) panel with pair j's columns
+        in rows j and k + j, pairs its (k, 2, rows) view of pairs, and x, y
+        the (k, 1, m) and (k, m, 1) views of the pairs' r and s columns in
+        G's rows."""
         if (b, k) not in views:
-            views[b, k] = bufs[b][:2 * k * rows].reshape(2 * k, rows).T
+            PT = bufs[b][:2 * k * rows].reshape(2 * k, rows)
+            views[b, k] = (PT, PT.reshape(2, k, rows).transpose(1, 0, 2),
+                           PT[:k, None, :m], PT[k:, :m, None])
         return views[b, k]
 
     ts = []
@@ -310,13 +326,13 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     for RS, own, lo in rounds:
         k = own.size
         src, dst = 0, 1  # the buffers of the gathered panel and of the rotated one
-        P = panel(src, k)
-        MT.take(RS, axis=0, out=P.T, mode="clip")
+        PT, _, x, y = panel(src, k)
+        MT.take(RS, axis=0, out=PT, mode="clip")
         if real:
-            a = np.einsum("ij,ij->j", P[:m, :k], P[:m, k:])
+            a = np.matmul(x, y).reshape(k)
             aa = np.abs(a)  # hypot(a, 0.0) exactly
         else:
-            a = np.einsum("ij,ij->j", np.conjugate(P[:m, :k], out=panel(dst, k)[:m, :k]), P[:m, k:])
+            a = np.matmul(np.conjugate(x, out=panel(dst, k)[2]), y).reshape(k)
             aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
         d = D[RS]
         dd = d[:k] * d[k:]
@@ -330,8 +346,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
             act2 = np.concatenate([act, act + k])
             RS, own, a, aa, d, dd, hyp = RS[act2], own[act], a[act], aa[act], d[act2], dd[act], hyp[act]
             k -= nskip
-            P = panel(dst, k)  # the active pairs' columns, compacted
-            panel(src, k + nskip).T.take(act2, axis=0, out=P.T, mode="clip")
+            PT.take(act2, axis=0, out=panel(dst, k)[0], mode="clip")  # compacted
             src, dst = dst, src
         d_rr = d[:k]
         d_ss = d[k:]
@@ -346,9 +361,9 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         d_rr += hyp * te
         d_ss += te
         D[RS] = d
-        out = panel(dst, k)
-        rotate_columns(P, None if real else a / eta, cs, sn, hyp, out)
-        MT[RS] = out.T
+        out, out_pairs = panel(dst, k)[:2]
+        rotate_columns(panel(src, k)[1], None if real else a / eta, cs, sn, hyp, out_pairs)
+        MT[RS] = out
         ts.append(t)
         owners.append(own)
     if ts:  # the members' counters, once per pass
@@ -367,6 +382,9 @@ def pass_kernel():
     """The body of every pass: the compiled ``sweep_pairs_jit`` when numba
     is importable, else ``sweep_rounds``."""
     return sweep_rounds if sweep_pairs_jit is None else sweep_pairs_jit
+
+
+KERNEL = "interpreted" if sweep_pairs_jit is None else "numba"  # which body runs, for records
 
 
 ONE_MEMBER = _frozen(np.zeros(1, dtype=np.intp))  # offsets of a lone factor

@@ -13,6 +13,7 @@ import time
 from dataclasses import astuple, dataclass, field, fields
 from typing import get_args, get_origin
 
+from ._kernels import KERNEL
 from .solve import SolveOptions, run_solver
 from .factorization import factorize_hermitian_indefinite, order_by_inertia
 from .testmat import EigSpec, generate_test_matrix
@@ -28,6 +29,7 @@ class BenchRecord:
     p: int
     nt_outer: int
     nt_inner: int
+    kernel: str = KERNEL
     sweeps: int = 0
     rotations: int = 0
     time_s: float = 0.0

@@ -10,6 +10,7 @@ import json
 import sys
 
 from . import bench as bench_mod
+from ._kernels import KERNEL
 from .errors import HJacobiError, NonConvergenceError
 from .factorization import accept_external_factor, order_by_inertia
 from .matio import MatrixFormatError, read_matrix, read_signs, write_matrix
@@ -127,6 +128,7 @@ def _cmd_solve(args):
         "strategy": opts.strategy,
         "p": opts.p,
         "n": int(lam.size),
+        "kernel": KERNEL,
         **{k: metrics[k] for k in sorted(metrics)},
     }
     _write_summary(args.summary, summary)

@@ -34,8 +34,8 @@ class FactoredForm:
 def _eigh_pivot(A, k, s):
     """(lam, Q) with A[k:k+s, k:k+s] = Q diag(lam) Q^*, s = 1 or 2, from its
     lower triangle; a 2x2 block takes the trigonometric ``plane_rotation``
-    with eta = |b|, and Q is the identity's column pair rotated by
-    ``rotate_columns``."""
+    with eta = |b|, and Q's columns are the identity's column pair rotated
+    by ``rotate_columns``."""
     a = A[k, k].real
     if s == 1:
         return np.array([a]), np.array([[1.0]])
@@ -45,7 +45,7 @@ def _eigh_pivot(A, k, s):
     t, cs, sn = plane_rotation(a, c, ab, TRIG)
     Q = np.empty((2, 2), dtype=A.dtype)
     rotate_columns(np.eye(2, dtype=A.dtype), b / ab, cs, sn, TRIG, Q)
-    return np.array([a - t * ab, c + t * ab]), Q
+    return np.array([a - t * ab, c + t * ab]), Q.T
 
 
 def _swap_sym(A, i, j):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hjacobi._kernels import pair_kind, plane_rotation, rotate_columns
-from hjacobi.rotations import eye_blocks
 
 
 @pytest.fixture
@@ -43,28 +42,35 @@ def graded_hermitian(rng, n, decades, complex_scalars=False, neg_fraction=0.4):
 def kernel_rotation(d_rr, d_ss, a_rs, same_sign):
     """The sweep kernel's rotation of pivots [[d_rr, a_rs], [conj(a_rs), d_ss]],
     for scalars or arrays of pivots: eta and phase taken from the Gram entry
-    a_rs as ``_kernels.sweep_rounds`` takes them, then ``plane_rotation`` of
-    the pair's kind.  Returns (eta, phase, t, cs, sn, hyp)."""
+    a_rs as ``_kernels.sweep_rounds`` takes them (phase None for a real
+    a_rs), then ``plane_rotation`` of the pair's kind.  Returns (eta, phase,
+    t, cs, sn, hyp)."""
     a_rs = np.asarray(a_rs)
     aa = np.hypot(a_rs.real, a_rs.imag)
     eta = np.where(a_rs.real >= 0.0, aa, -aa)
     hyp = pair_kind(same_sign)
+    phase = a_rs / eta if a_rs.dtype.kind == "c" else None
     with np.errstate(over="ignore"):  # theta = +-inf for a tiny a_rs: t = 0, cs = 1
-        return (eta, a_rs / eta, *plane_rotation(d_rr, d_ss, eta, hyp), hyp)
+        return (eta, phase, *plane_rotation(d_rr, d_ss, eta, hyp), hyp)
+
+
+def gram_entries(M, m, R, S):
+    """The Gram entries a_rs of the column pairs (R[j], S[j]) of M[:m] as
+    ``_kernels.sweep_rounds`` reads them: one batched dot of each pair's
+    unit-stride columns, the r column conjugated."""
+    return np.matmul(M.T[R, :m].conj()[:, None, :], M.T[S, :m][:, :, None]).reshape(len(R))
 
 
 def rotation_matrices(d_rr, d_ss, a_rs, same_sign):
     """W_P of each pivot, shape (pivots, 2, 2): a 2x2 identity rotated by
     ``rotate_columns`` with ``kernel_rotation``'s coefficients, all pivots at
-    once as one panel of disjoint column pairs; the identity where
-    a_rs == 0, a pair the kernel skips."""
+    once as one stack of column pairs; the identity where a_rs == 0, a pair
+    the kernel skips."""
     d_rr, d_ss, a_rs = (np.atleast_1d(x) for x in np.broadcast_arrays(d_rr, d_ss, a_rs))
-    n = a_rs.size
-    W = eye_blocks(2, n, np.result_type(a_rs, np.float64))
+    W = np.tile(np.eye(2, dtype=np.result_type(a_rs, np.float64)), (a_rs.size, 1, 1))
     act = np.flatnonzero(a_rs != 0)
     _, phase, _, cs, sn, hyp = kernel_rotation(d_rr[act], d_ss[act], a_rs[act], same_sign)
-    RS = np.concatenate([2 * act, 2 * act + 1])
-    out = np.empty((2, RS.size), dtype=W.dtype, order="F")
-    rotate_columns(W[:, RS], phase, cs, sn, hyp, out)
-    W[:, RS] = out
-    return W.reshape(2, n, 2).transpose(1, 0, 2)
+    out = np.empty((act.size, 2, 2), dtype=W.dtype)
+    rotate_columns(W[act], phase, cs, sn, hyp, out)  # a pair's columns are rows of W[j]
+    W[act] = out
+    return W.transpose(0, 2, 1)

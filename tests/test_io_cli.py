@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from hjacobi._accel import NUMBA_ENABLED
 from hjacobi.bench import BenchGrid
 from hjacobi.cli import main
 from hjacobi.matio import (
@@ -127,6 +128,7 @@ def test_gen_and_solve_roundtrip(tmp_path, capsys):
     rec = json.loads(summ.read_text().strip())
     assert rec["converged"] and "residual" in rec and "orthogonality" in rec
     assert "scaled_condition" in rec and rec["sweeps"] >= 1
+    assert rec["kernel"] == ("numba" if NUMBA_ENABLED else "interpreted")
 
 
 def test_solve_explicit_spectrum(tmp_path):
@@ -291,13 +293,14 @@ def test_bench_command(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--grid", str(grid), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == ("variant,strategy,scalar,n,p,nt_outer,nt_inner,"
+    assert lines[0] == ("variant,strategy,scalar,n,p,nt_outer,nt_inner,kernel,"
                         "sweeps,rotations,time_s,c,status")
     assert len(lines) == 5
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[-1] == "ok"
         assert float(fields[-2]) > 0  # c
+        assert fields[7] == ("numba" if NUMBA_ENABLED else "interpreted")
     # a grid that names only its sizes runs with the library's default options
     only = BenchGrid(sizes=[16])
     assert only.options("3F", *only.strategies, 1, *only.inner_nt) == SolveOptions(variant="3F")

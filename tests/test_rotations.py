@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kernel_rotation, rotation_matrices
+from conftest import gram_entries, kernel_rotation, rotation_matrices
 from hjacobi import _kernels
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import PivotDefinitenessError
@@ -24,10 +24,10 @@ TRIG, HYP = -1.0, 1.0  # plane_rotation's hyp of a trigonometric / hyperbolic pa
 
 def rotate_pair(M, r, s, phase, cs, sn, hyp):
     """Columns r, s of M rotated in place by ``rotate_columns`` on their
-    panel M[:, [r, s]]."""
-    out = np.empty((M.shape[0], 2), dtype=M.dtype, order="F")
-    _kernels.rotate_columns(M[:, [r, s]], phase, cs, sn, hyp, out)
-    M[:, [r, s]] = out
+    pair M.T[[r, s]]."""
+    out = np.empty((2, M.shape[0]), dtype=M.dtype)
+    _kernels.rotate_columns(M.T[[r, s]], phase, cs, sn, hyp, out)
+    M.T[[r, s]] = out
 
 
 def pivot_matrix(a_rr, a_ss, a_rs):
@@ -192,7 +192,8 @@ def replay_pass(M, D, J, m, n_i, n_j, diag_bl, body):
     """The pass of ``body`` over the stacked array M = [G; W], replayed pair
     by pair by ``_rotate`` from the Gram entries the body reads: one pair at
     a time, column-cyclically, by ``np.vdot`` for ``_sweep_pairs``; all the
-    pairs of a round at once, by one einsum, for ``sweep_rounds``.  Pairs
+    pairs of a round at once, by one batched dot (``gram_entries``), for
+    ``sweep_rounds``.  Pairs
     orthogonal to 1e-15, the tests' orth_tol, are skipped.  At a pivot that is not positive
     definite the replay stops, and the rounds body leaves that pivot's round
     unapplied.  Returns the kinds of the rotations applied, in order, and
@@ -205,7 +206,7 @@ def replay_pass(M, D, J, m, n_i, n_j, diag_bl, body):
     kinds = []
     for R, S in order:
         if body is _kernels.sweep_rounds:
-            a = np.einsum("ij,ij->j", M[:m, R].conj(), M[:m, S])
+            a = gram_entries(M, m, R, S)
         else:
             a = [np.vdot(M[:m, R[0]], M[:m, S[0]])]
         active = [(r, s, a_rs) for r, s, a_rs in zip(R, S, a)
@@ -319,7 +320,7 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     ts = [[], []]
     partial = 0
     for R, S, own in _kernels.member_rounds(n, 0, True, offsets):
-        a = np.einsum("ij,ij->j", M_api[:m, R].conj(), M_api[:m, S])
+        a = gram_entries(M_api, m, R, S)
         rotated = 0
         for r, s, b, a_rs in zip(R, S, own, a):
             if abs(a_rs) <= orth_tol * np.sqrt(D_api[r] * D_api[s]):
@@ -340,6 +341,41 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
         at = np.array(ts[b])
         assert stats[b].tolist() == [at.size, np.count_nonzero(at > quad_tol), at.max()]
     assert 0 < stats[:, 1].sum() < stats[:, 0].sum()
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("rows", [3, 16, 65, 130])
+@pytest.mark.parametrize("k", [2, 7, 32, 64])
+def test_round_products_keep_each_pairs_bits(rng, k, rows, complex_scalars):
+    """A round's batched Gram dot and batched 2x2 matmul act per pair, so a
+    pair gets the same bits alone as in a panel of any width and height:
+    k two-column members side by side make one round of k pairs, and each
+    pair's Gram entry (through its |t|), D entries and rotated columns, G's
+    and W's rows alike, agree bit for bit with a pass over the pair alone.
+    Guards against numpy or BLAS switching code paths by shape."""
+    m = (rows + 1) // 2  # G's rows; the rest are W's
+    M0 = rng.standard_normal((rows, 2 * k))
+    if complex_scalars:
+        M0 = M0 + 1j * rng.standard_normal(M0.shape)
+    M0[:, 1::2] += 0.5 * M0[:, ::2]  # every pair clearly non-orthogonal
+    M0 = np.asfortranarray(M0)
+    J = np.array([1, 1, 1, -1], np.int8)[np.arange(2 * k) % 4]  # both kinds of pair
+    offsets = np.arange(0, 2 * k, 2)
+    assert len(_kernels.member_rounds(2, 0, True, tuple(offsets.tolist()))) == 1
+    M, D = M0.copy(order="F"), column_norms_squared(M0[:m])
+    stats = np.zeros((k, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, 2, 0, True, 1e-15, 1e-15, offsets, stats)
+    assert fail == (-1, -1) and stats[:, 0].tolist() == [1.0] * k
+    for j in range(k):
+        pair = slice(2 * j, 2 * j + 2)
+        M_j = M0[:, pair].copy(order="F")
+        D_j = column_norms_squared(M_j[:m])
+        stats_j = np.zeros((1, 3))
+        assert _kernels.sweep_rounds(M_j, J[pair], D_j, m, 2, 0, True, 1e-15, 1e-15,
+                                     _kernels.ONE_MEMBER, stats_j) == (-1, -1)
+        assert M_j.tobytes() == M[:, pair].tobytes()
+        assert D_j.tobytes() == D[pair].tobytes()
+        assert stats_j[0].tobytes() == stats[j].tobytes()
 
 
 def _pairs_of(rounds):
