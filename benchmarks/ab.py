@@ -27,7 +27,9 @@ either side of it, as perfbench reads a solve's: the host's speed changes
 within seconds, and only a reference taken next to an op sees the same
 host.  A pass's time in reference units is the sum over its ops.
 
-Prints, per configuration of the case and for the whole case, each side's
+Prints, per configuration of the case, for the whole case and per scalar
+kind of its inputs (real, complex or graded, as perfbench's
+``real_solve_ref`` and ``complex_solve_ref`` split them), each side's
 median time in seconds and in reference units, the quartile distance of
 base's times in both, each side's median reference sample in seconds, the
 median of the per-pair ratios head/base of the times in reference units
@@ -143,7 +145,7 @@ def make_case(args):
             n = prob.H.shape[0]
             for v in wl.variant_names:
                 opts = wl.options(v, n)
-                ops.append({"input": i, "config": [v, opts.strategy, opts.p, n],
+                ops.append({"input": i, "kind": prob.kind, "config": [v, opts.strategy, opts.p, n],
                             "options": {f: getattr(opts, f) for f in OPTION_FIELDS}})
         return args.workload, Hs, ops
     import numpy as np
@@ -153,7 +155,7 @@ def make_case(args):
     seed = int(np.random.default_rng(args.seed).integers(2**31))
     H = generate_test_matrix(args.n, EigSpec(mode="log_uniform", lo=1e-3, hi=1.0,
                                              neg_fraction=0.4, seed=seed))
-    ops = [{"input": 0, "config": [args.variant, args.strategy, args.p, args.n],
+    ops = [{"input": 0, "kind": "real", "config": [args.variant, args.strategy, args.p, args.n],
             "options": {"variant": args.variant, "strategy": args.strategy, "p": args.p}}]
     return f"{args.variant}-{args.strategy}-p{args.p}-n{args.n}", [H], ops
 
@@ -246,12 +248,14 @@ def kernel(side):
     return "numba" if side.numba else "interpreted"
 
 
-def record(name, config, ops, picks, base, head, pairs):
-    """The record of the ops at positions ``picks``, all of ``config``."""
-    variant, strategy, p, n = config
+def record(name, ops, picks, base, head, pairs):
+    """The record of the ops at positions ``picks``: its configuration and
+    scalar kind are those of the ops, distinct values joined by '+'."""
+    variant, strategy, p, n = (joined(ops[i]["config"][f] for i in picks) for f in range(4))
     b0, h0 = pairs[0]
     return {
         "case": name, "n": n, "variant": variant, "strategy": strategy, "p": p,
+        "kind": joined(ops[i]["kind"] for i in picks),
         "kernel": joined([kernel(base), kernel(head)]),
         "base_sha": base.sha, "head_sha": head.sha, "cores": os.cpu_count(),
         "inputs": len({ops[i]["input"] for i in picks}),
@@ -262,6 +266,19 @@ def record(name, config, ops, picks, base, head, pairs):
         "fingerprints_equal": all(b0["prints"][i] == h0["prints"][i] for i in picks),
         **summarize(pairs, picks),
     }
+
+
+def case_records(name, ops, base, head, pairs):
+    """One record per configuration of the case, one for the whole case and
+    one per scalar kind of its inputs (real, complex, graded), each with its
+    own verdict; a record whose ops an earlier one covers is left out."""
+    configs, kinds = {}, {}
+    for i, op in enumerate(ops):
+        configs.setdefault(tuple(op["config"]), []).append(i)
+        kinds.setdefault(op["kind"], []).append(i)
+    picks = [*configs.values(), range(len(ops)), *kinds.values()]
+    return [record(name, ops, p, base, head, pairs)
+            for p in dict.fromkeys(tuple(p) for p in picks)]
 
 
 def main(argv=None):
@@ -303,14 +320,7 @@ def main(argv=None):
         finally:
             for s in sides:
                 s.close()
-    base, head = sides
-    configs = {}
-    for i, op in enumerate(ops):
-        configs.setdefault(tuple(op["config"]), []).append(i)
-    if len(configs) > 1:  # the whole case as well
-        configs[tuple(joined(c[f] for c in configs) for f in range(4))] = list(range(len(ops)))
-    records = [record(name, config, ops, picks, base, head, pairs)
-               for config, picks in configs.items()]
+    records = case_records(name, ops, *sides, pairs)
     for rec in records:
         print(json.dumps(rec))
     if args.out:

@@ -15,22 +15,25 @@ The body is a property of the platform, not of the pass (``pass_kernel``).
 With numba, every pass runs ``_sweep_pairs`` compiled as
 ``sweep_pairs_jit``: it takes the pairs one at a time, column-cyclically,
 member after member, and rotates a pair's two columns of M in place by a
-2-D product with its ``rotation_matrices``.  Without numba, every pass runs
-``sweep_rounds``: it takes them as rounds of disjoint pairs
-(``pass_rounds``: round-robin steps for a diagonal pass, shifted diagonals
-for a cross pass; ``member_rounds``: round k of every member at once).  A
-round is one panel of its pairs' columns, gathered from M once and
-scattered back once, and two BLAS calls on it: one batched dot for the
-Gram entries and one batched 2x2 matmul (``rotate_columns``) for the
-rotation; what does not change during a pass (the rounds' column indices,
-the pairs' kinds, the panel buffers) is set up once per pass.  Either body
-treats each member as it would alone, so stacking never changes a member's
-bits.
+2-D product with its real ``rotation_matrices``, after scaling the r column
+by the pair's phase.  Without numba, every pass runs ``sweep_rounds``: it
+takes them as rounds of disjoint pairs (``pass_rounds``: round-robin steps
+for a diagonal pass, shifted diagonals for a cross pass; ``member_rounds``:
+round k of every member at once).  A round is one panel of its pairs'
+columns, gathered from M once and scattered back once, and two BLAS calls
+on it: one ``np.vecdot`` for the Gram entries and one batched 2x2 matmul
+(``rotate_columns``) for the rotation.  Complex rounds run in real
+arithmetic too: the phases scale the r columns in place first, and the
+real matrices multiply the panel's float64 view.  What does not change
+during a pass (the rounds' column indices, the pairs' kinds, the panel
+buffers) is set up once per pass.  Either body treats each member as it
+would alone, so stacking never changes a member's bits.
 
 ``plane_rotation`` is the only copy of the rotation's parameters, and
 ``rotation_matrices`` of its 2x2 matrix, for scalars and for arrays of
-disjoint pairs alike; ``rotate_columns`` applies the matrices to pairs of
-columns, and the factorization's 2x2 eigensolve calls it too.
+disjoint pairs alike; ``rotate_columns`` applies the phase and the
+matrices to pairs of columns, and the factorization's 2x2 eigensolve calls
+it too.
 """
 
 import functools
@@ -90,21 +93,17 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
 
 
 @jitable
-def rotation_matrices(phase, cs, sn, hyp, Q):
-    """Fill Q, of shape (..., 2, 2), with the matrices of ``plane_rotation``'s
-    transformation, [[cs*phase, hyp*sn], [sn*phase, cs]]: a pair whose
-    columns x_r, x_s are the rows of [x_r; x_s] becomes Q @ [x_r; x_s].
+def rotation_matrices(cs, sn, hyp, Q):
+    """Fill Q, of shape (..., 2, 2), with the real matrices of
+    ``plane_rotation``'s transformation, [[cs, hyp*sn], [sn, cs]]: a pair
+    whose columns F = phase*x_r and x_s are the rows of [F; x_s] becomes
+    Q @ [F; x_s].
 
-    phase, cs, sn and hyp are scalars, or arrays of Q's leading shape; a
-    phase of None is 1.0 (the real case).  The only copy of the matrix's
-    entries.
+    cs, sn and hyp are scalars, or arrays of Q's leading shape.  The only
+    copy of the matrix's entries.
     """
-    if phase is None:
-        Q[..., 0, 0] = cs
-        Q[..., 1, 0] = sn
-    else:
-        Q[..., 0, 0] = cs * phase
-        Q[..., 1, 0] = sn * phase
+    Q[..., 0, 0] = cs
+    Q[..., 1, 0] = sn
     Q[..., 0, 1] = hyp * sn
     Q[..., 1, 1] = cs
 
@@ -113,15 +112,28 @@ def rotate_columns(P, phase, cs, sn, hyp, out):
     """Apply ``plane_rotation``'s transformation to the column pairs in P,
     writing the rotated pairs into ``out`` (P's shape).
 
-    P is one pair (2, rows), or a stack (k, 2, rows) of k pairs: P[j, 0] is
-    pair j's r column and P[j, 1] its s column; phase, cs, sn and hyp are
-    scalars, or length-k arrays.  With F = phase * x_r (phase None for
-    1.0), the pair becomes [cs*F + hyp*sn*x_s, sn*F + cs*x_s]: one matmul by
-    ``rotation_matrices``, a BLAS product per pair.  out must not overlap P.
+    P is one pair (2, rows), or a stack (k, 2, rows) of k pairs with rows of
+    unit stride: P[j, 0] is pair j's r column and P[j, 1] its s column;
+    phase, cs, sn and hyp are scalars, or length-k arrays.  P's r rows are
+    scaled in place to F = phase * x_r (phase None: not at all), and the
+    pair becomes [cs*F + hyp*sn*x_s, sn*F + cs*x_s]: one real matmul by
+    ``rotation_matrices`` on P's float64 view, a BLAS product per pair.
+    out must not overlap P.
     """
-    Q = np.empty(np.shape(cs) + (2, 2), dtype=out.dtype)
-    rotation_matrices(phase, cs, sn, hyp, Q)
+    if phase is not None:
+        P[..., 0, :] *= np.asarray(phase)[..., None]
+    Q = np.empty(np.shape(cs) + (2, 2))
+    rotation_matrices(cs, sn, hyp, Q)
+    if P.dtype.kind == "c":  # real and imaginary parts side by side
+        P, out = P.view(np.float64), out.view(np.float64)
     np.matmul(Q, P, out)
+
+
+def signed_modulus(a, aa):
+    """``plane_rotation``'s eta of Gram entries a (an array) with moduli aa:
+    aa where a.real >= 0.0, -0.0 included, else -aa, as ``_sweep_pairs``
+    takes it."""
+    return np.copysign(aa, a.real + 0.0)  # + 0.0 turns -0.0 into +0.0
 
 
 def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
@@ -180,8 +192,9 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                     break
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
-                rotation_matrices(a / eta, cs, sn, hyp, Q)
+                rotation_matrices(cs, sn, hyp, Q)
                 pair = M[:, r:s + 1:s - r].T  # columns r and s as rows, a view
+                pair[0] *= a / eta
                 pair[...] = Q @ pair  # rotate_columns by a 2-D product, which numba compiles
                 nrot += 1
                 at = abs(t)
@@ -290,15 +303,17 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 
     Every round is a handful of whole-array operations on all the members at
     once, on one panel: its pairs' columns are gathered from M once, the
-    Gram entries read from the panel's first m rows by one batched dot, the
-    pairs that are not yet orthogonal rotated by ``plane_rotation`` on
-    arrays and ``rotate_columns`` on the panel's (k, 2, rows) view of pairs
-    (one batched 2x2 matmul), and the rotated panel and its D entries
-    scattered back once.  The pairs' kinds are taken once per pass, and the
-    panels live in two buffers allocated once per pass.  Each operation,
-    BLAS products included, is done per pair, so a member gets the bits it
-    gets alone.  A round holding a pivot that is not positive definite is
-    not applied; its first such pair is returned.  M is column-major.
+    Gram entries read from the panel's first m rows by one ``np.vecdot``
+    (which conjugates the r columns), the pairs that are not yet orthogonal
+    rotated by ``plane_rotation`` on arrays and ``rotate_columns`` on the
+    panel's (k, 2, rows) view of pairs (one real batched 2x2 matmul; complex
+    pairs' phases first scale the panel's contiguous block of r columns),
+    and the rotated panel and its D entries scattered back once.  The
+    pairs' kinds are taken once per pass, and the panels live in two
+    buffers allocated once per pass.  Each operation, BLAS products
+    included, is done per pair, so a member gets the bits it gets alone.
+    A round holding a pivot that is not positive definite is not applied;
+    its first such pair is returned.  M is column-major.
     """
     rounds, R_all, S_all, width = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
     kinds = pair_kind(signs[R_all] == signs[S_all])
@@ -310,14 +325,11 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
 
     def panel(b, k):
         """Views of the first 2k columns of the panel bufs[b], held as rows:
-        (PT, pairs, x, y), PT the (2k, rows) panel with pair j's columns
-        in rows j and k + j, pairs its (k, 2, rows) view of pairs, and x, y
-        the (k, 1, m) and (k, m, 1) views of the pairs' r and s columns in
-        G's rows."""
+        (PT, pairs), PT the (2k, rows) panel with pair j's columns in rows j
+        and k + j, and pairs its (k, 2, rows) view of pairs."""
         if (b, k) not in views:
             PT = bufs[b][:2 * k * rows].reshape(2 * k, rows)
-            views[b, k] = (PT, PT.reshape(2, k, rows).transpose(1, 0, 2),
-                           PT[:k, None, :m], PT[k:, :m, None])
+            views[b, k] = (PT, PT.reshape(2, k, rows).transpose(1, 0, 2))
         return views[b, k]
 
     ts = []
@@ -326,14 +338,10 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     for RS, own, lo in rounds:
         k = own.size
         src, dst = 0, 1  # the buffers of the gathered panel and of the rotated one
-        PT, _, x, y = panel(src, k)
+        PT = panel(src, k)[0]
         MT.take(RS, axis=0, out=PT, mode="clip")
-        if real:
-            a = np.matmul(x, y).reshape(k)
-            aa = np.abs(a)  # hypot(a, 0.0) exactly
-        else:
-            a = np.matmul(np.conjugate(x, out=panel(dst, k)[2]), y).reshape(k)
-            aa = np.hypot(a.real, a.imag)  # abs() of a complex scalar; np.abs can differ
+        a = np.vecdot(PT[:k, :m], PT[k:, :m])  # conjugates the r columns
+        aa = np.abs(a) if real else np.hypot(a.real, a.imag)  # as abs() of a complex scalar
         d = D[RS]
         dd = d[:k] * d[k:]
         skip = aa <= orth_tol * np.sqrt(dd)  # what _sweep_pairs skips
@@ -350,7 +358,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
             src, dst = dst, src
         d_rr = d[:k]
         d_ss = d[k:]
-        eta = a if real else np.where(a.real >= 0.0, aa, -aa)  # real: phase 1.0
+        eta = a if real else signed_modulus(a, aa)  # real: phase 1.0
         t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
         bad = (aa * aa >= dd) | (cs == 0.0)
         if np.count_nonzero(bad):
@@ -361,8 +369,11 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         d_rr += hyp * te
         d_ss += te
         D[RS] = d
-        out, out_pairs = panel(dst, k)[:2]
-        rotate_columns(panel(src, k)[1], None if real else a / eta, cs, sn, hyp, out_pairs)
+        PT, pairs = panel(src, k)
+        if not real:  # the phases, on the r columns' contiguous block
+            PT[:k] *= (a / eta)[:, None]
+        out, out_pairs = panel(dst, k)
+        rotate_columns(pairs, None, cs, sn, hyp, out_pairs)
         MT[RS] = out
         ts.append(t)
         owners.append(own)

@@ -114,7 +114,7 @@ def factorize_hermitian_indefinite(H):
         L = A[k + s :, k : k + s] @ (Q * (sgn / root))
         G[k : k + s, k : k + s] = Q * root
         G[k + s :, k : k + s] = L
-        A[k + s :, k + s :] -= (L * sgn) @ L.conj().T
+        A[k + s :, k + s :] -= (L.conj() @ (L * sgn).T).T  # formed column-major, as A is
         fill[k + s :] += np.einsum("ij,ij->i", L, L.conj()).real
         J[k : k + s] = sgn
         k += s

@@ -2,6 +2,7 @@ import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -50,3 +51,34 @@ def test_git_sha_of_a_checkout_is_its_head(ab, tmp_path):
     assert ab.git_sha(tree) == git("rev-parse", "HEAD")
     (tree / "src" / "hjacobi" / "core.py").write_text("x = 2\n")
     assert ab.git_sha(tree) == git("rev-parse", "HEAD") + "-dirty"
+
+
+def fake_pass(times):
+    """A child's reply to one pass: op times, fingerprints and references."""
+    return {"times": times, "prints": [["x", 1, 10]] * len(times), "refs": [1.0] * (len(times) + 1)}
+
+
+def test_case_records_give_each_scalar_kind_its_own_verdict(ab):
+    """A case's records include one per scalar kind of its inputs, each with
+    its own verdict: complex ops 20% faster in head read ``faster`` while the
+    unchanged real and graded ones read ``unresolved``.  No two records
+    cover the same ops (the graded input's order is its own configuration)."""
+    kinds = ["real", "real", "complex", "complex", "graded"]
+    ops = [{"input": i, "kind": kind,
+            "config": ["seq", "modulus", 1, 32 if kind == "graded" else 64]}
+           for i, kind in enumerate(kinds)]
+    base_times = [1.0, 1.1, 2.0, 2.2, 0.5]
+    head_times = [1.0, 1.1, 1.6, 1.76, 0.5]
+    pairs = [(fake_pass([t * (1 + 0.01 * k) for t in base_times]),
+              fake_pass([t * (1 + 0.01 * k) for t in head_times])) for k in range(10)]
+    side = SimpleNamespace(sha="sha", numba=False)
+    records = ab.case_records("cyclic", ops, side, side, pairs)
+    assert [r["kind"] for r in records] == ["real+complex", "graded", "real+complex+graded",
+                                            "real", "complex"]
+    by_kind = {r["kind"]: r for r in records}
+    assert {k: by_kind[k]["verdict"] for k in ("real", "complex", "graded")} == \
+        {"real": "unresolved", "complex": "faster", "graded": "unresolved"}
+    assert by_kind["complex"]["ratio_median"] == pytest.approx(0.8)
+    assert by_kind["complex"]["head_wins"] == 10 and by_kind["real"]["head_wins"] == 0
+    assert by_kind["real+complex+graded"]["n"] == "64+32"
+    assert by_kind["complex"]["inputs"] == 2 and by_kind["complex"]["kernel"] == "interpreted"

@@ -151,6 +151,67 @@ def test_apply_rotation_two_column_example():
     assert sorted(D) == pytest.approx(norms, rel=1e-12)
 
 
+def random_complex_pairs(rng, k, rows=33):
+    """k complex column pairs (k, 2, rows) with unit phases and the (cs, sn)
+    of a |t| < 1 rotation of either kind, and the complex matrices
+    Q_c = [[cs*phase, hyp*sn], [sn*phase, cs]] of the transformation."""
+    P = rng.standard_normal((k, 2, rows)) + 1j * rng.standard_normal((k, 2, rows))
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
+    hyp = np.where(rng.random(k) < 0.5, TRIG, HYP)
+    t = rng.uniform(-0.9, 0.9, k)
+    cs = 1.0 / np.sqrt(1.0 - hyp * t * t)
+    sn = cs * t
+    Qc = np.stack([np.stack([cs * phase, hyp * sn + 0j], -1),
+                   np.stack([sn * phase, cs + 0j], -1)], -2)
+    return P, phase, cs, sn, hyp, Qc
+
+
+@pytest.mark.parametrize("k", [1, 5, 64])
+def test_complex_rotation_matches_complex_matrices(rng, k):
+    """``rotate_columns`` on complex pairs, the phase applied to the r rows
+    first and then a real 2x2 product on their float64 view, agrees with
+    Q_c @ P to a few ulps of each entry's sum of moduli, for a stack and for
+    one pair with scalar coefficients."""
+    P, phase, cs, sn, hyp, Qc = random_complex_pairs(rng, k)
+    expected = Qc @ P
+    bound = 4 * EPS * (np.abs(Qc) @ np.abs(P))
+    out = np.empty_like(P)
+    _kernels.rotate_columns(P.copy(), phase, cs, sn, hyp, out)
+    assert np.all(np.abs(out - expected) <= bound)
+    one = np.empty_like(P[0])
+    _kernels.rotate_columns(P[0].copy(), phase[0], cs[0], sn[0], hyp[0], one)
+    assert np.all(np.abs(one - expected[0]) <= bound[0])
+
+
+def test_rotate_columns_scales_r_rows_in_place(rng):
+    """``rotate_columns`` leaves P's r rows multiplied by the phase and its
+    s rows as they were, as documented; with a phase of None it leaves P
+    as it was."""
+    P0, phase, cs, sn, hyp, _ = random_complex_pairs(rng, 6)
+    out = np.empty_like(P0)
+    P = P0.copy()
+    _kernels.rotate_columns(P, phase, cs, sn, hyp, out)
+    assert np.array_equal(P[:, 0], P0[:, 0] * phase[:, None])
+    assert np.array_equal(P[:, 1], P0[:, 1])
+    P = P0.copy()
+    _kernels.rotate_columns(P, None, cs, sn, hyp, out)
+    assert np.array_equal(P, P0)
+
+
+def test_eta_takes_plus_modulus_at_signed_zero():
+    """The rounds body's eta (``signed_modulus``) follows ``_sweep_pairs``'
+    rule, +|a| where a.real >= 0.0, bit for bit: +|a| at a.real = +0.0 and
+    at -0.0 alike, -|a| where a.real < 0."""
+    a = np.array([complex(0.0, 2.0), complex(-0.0, 2.0), complex(-0.0, -3.0),
+                  complex(-0.0, 0.0), complex(1.5, -1.0), complex(-1.5, 1.0),
+                  complex(-1e-300, 1.0)])
+    aa = np.hypot(a.real, a.imag)
+    eta = _kernels.signed_modulus(a, aa)
+    expected = np.array([x if z.real >= 0.0 else -x for z, x in zip(a.tolist(), aa.tolist())])
+    assert eta.tobytes() == expected.tobytes()
+    assert eta[:4].tolist() == [2.0, 2.0, 3.0, 0.0] and not np.signbit(eta[:4]).any()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.2, 5), st.floats(0.2, 5), st.floats(-0.95, 0.95),
        st.booleans())
