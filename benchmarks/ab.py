@@ -7,17 +7,22 @@ input with every configuration of the case) in pairs, base and head
 alternating and taking turns at going first, so that a host whose speed
 drifts slows both sides alike.  A pass times the solver driver
 (``hjacobi.solve.run_solver``) on each input's factored form, which each
-child makes once; factorization and diagnostics are left out.
+child makes once; factorization (but with ``--factorize``) and
+diagnostics are left out.
 
     python benchmarks/ab.py --base OLD --head NEW --workload ring
     python benchmarks/ab.py --base OLD --head NEW --n 256 --variant 3B --p 2 --pairs 3
+    python benchmarks/ab.py --base OLD --head NEW --n 1024 --factorize
 
 OLD and NEW are the roots of two source checkouts (for example a revision
 checked out with plain git into a scratch directory).  ``--workload``
 solves the inputs and configurations of a perfbench workload for
 ``--seed``, with perfbench's solve options; ``--n`` solves one real input of
 order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
-``--seed``, with one configuration and the library's default block sizes.
+``--seed``, with one configuration and the library's default block sizes
+(``--complex`` draws a complex input instead), and ``--factorize`` times
+the factorization of that input (``factorize_hermitian_indefinite``),
+fingerprinted by the bytes of G, J and P, in place of a solve.
 
 Each child times perfbench's fixed reference computation
 (``perfbench/reference.py``, taken from the harness's own checkout, so both
@@ -74,9 +79,30 @@ def child(src, inputs):
 
     data = np.load(inputs)
     ops = json.loads(str(data["ops"]))
-    factored = [order_by_inertia(factorize_hermitian_indefinite(data[f"H{i}"]))
-                for i in range(int(data["count"]))]
+    factored = {i: order_by_inertia(factorize_hermitian_indefinite(data[f"H{i}"]))
+                for i in {op["input"] for op in ops if op["options"] is not None}}
     ref_arrays = reference.ref_arrays()
+
+    def run(op):
+        """(fingerprint, seconds) of one op: a solve of its input's factored
+        form, or, for an op without options, the factorization of its input."""
+        if op["options"] is None:
+            H = data[f"H{op['input']}"]
+            t0 = time.perf_counter()
+            f = factorize_hermitian_indefinite(H)
+            dt = time.perf_counter() - t0
+            return [hashlib.sha256(f.G.tobytes() + f.J.tobytes() + f.P.tobytes()).hexdigest(),
+                    0, 0], dt
+        f = factored[op["input"]]
+        opts = SolveOptions(**op["options"])
+        G = f.G.copy(order="F")
+        t0 = time.perf_counter()
+        try:
+            G, info = run_solver(G, f.J, opts)
+            out = [hashlib.sha256(G.tobytes()).hexdigest(), info.sweeps, info.rotations]
+        except Exception as exc:  # noqa: BLE001 - a failing solve is part of the fingerprint
+            out = [type(exc).__name__, 0, 0]
+        return out, time.perf_counter() - t0
 
     def time_ref():
         t0 = time.perf_counter()
@@ -87,16 +113,8 @@ def child(src, inputs):
     for _line in sys.stdin:
         times, prints, refs = [], [], [time_ref()]
         for op in ops:
-            f = factored[op["input"]]
-            opts = SolveOptions(**op["options"])
-            G = f.G.copy(order="F")
-            t0 = time.perf_counter()
-            try:
-                G, info = run_solver(G, f.J, opts)
-                out = [hashlib.sha256(G.tobytes()).hexdigest(), info.sweeps, info.rotations]
-            except Exception as exc:  # noqa: BLE001 - a failing solve is part of the fingerprint
-                out = [type(exc).__name__, 0, 0]
-            times.append(time.perf_counter() - t0)
+            out, dt = run(op)
+            times.append(dt)
             prints.append(out)
             refs.append(time_ref())
         print(json.dumps({"times": times, "prints": prints, "refs": refs}), flush=True)
@@ -153,9 +171,14 @@ def make_case(args):
     from hjacobi import EigSpec, generate_test_matrix
 
     seed = int(np.random.default_rng(args.seed).integers(2**31))
+    kind = "complex" if args.complex else "real"
     H = generate_test_matrix(args.n, EigSpec(mode="log_uniform", lo=1e-3, hi=1.0,
-                                             neg_fraction=0.4, seed=seed))
-    ops = [{"input": 0, "kind": "real", "config": [args.variant, args.strategy, args.p, args.n],
+                                             neg_fraction=0.4, seed=seed), args.complex)
+    if args.factorize:
+        ops = [{"input": 0, "kind": kind, "config": ["factorize", None, None, args.n],
+                "options": None}]
+        return f"factorize-{kind}-n{args.n}", [H], ops
+    ops = [{"input": 0, "kind": kind, "config": [args.variant, args.strategy, args.p, args.n],
             "options": {"variant": args.variant, "strategy": args.strategy, "p": args.p}}]
     return f"{args.variant}-{args.strategy}-p{args.p}-n{args.n}", [H], ops
 
@@ -291,6 +314,9 @@ def main(argv=None):
     ap.add_argument("--variant")
     ap.add_argument("--strategy", default="modulus")
     ap.add_argument("--p", type=int, default=1)
+    ap.add_argument("--complex", action="store_true", help="with --n: a complex input")
+    ap.add_argument("--factorize", action="store_true",
+                    help="with --n: time the factorization instead of a solve")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", help="append the records to the JSON list in this file")
@@ -298,8 +324,9 @@ def main(argv=None):
     if args.child:
         return child(*args.child)
     if not (args.base and args.head) or (args.workload is None) == (args.n is None) \
-            or (args.n is not None and args.variant is None):
-        ap.error("need --base and --head, and either --workload or --n with --variant")
+            or (args.n is not None and (args.variant is None) != args.factorize):
+        ap.error("need --base and --head, and either --workload or --n with one of"
+                 " --variant and --factorize")
 
     import numpy as np
 

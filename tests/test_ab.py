@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -82,3 +84,18 @@ def test_case_records_give_each_scalar_kind_its_own_verdict(ab):
     assert by_kind["complex"]["head_wins"] == 10 and by_kind["real"]["head_wins"] == 0
     assert by_kind["real+complex+graded"]["n"] == "64+32"
     assert by_kind["complex"]["inputs"] == 2 and by_kind["complex"]["kernel"] == "interpreted"
+
+
+def test_factorize_case_times_the_factorization(ab, tmp_path, monkeypatch):
+    """``--n N --factorize`` times ``factorize_hermitian_indefinite`` on
+    both sides (here one tree against itself, on a complex input): one
+    record, of the input's kind, whose fingerprints (the bytes of G, J and
+    P) are equal."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness prepends the head's paths
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", str(ROOT), "--head", str(ROOT), "--n", "24", "--complex",
+                    "--factorize", "--pairs", "2", "--out", str(out)]) == 0
+    (rec,) = json.loads(out.read_text())
+    assert (rec["case"], rec["variant"], rec["kind"], rec["n"]) == \
+        ("factorize-complex-n24", "factorize", "complex", 24)
+    assert rec["fingerprints_equal"] and rec["pairs"] == 2 and rec["base_rotations"] == 0
