@@ -7,7 +7,7 @@ input with every configuration of the case) in pairs, base and head
 alternating and taking turns at going first, so that a host whose speed
 drifts slows both sides alike.  A pass times the solver driver
 (``hjacobi.solve.run_solver``) on each input's factored form, which each
-child makes once; factorization (but with ``--factorize``) and
+child makes once; factorization (unless ``--factorize`` times it) and
 diagnostics are left out.
 
     python benchmarks/ab.py --base OLD --head NEW --workload ring
@@ -333,7 +333,7 @@ def main(argv=None):
     name, Hs, ops = make_case(args)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = os.path.join(tmp, "inputs.npz")
-        np.savez(inputs, count=len(Hs), ops=json.dumps(ops),
+        np.savez(inputs, ops=json.dumps(ops),
                  **{f"H{i}": H for i, H in enumerate(Hs)})
         sides = [Side(args.base, inputs), Side(args.head, inputs)]
         try:
