@@ -13,6 +13,7 @@ diagnostics are left out.
     python benchmarks/ab.py --base OLD --head NEW --workload ring
     python benchmarks/ab.py --base OLD --head NEW --n 256 --variant 3B --p 2 --pairs 3
     python benchmarks/ab.py --base OLD --head NEW --n 1024 --factorize
+    python benchmarks/ab.py --base OLD --head NEW --workload cyclic --factorize
 
 OLD and NEW are the roots of two source checkouts (for example a revision
 checked out with plain git into a scratch directory).  ``--workload``
@@ -20,9 +21,9 @@ solves the inputs and configurations of a perfbench workload for
 ``--seed``, with perfbench's solve options; ``--n`` solves one real input of
 order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
 ``--seed``, with one configuration and the library's default block sizes
-(``--complex`` draws a complex input instead), and ``--factorize`` times
-the factorization of that input (``factorize_hermitian_indefinite``),
-fingerprinted by the bytes of G, J and P, in place of a solve.
+(``--complex`` draws a complex input instead).  ``--factorize`` times the
+factorization (``factorize_hermitian_indefinite``) of each input in place
+of its solves: one op per input, fingerprinted by the bytes of G, J and P.
 
 Each child times perfbench's fixed reference computation
 (``perfbench/reference.py``, taken from the harness's own checkout, so both
@@ -161,11 +162,15 @@ def make_case(args):
         ops = []
         for i, prob in enumerate(problems):
             n = prob.H.shape[0]
+            if args.factorize:
+                ops.append({"input": i, "kind": prob.kind,
+                            "config": ["factorize", None, None, n], "options": None})
+                continue
             for v in wl.variant_names:
                 opts = wl.options(v, n)
                 ops.append({"input": i, "kind": prob.kind, "config": [v, opts.strategy, opts.p, n],
                             "options": {f: getattr(opts, f) for f in OPTION_FIELDS}})
-        return args.workload, Hs, ops
+        return f"factorize-{args.workload}" if args.factorize else args.workload, Hs, ops
     import numpy as np
 
     from hjacobi import EigSpec, generate_test_matrix
@@ -316,7 +321,7 @@ def main(argv=None):
     ap.add_argument("--p", type=int, default=1)
     ap.add_argument("--complex", action="store_true", help="with --n: a complex input")
     ap.add_argument("--factorize", action="store_true",
-                    help="with --n: time the factorization instead of a solve")
+                    help="time the factorization of each input instead of its solves")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", help="append the records to the JSON list in this file")

@@ -31,29 +31,16 @@ class FactoredForm:
     P1: np.ndarray
 
 
-def _eigh_pivot(A, k, s):
-    """(lam, Q) with A[k:k+s, k:k+s] = Q diag(lam) Q^*, s = 1 or 2, from its
-    lower triangle; a 2x2 block takes the trigonometric ``plane_rotation``
-    with eta = |b|, and Q's columns are the identity's column pair rotated
-    by ``rotate_columns``."""
-    a = A[k, k].real
-    if s == 1:
-        return np.array([a]), np.array([[1.0]])
-    b = np.conj(A[k + 1, k])  # upper entry (k, k+1)
-    c = A[k + 1, k + 1].real
+def _eigh_pivot(T):
+    """(lam, Q) with T[:2, :2] = Q diag(lam) Q^*, from its lower triangle, by
+    the trigonometric ``plane_rotation`` with eta = |b|; Q's columns are the
+    identity's column pair rotated by ``rotate_columns``."""
+    a, b, c = T[0, 0].real, np.conj(T[1, 0]), T[1, 1].real  # b: upper entry (0, 1)
     ab = abs(b)  # > 0: a 2x2 pivot holds the largest off-diagonal entry left
     t, cs, sn = plane_rotation(a, c, ab, TRIG)
-    Q = np.empty((2, 2), dtype=A.dtype)
-    rotate_columns(np.eye(2, dtype=A.dtype), b / ab, cs, sn, TRIG, Q)
+    Q = np.empty((2, 2), dtype=T.dtype)
+    rotate_columns(np.eye(2, dtype=T.dtype), b / ab, cs, sn, TRIG, Q)
     return np.array([a - t * ab, c + t * ab]), Q.T
-
-
-def _swap_sym(A, i, j):
-    """Symmetric row+column swap of the full Hermitian working matrix."""
-    if i == j:
-        return
-    for M in (A, A.T):  # rows, then columns; row views beat fancy indexing
-        M[i], M[j] = M[j].copy(), M[i].copy()
 
 
 def factorize_hermitian_indefinite(H):
@@ -68,6 +55,15 @@ def factorize_hermitian_indefinite(H):
     entry of H or fill-in sum_j |G_ij|^2 still to be eliminated, so graded
     D A D with a well-conditioned A factors however widely D is spread.
 
+    The search reads only the largest modulus of the trailing block and of
+    its diagonal (a real block is exactly symmetric, so its largest modulus
+    is its largest or its negated smallest entry); a 2x2 pivot, chosen when
+    the diagonal is too small, takes the first largest entry of the strict
+    lower triangle in row-major order.  A 1x1 pivot is a scalar step.  Only
+    the trailing block's rows and columns are swapped: G is written by
+    original row, row P[i] of a work array holding row i, and gathered at
+    the end.
+
     P is an index array: (P H P^T)[i, j] == H[P[i], P[j]].
     """
     H = as_matrix(H)
@@ -81,44 +77,60 @@ def factorize_hermitian_indefinite(H):
     A = np.asfortranarray(hermitize(H))
     tiny = 64.0 * n * np.finfo(np.float64).eps
     floor = tiny * np.abs(A).max() if n else 0.0
-    perm, low = np.arange(n), np.tri(n, k=-1, dtype=bool)
+    perm = np.arange(n)
     fill = np.zeros(n)  # sum_j |G[i, :k]|^2: Schur rounding grows with it too
-    G = np.zeros_like(A)
+    W = np.zeros_like(A)  # row perm[i] holds G's row i
     J = np.empty(n, dtype=np.int8)
+    real = not np.iscomplexobj(A)
+    mod = None if real else np.empty(n * n)  # |T|, column-major
     k = 0
     while k < n:
-        T = A[k:, k:]
-        diag = np.abs(np.diag(T).real)
+        T, m = A[k:, k:], n - k
+        diag = np.abs(T.diagonal().real)
         i1 = int(np.argmax(diag))
-        Off = np.where(low[k:, k:], np.abs(T), 0.0)
-        r0, c0 = np.unravel_index(int(np.argmax(Off)), Off.shape)
-        mu0, mu1 = Off[r0, c0], diag[i1]
-        mu = max(mu0, mu1)
+        mu1 = diag[i1]
+        if real:
+            mu = max(T.max(), -T.min())
+        else:
+            absT = np.abs(T, out=mod[: m * m].reshape((m, m), order="F"))
+            mu = absT.max()
         # the global floor bounds tiny * max|H_rem|: look at H_rem only below it
         rem = np.abs(H[np.ix_(perm[k:], perm[k:])]).max() if mu <= floor else 0.0
         if mu <= tiny * max(rem, fill[k:].max()):
             raise SingularMatrixError(
                 "zero pivot: H is numerically singular; supply a factor directly"
             )
-        if mu1 >= ALPHA * mu0:
-            s, swaps = 1, ((k, k + i1),)
+        if mu1 >= ALPHA * mu:
+            s, swaps = 1, ((0, i1),)
         else:
-            s, swaps = 2, ((k, k + c0), (k + 1, k + r0))
+            r0, c0 = divmod(int(np.argmax(np.tril(np.abs(T) if real else absT, -1))), m)
+            s, swaps = 2, ((0, c0), (1, r0))
         for dst, src in swaps:
-            _swap_sym(A, dst, src)
-            G[[dst, src], :k] = G[[src, dst], :k]
-            perm[[dst, src]], fill[[dst, src]] = perm[[src, dst]], fill[[src, dst]]
-        lam, Q = _eigh_pivot(A, k, s)
-        sgn = np.copysign(1.0, lam)
-        root = np.sqrt(np.abs(lam))
-        L = A[k + s :, k : k + s] @ (Q * (sgn / root))
-        G[k : k + s, k : k + s] = Q * root
-        G[k + s :, k : k + s] = L
-        A[k + s :, k + s :] -= (L.conj() @ (L * sgn).T).T  # formed column-major, as A is
-        fill[k + s :] += np.einsum("ij,ij->i", L, L.conj()).real
+            if dst != src:
+                T[[dst, src]] = T[[src, dst]]
+                T[:, [dst, src]] = T[:, [src, dst]]
+                i, j = k + dst, k + src
+                perm[i], perm[j], fill[i], fill[j] = perm[j], perm[i], fill[j], fill[i]
+        if s == 1:
+            a = T[0, 0].real
+            sgn, root = math.copysign(1.0, a), math.sqrt(abs(a))
+            L = T[1:, 0] * (sgn / root) + 0.0  # a zero is +0, as a BLAS product's is
+            W[perm[k], k] = root
+            T[1:, 1:] -= np.multiply.outer(L.conj(), L * sgn).T  # column-major, as A is
+            fill[k + 1 :] += (L * L.conj()).real
+        else:
+            lam, Q = _eigh_pivot(T)
+            sgn = np.copysign(1.0, lam)
+            root = np.sqrt(np.abs(lam))
+            L = T[2:, :2] @ (Q * (sgn / root))
+            W[perm[k : k + 2], k : k + 2] = Q * root
+            T[2:, 2:] -= (L.conj() @ (L * sgn).T).T  # formed column-major, as A is
+            fill[k + 2 :] += np.einsum("ij,ij->i", L, L.conj()).real
+        W[perm[k + s :], k : k + s] = L.reshape(m - s, s)
         J[k : k + s] = sgn
         k += s
-    return FactoredForm(G=G, J=J, P=perm, P1=np.arange(n))
+    G = np.empty_like(W)
+    return FactoredForm(G=np.take(W, perm, axis=0, out=G), J=J, P=perm, P1=np.arange(n))
 
 
 def order_by_inertia(f: FactoredForm) -> FactoredForm:

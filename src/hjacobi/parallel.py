@@ -157,15 +157,15 @@ class _Worker:
         self.blocks[msg.index] = msg
 
 
-def _stacked_pivots(owned, local, structured):
+def _stacked_pivots(owned, local, structured, refresh):
     """Disjoint pivots as one ``stacked_step`` per pivot width, with the
     local solve ``local(R, J, n_i, members)``.
 
     ``owned`` lists (worker, pivot) pairs, a pivot being one or two
-    BlockMessages.  A pivot's counters go to its worker's sweep counters,
-    and the squared column norms of the blocks it rotated are refreshed.
-    ``structured`` factors each pivot by the structured Cholesky from those
-    norms."""
+    BlockMessages.  A pivot's counters go to its worker's sweep counters.
+    ``structured`` factors each pivot by the structured Cholesky from its
+    blocks' squared column norms, and ``refresh`` recomputes the norms of
+    the blocks a pivot rotated (F variants: their later steps read them)."""
     groups = {}
     for owner, pivot in owned:
         width = tuple(msg.G_block.shape[1] for msg in pivot)
@@ -177,7 +177,7 @@ def _stacked_pivots(owned, local, structured):
             [np.concatenate([msg.J_seg for msg in pivot]) for _, pivot in group], local,
             [tuple(msg.D_seg for msg in pivot) for _, pivot in group] if structured else None)
         for (owner, pivot), info in zip(group, infos):
-            if info.rotations:
+            if refresh and info.rotations:
                 for msg in pivot:
                     msg.D_seg = column_norms_squared(msg.G_block)
             owner.sweep_info.absorb(info)
@@ -215,11 +215,11 @@ def parallel_jacobi(G, signs, opts):
             w._start_sweep(k)
         if opts.full:
             _stacked_pivots([(w, (msg,)) for w in workers for msg in w.blocks.values()],
-                            lead._diag_preprocess, False)
+                            lead._diag_preprocess, False, refresh=True)
         for step in range(steps_per_sweep(opts.strategy, p)):
             _stacked_pivots([(w, w._step()) for w in workers],
                             functools.partial(lead._local_transform, first_step=step == 0),
-                            opts.full)
+                            opts.full, refresh=opts.full)
             plans = [w.stepper(w.state, p) for w in workers]
             for w, plan in zip(workers, plans):
                 w._send(plan)

@@ -99,3 +99,25 @@ def test_factorize_case_times_the_factorization(ab, tmp_path, monkeypatch):
     assert (rec["case"], rec["variant"], rec["kind"], rec["n"]) == \
         ("factorize-complex-n24", "factorize", "complex", 24)
     assert rec["fingerprints_equal"] and rec["pairs"] == 2 and rec["base_rotations"] == 0
+
+
+def test_workload_factorize_case_times_each_inputs_factorization(ab, tmp_path, monkeypatch):
+    """``--workload W --factorize`` times ``factorize_hermitian_indefinite``
+    once per input of the workload, in place of its solves: every record
+    is a factorization with no sweeps, its fingerprints (the bytes of G, J
+    and P) are equal, and each scalar kind of the inputs has its record."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness prepends the head's paths
+    args = SimpleNamespace(head=str(ROOT), workload="cyclic", factorize=True, seed=1)
+    name, Hs, ops = ab.make_case(args)
+    assert name == "factorize-cyclic"
+    assert [op["input"] for op in ops] == list(range(len(Hs)))
+    assert all(op["options"] is None and op["config"][0] == "factorize" for op in ops)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", str(ROOT), "--head", str(ROOT), "--workload", "cyclic",
+                    "--factorize", "--pairs", "1", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    by_kind = {r["kind"]: r for r in records}
+    assert {"real", "complex", "graded"} <= set(by_kind)
+    assert by_kind["real+complex+graded"]["inputs"] == len(Hs)
+    assert all(r["variant"] == "factorize" and r["fingerprints_equal"]
+               and r["base_sweeps"] == r["base_rotations"] == 0 for r in records)

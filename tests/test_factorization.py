@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import graded_hermitian, random_full_rank, random_hermitian
-from hjacobi.core import gram
+from hjacobi.core import gram, hermitize
 from hjacobi.errors import RankDeficiencyError, SingularMatrixError
 from hjacobi.factorization import (
+    ALPHA,
+    _eigh_pivot,
     accept_external_factor,
     factorize_hermitian_indefinite,
     order_by_inertia,
@@ -84,6 +86,78 @@ def test_two_by_two_pivot_path(rng):
     np.fill_diagonal(H, 0.0)
     if abs(np.linalg.det(H)) > 1e-8:
         check_factorization(H)
+
+
+def reference_factorization(H):
+    """(G, J, P) by the plain Bunch-Parlett search: the largest modulus of the
+    diagonal against the first largest of the strict lower triangle in
+    row-major order, with symmetric swaps of all of A and of G's rows."""
+    A = np.asfortranarray(hermitize(H))
+    n = A.shape[0]
+    perm, low = np.arange(n), np.tri(n, k=-1, dtype=bool)
+    G, J = np.zeros_like(A), np.empty(n, dtype=np.int8)
+    k = 0
+    while k < n:
+        T = A[k:, k:]
+        diag = np.abs(np.diag(T).real)
+        i1 = int(np.argmax(diag))
+        Off = np.where(low[k:, k:], np.abs(T), 0.0)
+        r0, c0 = np.unravel_index(int(np.argmax(Off)), Off.shape)
+        if diag[i1] >= ALPHA * Off[r0, c0]:
+            s, swaps = 1, ((k, k + i1),)
+        else:
+            s, swaps = 2, ((k, k + c0), (k + 1, k + r0))
+        for dst, src in swaps:
+            for M in (A, A.T, G, perm):
+                M[[dst, src]] = M[[src, dst]]
+        if s == 1:
+            lam, Q = np.array([A[k, k].real]), np.eye(1)
+        else:
+            lam, Q = _eigh_pivot(A[k:, k:])
+        sgn, root = np.copysign(1.0, lam), np.sqrt(np.abs(lam))
+        L = A[k + s :, k : k + s] @ (Q * (sgn / root))
+        G[k : k + s, k : k + s] = Q * root
+        G[k + s :, k : k + s] = L
+        A[k + s :, k + s :] -= (L.conj() @ (L * sgn).T).T
+        J[k : k + s] = sgn
+        k += s
+    return G, J, perm
+
+
+def pivot_oracle_inputs():
+    """Real inputs: random, integer-valued with many tied moduli, zero-diagonal
+    saddle-point blocks (2x2 pivots) and graded D A D down to 1e-10."""
+    rng = np.random.default_rng(19)
+    for n in (5, 16, 48):
+        yield f"random-{n}", random_hermitian(rng, n)
+    for n in (6, 12, 24, 40):
+        for _ in range(3):
+            E = rng.integers(-2, 3, size=(n, n)).astype(float)
+            H = np.tril(E) + np.tril(E, -1).T
+            if abs(np.linalg.det(H)) >= 0.5:  # an integer determinant: nonsingular
+                yield f"integer-{n}", H
+    for m in (3, 8, 20):
+        B = random_full_rank(rng, m, m)
+        yield f"saddle-{m}", np.block([[np.zeros((m, m)), B.T], [B, np.zeros((m, m))]])
+        A = random_hermitian(rng, m)
+        np.fill_diagonal(A, 0.0)
+        yield f"saddle-A-{m}", np.block([[A, B.T], [B, np.zeros((m, m))]])
+    for n, decades in ((32, -6), (64, -10), (96, -10)):
+        yield f"graded-{n}", graded_hermitian(np.random.default_rng(n), n, decades)[0]
+
+
+def test_pivot_choice_matches_the_plain_search():
+    """The search by maxima, the scalar 1x1 step and the swaps on the
+    trailing block only give the plain search's P, J and bytes of G on
+    every real input, ties and 2x2 pivots included."""
+    two_by_two = 0
+    for name, H in pivot_oracle_inputs():
+        G, J, P = reference_factorization(H)
+        f = factorize_hermitian_indefinite(H)
+        assert np.array_equal(f.P, P) and np.array_equal(f.J, J), name
+        assert f.G.tobytes() == G.tobytes() and f.G.flags.f_contiguous, name
+        two_by_two += int(np.count_nonzero(np.triu(G, 1)))
+    assert two_by_two >= 20  # the inputs exercise the 2x2 path
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
