@@ -329,9 +329,10 @@ def main(argv=None):
     if args.child:
         return child(*args.child)
     if not (args.base and args.head) or (args.workload is None) == (args.n is None) \
+            or (args.n is None and (args.variant or args.complex)) \
             or (args.n is not None and (args.variant is None) != args.factorize):
         ap.error("need --base and --head, and either --workload or --n with one of"
-                 " --variant and --factorize")
+                 " --variant and --factorize; --variant and --complex go with --n only")
 
     import numpy as np
 

@@ -87,7 +87,7 @@ def factorize_hermitian_indefinite(H):
     while k < n:
         T, m = A[k:, k:], n - k
         diag = np.abs(T.diagonal().real)
-        i1 = int(np.argmax(diag))
+        i1 = int(diag.argmax())
         mu1 = diag[i1]
         if real:
             mu = max(T.max(), -T.min())
@@ -107,8 +107,9 @@ def factorize_hermitian_indefinite(H):
             s, swaps = 2, ((0, c0), (1, r0))
         for dst, src in swaps:
             if dst != src:
-                T[[dst, src]] = T[[src, dst]]
-                T[:, [dst, src]] = T[:, [src, dst]]
+                for M in (T, T.T):  # rows, then columns; row views beat fancy indexing
+                    row = M[dst].copy()
+                    M[dst], M[src] = M[src], row
                 i, j = k + dst, k + src
                 perm[i], perm[j], fill[i], fill[j] = perm[j], perm[i], fill[j], fill[i]
         if s == 1:

@@ -121,3 +121,11 @@ def test_workload_factorize_case_times_each_inputs_factorization(ab, tmp_path, m
     assert by_kind["real+complex+graded"]["inputs"] == len(Hs)
     assert all(r["variant"] == "factorize" and r["fingerprints_equal"]
                and r["base_sweeps"] == r["base_rotations"] == 0 for r in records)
+
+
+@pytest.mark.parametrize("extra", [["--variant", "seq"], ["--complex"]])
+def test_workload_rejects_a_flag_it_would_ignore(ab, extra):
+    """A workload fixes its inputs and configurations, so ``--variant`` and
+    ``--complex`` with ``--workload`` are refused rather than ignored."""
+    with pytest.raises(SystemExit):
+        ab.main(["--base", str(ROOT), "--head", str(ROOT), "--workload", "cyclic", *extra])
