@@ -20,8 +20,10 @@ checked out with plain git into a scratch directory).  ``--workload``
 solves the inputs and configurations of a perfbench workload for
 ``--seed``, with perfbench's solve options; ``--n`` solves one real input of
 order n (log-uniform spectrum in [1e-3, 1], 40% negative) drawn from
-``--seed``, with one configuration and the library's default block sizes
-(``--complex`` draws a complex input instead).  ``--factorize`` times the
+``--seed``, with one configuration (``--variant``, ``--strategy``, default
+modulus, and ``--p``, default 1) and the library's default block sizes
+(``--complex`` draws a complex input instead).  A flag the case would
+ignore is refused, as is ``--pairs`` below 1.  ``--factorize`` times the
 factorization (``factorize_hermitian_indefinite``) of each input in place
 of its solves: one op per input, fingerprinted by the bytes of G, J and P.
 
@@ -317,8 +319,8 @@ def main(argv=None):
     ap.add_argument("--workload", help="a perfbench workload: cyclic, blocked or ring")
     ap.add_argument("--n", type=int)
     ap.add_argument("--variant")
-    ap.add_argument("--strategy", default="modulus")
-    ap.add_argument("--p", type=int, default=1)
+    ap.add_argument("--strategy", help="with --n and --variant (default modulus)")
+    ap.add_argument("--p", type=int, help="with --n and --variant (default 1)")
     ap.add_argument("--complex", action="store_true", help="with --n: a complex input")
     ap.add_argument("--factorize", action="store_true",
                     help="time the factorization of each input instead of its solves")
@@ -333,6 +335,13 @@ def main(argv=None):
             or (args.n is not None and (args.variant is None) != args.factorize):
         ap.error("need --base and --head, and either --workload or --n with one of"
                  " --variant and --factorize; --variant and --complex go with --n only")
+    if args.variant is None and (args.strategy is not None or args.p is not None):
+        ap.error("--strategy and --p go with --n and --variant only")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    if args.variant is not None:
+        args.strategy = args.strategy or "modulus"
+        args.p = 1 if args.p is None else args.p
 
     import numpy as np
 

@@ -1,26 +1,27 @@
 """Block partitions, the stacked block-pivot step, and the blocked sequential
 solvers.
 
-Every blocked variant is built from ``stacked_step``: for several disjoint
-block pivots of equal widths at once, factor their Gram matrices as one
-stack, orthogonalize the factors by one local solve on them side by side,
-and apply each accumulated transformation back to its block columns by one
+Every blocked variant is built from ``stacked_step``, which takes a round
+of disjoint block pivots of any widths.  It groups them by width, and for
+each group it factors the pivots' Gram matrices as one stack,
+orthogonalizes the factors by one local solve on them side by side, and
+applies each accumulated transformation back to its block columns by one
 stacked GEMM.  Disjoint pivots do not interact, and every stacked operation
 acts on each member as it would alone, so a member comes out with the bits
 it gets by itself.
 
 The blocked solvers visit the block pivots by rounds of disjoint pivots,
-taken from ``_kernels.pass_rounds`` at block level, with one stacked step
-per round and pivot width.  The full block solver diagonalizes each pivot's
-factor; the block-oriented solver gives each diagonal block one cycle and
-each off-diagonal pivot one cross pass (``cross_members``).
-``off_diagonal_pass`` is the single pass over a cross block that the
-three-level parallel variants use.  Each of them is the one-member case of
-a member-aware driver (``block_members``, ``off_diagonal_members``) that
-takes several factors of equal width side by side, as the ring has one per
-worker: every member's partition is repeated, round k holds round k of
-every member, and each member keeps its own counters and stops at its own
-first quiet sweep.
+taken from the kernel's table of rounds (``_kernels.member_rounds``) at
+block level, with one stacked step per round.  The full block solver
+diagonalizes each pivot's factor; the block-oriented solver gives each
+diagonal block one cycle and each off-diagonal pivot one cross pass
+(``cross_members``).  ``off_diagonal_pass`` is the single pass over a cross
+block that the three-level parallel variants use.  Each of them is the
+one-member case of a member-aware driver (``block_members``,
+``off_diagonal_members``) that takes several factors of equal width side by
+side, as the ring has one per worker: round k holds round k of every
+member, each pivot's counters go to the member the table names as its
+owner, and each member stops at its own first quiet sweep.
 """
 
 import functools
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pass_rounds
+from ._kernels import member_rounds
 from .core import column_norms_squared, gram, hermitize
 from .errors import DefinitenessError
 from .rotations import (DEFAULT_TOL, DiagInfo, Tolerances, cycle_members, diagonalize_members,
@@ -180,22 +181,11 @@ def _factor(Gp, B, n_i, lam):
     return chol_upper(gram(G3))
 
 
-def stacked_step(pivots, signs, local, lam=None, V=None):
-    """One block-pivot step on disjoint pivots of equal widths, as one.
-
-    pivots[b] = (Gi, Gj) holds the column blocks of pivot b (Gj None: Gi
-    alone), each pivot with the widths of the first; signs[b] is its sign
-    vector.  lam[b], when given, holds both blocks' squared column norms
-    (their diagonal Gram blocks being diagonal), which selects the
-    structured Cholesky; V[b], when given, holds blocks of an accumulator
-    that receive the pivot's transformation too.
-
-    The pivots' Cholesky factors go side by side, as one column-major
-    (k, B k) array, to the local solve ``local(R, J, n_i, B)``; it returns a
-    DiagInfo per pivot with the accumulated W, which one stacked GEMM then
-    applies to the blocks of every pivot that rotated.  Returns the
-    DiagInfos.
-    """
+def _width_step(pivots, signs, local, lam, V):
+    """``stacked_step`` on pivots of equal widths, as one: their Cholesky
+    factors go side by side, as one column-major (k, B k) array, to the
+    local solve, and one stacked GEMM applies the W of every pivot that
+    rotated to its blocks (and to its blocks of V)."""
     B = len(pivots)
     n_i = pivots[0][0].shape[1]
     flat = [X for pv in pivots for X in pv]
@@ -213,6 +203,36 @@ def stacked_step(pivots, signs, local, lam=None, V=None):
                 Xp = Gp if blocks is pivots and len(moved) == B else _gather(sub)
                 update_block_columns(Xp, W)
                 _scatter(Xp, sub)
+    return infos
+
+
+def stacked_step(pivots, signs, local, lam=None, V=None):
+    """One block-pivot step on a round of disjoint pivots of any widths.
+
+    pivots[b] = (Gi, Gj) holds the column blocks of pivot b (Gj None: Gi
+    alone); signs[b] is its sign vector.  lam[b], when given, holds both
+    blocks' squared column norms (their diagonal Gram blocks being
+    diagonal), which selects the structured Cholesky; V[b], when given,
+    holds blocks of an accumulator that receive the pivot's transformation
+    too.
+
+    The pivots are grouped by their widths (n_i, n_j), in the order each
+    width first appears, and each group runs as one (``_width_step``): the
+    local solve ``local(R, J, n_i, B)`` gets the group's B Cholesky factors
+    side by side in R and returns a DiagInfo per pivot with the accumulated
+    W.  Returns the DiagInfos in the pivots' order.
+    """
+    groups = {}
+    for b, (Gi, Gj) in enumerate(pivots):
+        groups.setdefault((Gi.shape[1], None if Gj is None else Gj.shape[1]), []).append(b)
+    infos = [None] * len(pivots)
+    for group in groups.values():
+        def pick(xs):
+            return None if xs is None else [xs[b] for b in group]
+
+        for b, info in zip(group, _width_step(pick(pivots), pick(signs), local, pick(lam),
+                                              pick(V))):
+            infos[b] = info
     return infos
 
 
@@ -244,49 +264,32 @@ def _local_pivot(G, signs, part, i, j):
     return G[:, ci], G[:, cj], np.concatenate([signs[ci], signs[cj]]), ci, cj
 
 
-def _block_rounds(n_i, n_j, diag_bl):
-    """``pass_rounds`` at block level, as lists of block pairs (i, j)."""
-    return [list(zip(R.tolist(), S.tolist())) for R, S in pass_rounds(n_i, n_j, diag_bl)]
-
-
-def _member_rounds(rounds, nb, active):
-    """Block rounds of member factors side by side, nb blocks each: round k
-    holds round k of every member in ``active``, member b's block indices
-    offset by b*nb (the block-level twin of ``_kernels.member_rounds``)."""
-    return [[(i + b * nb, None if j is None else j + b * nb) for b in active for i, j in rnd]
-            for rnd in rounds]
-
-
 def _pivot_pass(G, signs, part, rounds, local, infos, V=None, lam=None):
-    """The block pivots (i, j) of each round (j None: the diagonal block i),
-    which must be disjoint within a round: one ``stacked_step`` per round and
-    pivot width.  The blocks of ``part`` belong to the members of ``infos``
-    in equal runs, and each pivot's counters go to its member's DiagInfo.
+    """The block pivots of each round, one ``stacked_step`` per round.  A
+    round is (R, S, own) as ``_kernels.member_rounds`` gives them: pivot x
+    takes blocks R[x] and S[x] of ``part`` (S None: block R[x] alone), the
+    pivots of a round being disjoint, and its counters go to infos[own[x]].
     V, when given, receives every W as well; ``lam``, when given, maps each
     block to its squared column norms and is kept current."""
-    nb = part.b // len(infos)
-    for rnd in rounds:
-        groups = {}
-        for i, j in rnd:
-            width = (part.sizes[i], None if j is None else part.sizes[j])
-            groups.setdefault(width, []).append((i, j))
-        for group in groups.values():
-            views = [_local_pivot(G, signs, part, i, j) for i, j in group]
-            subs = stacked_step(
-                [(Gi, Gj) for Gi, Gj, *_ in views], [Jp for _, _, Jp, _, _ in views], local,
-                None if lam is None else [(lam[i], lam[j]) for i, j in group],
-                None if V is None else [(V[:, ci], None if cj is None else V[:, cj])
-                                        for *_, ci, cj in views])
-            for (i, j), (Gi, Gj, *_), sub in zip(group, views, subs):
-                if sub.rotations and lam is not None:
-                    lam[i], lam[j] = column_norms_squared(Gi), column_norms_squared(Gj)
-                infos[i // nb].absorb(sub)
+    for R, S, own in rounds:
+        pivots = list(zip(R.tolist(), [None] * R.size if S is None else S.tolist()))
+        views = [_local_pivot(G, signs, part, i, j) for i, j in pivots]
+        subs = stacked_step(
+            [(Gi, Gj) for Gi, Gj, *_ in views], [Jp for _, _, Jp, _, _ in views], local,
+            None if lam is None else [(lam[i], lam[j]) for i, j in pivots],
+            None if V is None else [(V[:, ci], None if cj is None else V[:, cj])
+                                    for *_, ci, cj in views])
+        for (i, j), (Gi, Gj, *_), o, sub in zip(pivots, views, own.tolist(), subs):
+            if sub.rotations and lam is not None:
+                lam[i], lam[j] = column_norms_squared(Gi), column_norms_squared(Gj)
+            infos[o].absorb(sub)
 
 
-def _diag_block_pass(G, signs, part, local, infos, active, V):
-    """Every diagonal block of the ``active`` members, as one round."""
-    nb = part.b // len(infos)
-    _pivot_pass(G, signs, part, _member_rounds([[(i, None) for i in range(nb)]], nb, active),
+def _diag_block_pass(G, signs, part, nb, offsets, local, infos, V):
+    """The nb diagonal blocks of every member whose blocks start at
+    ``offsets``, as one round; member x's counters go to infos[x]."""
+    R = (np.asarray(offsets)[:, None] + np.arange(nb)).ravel()
+    _pivot_pass(G, signs, part, [(R, None, np.repeat(np.arange(len(offsets)), nb))],
                 local, infos, V)
 
 
@@ -298,15 +301,14 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
 
     Each sweep visits the diagonal blocks, all in one round, then the
     off-diagonal block pairs by the rounds of the circle method
-    (``_kernels.pass_rounds`` over the b blocks); round k holds round k of
-    every member (``_member_rounds``), so a round's pivots of one width run
-    as one stacked step whatever member they belong to.  ``full``
-    diagonalizes every pivot, using the structured Cholesky on the
-    off-diagonal ones; otherwise a diagonal block gets one cycle and an
-    off-diagonal pivot one cross pass.  Every member stops at its own first
-    sweep without rotations (``members_until_quiet``), and comes out with
-    the bits it gets alone.  With ``accumulate_V`` each member's W is its
-    block of one accumulator.
+    (``_kernels.member_rounds`` over the b blocks of every member still
+    active, at offsets of b blocks), so a round's pivots run as one stacked
+    step whatever member they belong to.  ``full`` diagonalizes every pivot,
+    using the structured Cholesky on the off-diagonal ones; otherwise a
+    diagonal block gets one cycle and an off-diagonal pivot one cross pass.
+    Every member stops at its own first sweep without rotations
+    (``members_until_quiet``), and comes out with the bits it gets alone.
+    With ``accumulate_V`` each member's W is its block of one accumulator.
     """
     n = part.n
     if G.shape[1] != members * n:
@@ -319,33 +321,31 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     else:
         diag = _diagonalizer(tol.with_max_sweeps(1))
         off = functools.partial(cross_members, tol=tol)
-    rounds = _block_rounds(nb, 0, True)
 
     def sweep(k, active):
-        infos = [DiagInfo() for _ in range(members)]
-        _diag_block_pass(G, signs, whole, diag, infos, active, V)
+        infos = [DiagInfo() for _ in active]
+        offsets = tuple(b * nb for b in active)
+        _diag_block_pass(G, signs, whole, nb, offsets, diag, infos, V)
         lam = {i: column_norms_squared(G[:, whole.columns(i)])
-               for b in active for i in range(b * nb, (b + 1) * nb)} if full else None
-        _pivot_pass(G, signs, whole, _member_rounds(rounds, nb, active), off, infos, V, lam)
-        return [infos[b] for b in active]
+               for o in offsets for i in range(o, o + nb)} if full else None
+        _pivot_pass(G, signs, whole, member_rounds(nb, 0, True, offsets), off, infos, V, lam)
+        return infos
 
     return members_until_quiet(sweep, members, tol, V)
 
 
-def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
-               accumulate_V=False):
+def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL):
     """Sequential full block solver: per sweep, full diagonalization of every
     diagonal block, then of every block pivot, by rounds of disjoint pivots
     (``block_members`` of one member)."""
-    return block_members(G, signs, part, 1, True, tol, accumulate_V)[0]
+    return block_members(G, signs, part, 1, True, tol)[0]
 
 
-def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL,
-                   accumulate_V=False):
+def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL):
     """Sequential block-oriented solver: per sweep, one cycle through each
     diagonal block, then one annihilation pass over each off-diagonal block,
     by rounds of disjoint pivots (``block_members`` of one member)."""
-    return block_members(G, signs, part, 1, False, tol, accumulate_V)[0]
+    return block_members(G, signs, part, 1, False, tol)[0]
 
 
 def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
@@ -363,14 +363,13 @@ def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
     V = eye_blocks(n, members, G.dtype) if accumulate_V else None
     infos = [DiagInfo(sweeps=1, converged=True, W=None if V is None else V[:, b * n:(b + 1) * n])
              for b in range(members)]
-    rounds = _member_rounds(_block_rounds(pr.b, ps.b, False), nb, range(members))
+    rounds = member_rounds(pr.b, ps.b, False, tuple(range(0, members * nb, nb)))
     _pivot_pass(G, signs, BlockPartition((pr.sizes + ps.sizes) * members), rounds,
                 functools.partial(cross_members, tol=tol), infos, V)
     return infos
 
 
-def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
-                      tol: Tolerances = DEFAULT_TOL, accumulate_V=False):
+def off_diagonal_pass(G, signs, n_r: int, inner_t: int, tol: Tolerances = DEFAULT_TOL):
     """Single blocked annihilation pass over the cross block of G = [G_r, G_s].
 
     G_r (first n_r columns) and G_s are partitioned separately with target
@@ -380,4 +379,4 @@ def off_diagonal_pass(G, signs, n_r: int, inner_t: int,
     the pr.b x ps.b grid of inner pairs as rounds of disjoint pivots
     (``off_diagonal_members`` of one member).
     """
-    return off_diagonal_members(G, signs, n_r, inner_t, 1, tol, accumulate_V)[0]
+    return off_diagonal_members(G, signs, n_r, inner_t, 1, tol)[0]

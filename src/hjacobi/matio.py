@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .core import as_signs
+from .core import as_matrix, as_signs
 from .errors import HJacobiError
 
 MAGIC = b"HJAC"
@@ -25,10 +25,7 @@ class MatrixFormatError(HJacobiError):
 
 
 def write_matrix(path, M, text=False):
-    M = np.asfortranarray(M)
-    if M.dtype not in (np.float64, np.complex128):
-        M = np.asfortranarray(M, dtype=np.complex128 if np.iscomplexobj(M)
-                              else np.float64)
+    M = as_matrix(M)
     if text:
         _write_text(path, M)
         return
@@ -92,7 +89,7 @@ def _read_text(path):
 
 
 def write_signs(path, signs):
-    np.asarray(signs, dtype=np.int8)  # validates convertibility
+    signs = as_signs(signs)  # before the file is opened, so a bad vector writes nothing
     with open(path, "w") as fh:
         fh.write(" ".join(str(int(s)) for s in signs) + "\n")
 

@@ -4,13 +4,14 @@ The workers take turns in the calling thread.  Each step has three phases:
 every worker rotates its block pair, then every worker sends one
 block-column to a ring neighbor, then every worker receives one.  The
 schedules are the paper's: in a step the p workers hold disjoint block
-pairs, so their pivots do not interact, and they run as one
-``blocking.stacked_step`` per pivot width (``uniform_partition(n, 2p)``
-sizes differ by at most one, so a step has one or two), with one local
-solve on every worker's pivot factor at once.  Each worker's pivot comes
-out with the bits it gets alone, and the run is deterministic for a fixed
-input and configuration.  A sweep ends with the all-reduce of the workers'
-counters, and the ring stops at the first sweep in which no worker rotated.
+pairs, so their pivots do not interact, and the step is one call of
+``blocking.stacked_step``.  That groups the pivots by width
+(``uniform_partition(n, 2p)`` sizes differ by at most one, so a step has
+one or two widths) and runs one local solve on every pivot factor of a
+width at once.  Each worker's pivot comes out with the bits it gets alone,
+and the run is deterministic for a fixed input and configuration.  A sweep
+ends with the all-reduce of the workers' counters, and the ring stops at
+the first sweep in which no worker rotated.
 
 An error stops the run at once.  When several workers' pivots would fail in
 one step, the error raised is the first one the stacked computation meets,
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import (
+    _diagonalizer,
     block_members,
     cross_members,
     num_blocks,
@@ -49,7 +51,7 @@ from .blocking import (
 )
 from .core import column_norms_squared
 from .errors import HJacobiError
-from .rotations import DiagInfo, diagonalize_members, sweep_until_quiet
+from .rotations import DiagInfo, sweep_until_quiet
 from .strategies import init_strategy, step_fn, steps_per_sweep
 
 # Not called here: bound so that perfbench/tracing.py can wrap them in this module.
@@ -116,7 +118,7 @@ class _Worker:
     def _diag_preprocess(self, R, J, n_i, members):
         """F variants: re-diagonalize the diagonal Gram blocks that start a
         sweep, every worker's two at once."""
-        return diagonalize_members(R, J, members, self.opts.tol, accumulate=True)
+        return _diagonalizer(self.opts.tol)(R, J, n_i, members)
 
     def _local_transform(self, R, J, n_i, members, first_step):
         """The local solve of one step on ``members`` pivot factors side by side
@@ -129,7 +131,7 @@ class _Worker:
             if blocked:
                 part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt))
                 return block_members(R, J, part, members, False, tol, accumulate_V=True)
-            return diagonalize_members(R, J, members, tol, accumulate=True)
+            return _diagonalizer(tol)(R, J, n_i, members)
         if blocked:
             return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, accumulate_V=True)
         return cross_members(R, J, n_i, members, tol)
@@ -158,29 +160,23 @@ class _Worker:
 
 
 def _stacked_pivots(owned, local, structured, refresh):
-    """Disjoint pivots as one ``stacked_step`` per pivot width, with the
-    local solve ``local(R, J, n_i, members)``.
+    """Disjoint pivots as one ``stacked_step``, with the local solve
+    ``local(R, J, n_i, members)``.
 
     ``owned`` lists (worker, pivot) pairs, a pivot being one or two
     BlockMessages.  A pivot's counters go to its worker's sweep counters.
     ``structured`` factors each pivot by the structured Cholesky from its
     blocks' squared column norms, and ``refresh`` recomputes the norms of
     the blocks a pivot rotated (F variants: their later steps read them)."""
-    groups = {}
-    for owner, pivot in owned:
-        width = tuple(msg.G_block.shape[1] for msg in pivot)
-        groups.setdefault(width, []).append((owner, pivot))
-    for group in groups.values():
-        infos = stacked_step(
-            [(pivot[0].G_block, pivot[1].G_block if len(pivot) > 1 else None)
-             for _, pivot in group],
-            [np.concatenate([msg.J_seg for msg in pivot]) for _, pivot in group], local,
-            [tuple(msg.D_seg for msg in pivot) for _, pivot in group] if structured else None)
-        for (owner, pivot), info in zip(group, infos):
-            if refresh and info.rotations:
-                for msg in pivot:
-                    msg.D_seg = column_norms_squared(msg.G_block)
-            owner.sweep_info.absorb(info)
+    infos = stacked_step(
+        [(pivot[0].G_block, pivot[1].G_block if len(pivot) > 1 else None) for _, pivot in owned],
+        [np.concatenate([msg.J_seg for msg in pivot]) for _, pivot in owned], local,
+        [tuple(msg.D_seg for msg in pivot) for _, pivot in owned] if structured else None)
+    for (owner, pivot), info in zip(owned, infos):
+        if refresh and info.rotations:
+            for msg in pivot:
+                msg.D_seg = column_norms_squared(msg.G_block)
+        owner.sweep_info.absorb(info)
 
 
 def parallel_jacobi(G, signs, opts):

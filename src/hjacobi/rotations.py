@@ -163,15 +163,14 @@ def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, accumu
     return members_until_quiet(sweep, members, tol, W)
 
 
-def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL, accumulate=False):
+def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL):
     """Orthogonalize the columns of G in place by J-Jacobi sweeps.
 
     Each sweep reinitializes the Gram-diagonal cache from the current
     columns, then runs one full cycle.  Termination: a sweep that applies no
-    rotations.  Returns DiagInfo; ``W`` holds the accumulated J-unitary
-    transformation when ``accumulate`` is set.
+    rotations.  Returns DiagInfo (``diagonalize_members`` of one member).
     """
-    return diagonalize_members(G, signs, 1, tol, accumulate)[0]
+    return diagonalize_members(G, signs, 1, tol)[0]
 
 
 def extract_eigen(G_final, signs, col_perm=None, sort_descending=False):

@@ -46,15 +46,14 @@ class StrategyState:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """One exchange: send snd_blk to snd_rnk, receive rcv_blk from rcv_rnk;
-    (i_blk, j_blk) is the pair held after the exchange."""
+    """One exchange: send snd_blk to snd_rnk, receive rcv_blk from rcv_rnk.
+    The pair held after the exchange is the stepped StrategyState's
+    (i_blk, j_blk)."""
 
     snd_rnk: int
     snd_blk: int
     rcv_rnk: int
     rcv_blk: int
-    i_blk: int
-    j_blk: int
 
 
 def init_strategy(rank: int, nbl: int) -> StrategyState:
@@ -91,7 +90,7 @@ def modulus_step(state: StrategyState, p: int) -> StepPlan:
         state.j_blk = state.jp
         rcv_blk = state.j_blk
     snd_rnk, rcv_rnk = _neighbors(state.rank, p, state.nsweep)
-    return StepPlan(snd_rnk, snd_blk, rcv_rnk, rcv_blk, state.i_blk, state.j_blk)
+    return StepPlan(snd_rnk, snd_blk, rcv_rnk, rcv_blk)
 
 
 def round_robin_step(state: StrategyState, p: int) -> StepPlan:
@@ -135,7 +134,7 @@ def round_robin_step(state: StrategyState, p: int) -> StepPlan:
         state.j_blk = state.jp
         rcv_blk = state.j_blk
     snd_rnk, rcv_rnk = _neighbors(state.rank, p, state.nsweep)
-    return StepPlan(snd_rnk, snd_blk, rcv_rnk, rcv_blk, state.i_blk, state.j_blk)
+    return StepPlan(snd_rnk, snd_blk, rcv_rnk, rcv_blk)
 
 
 def step_fn(strategy: str):

@@ -123,9 +123,20 @@ def test_workload_factorize_case_times_each_inputs_factorization(ab, tmp_path, m
                and r["base_sweeps"] == r["base_rotations"] == 0 for r in records)
 
 
-@pytest.mark.parametrize("extra", [["--variant", "seq"], ["--complex"]])
+@pytest.mark.parametrize("extra", [
+    ["--workload", "cyclic", "--variant", "seq"],
+    ["--workload", "cyclic", "--complex"],
+    ["--workload", "ring", "--p", "4"],
+    ["--workload", "ring", "--strategy", "round_robin"],
+    ["--n", "64", "--factorize", "--p", "2"],
+    ["--n", "64", "--factorize", "--strategy", "modulus"],
+    ["--workload", "cyclic", "--pairs", "0"],
+    ["--n", "64", "--variant", "seq", "--pairs", "-1"],
+])
 def test_workload_rejects_a_flag_it_would_ignore(ab, extra):
-    """A workload fixes its inputs and configurations, so ``--variant`` and
-    ``--complex`` with ``--workload`` are refused rather than ignored."""
+    """A workload fixes its inputs and configurations, so ``--variant``,
+    ``--complex``, ``--strategy`` and ``--p`` with ``--workload`` are refused
+    rather than ignored, as are ``--strategy`` and ``--p`` with
+    ``--factorize``; a run of fewer than one pair is refused too."""
     with pytest.raises(SystemExit):
-        ab.main(["--base", str(ROOT), "--head", str(ROOT), "--workload", "cyclic", *extra])
+        ab.main(["--base", str(ROOT), "--head", str(ROOT), *extra])

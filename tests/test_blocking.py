@@ -271,6 +271,50 @@ def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, comple
         assert info.rotations > 0
 
 
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("solve", ["full", "cross"])
+def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars):
+    """One stacked step on a round of three disjoint pivots of two widths
+    (blocks 5, 5, 4, 4, 5, 5; pivots (0, 1), (2, 3), (4, 5)), with ``lam``
+    and V, returns the DiagInfos in the pivots' order, and each pivot comes
+    out with the bits in G, V and W and the counters of its step alone."""
+    part = BlockPartition((5, 5, 4, 4, 5, 5))
+    G = random_full_rank(rng, 31, part.n, complex_scalars)
+    for i in range(part.b):  # diagonal Gram blocks, as the structured Cholesky takes them
+        Gc = np.asfortranarray(G[:, part.columns(i)])
+        jacobi_diagonalize(Gc, np.ones(Gc.shape[1], np.int8))
+        G[:, part.columns(i)] = Gc
+    V = np.asfortranarray(rng.standard_normal((9, part.n)), dtype=G.dtype)
+    J = np.array([1, -1, 1, 1, -1, -1, 1] * 4, np.int8)
+    if solve == "full":
+        local = _diagonalizer(DEFAULT_TOL)
+    else:
+        local = functools.partial(cross_members, tol=DEFAULT_TOL)
+    pivots = [(0, 1), (2, 3), (4, 5)]
+
+    def step(X, Y, round_):
+        cols = [(part.columns(i), part.columns(j)) for i, j in round_]
+        return stacked_step([(X[:, ci], X[:, cj]) for ci, cj in cols],
+                            [np.concatenate([J[ci], J[cj]]) for ci, cj in cols], local,
+                            [(column_norms_squared(X[:, ci]), column_norms_squared(X[:, cj]))
+                             for ci, cj in cols],
+                            [(Y[:, ci], Y[:, cj]) for ci, cj in cols])
+
+    Gs, Vs = G.copy(order="F"), V.copy(order="F")
+    infos = step(Gs, Vs, pivots)
+    assert [info.W.shape[0] for info in infos] == [10, 8, 10]
+    for (i, j), info in zip(pivots, infos):
+        Ga, Va = G.copy(order="F"), V.copy(order="F")
+        (alone,) = step(Ga, Va, [(i, j)])
+        cols = np.r_[part.columns(i), part.columns(j)]
+        assert np.array_equal(Gs[:, cols], Ga[:, cols])
+        assert np.array_equal(Vs[:, cols], Va[:, cols])
+        assert np.array_equal(info.W, alone.W)
+        for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
+            assert getattr(info, field) == getattr(alone, field)
+        assert info.rotations > 0
+
+
 def _driver_members(rng, m, k, complex_scalars):
     """Three m x k factors: a general one, one with orthogonal columns, and
     one whose columns are nearly orthogonal, which converges in fewer
@@ -303,7 +347,7 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
             return off_diagonal_members(G, np.tile(J, B), 5, 4, B, accumulate_V=True)
 
         def lone(G):
-            return off_diagonal_pass(G, J, 5, 4, accumulate_V=True)
+            return off_diagonal_members(G, J, 5, 4, 1, accumulate_V=True)[0]
     else:
         full = driver == "full"
 
@@ -311,7 +355,7 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
             return block_members(G, np.tile(J, B), part, B, full, accumulate_V=True)
 
         def lone(G):
-            return (full_block if full else block_oriented)(G, J, part, accumulate_V=True)
+            return block_members(G, J, part, 1, full, accumulate_V=True)[0]
     G = np.asfortranarray(np.hstack(members))
     infos = stacked(G)
     for b, Gb in enumerate(members):
@@ -329,23 +373,23 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
 
 
 def _record_pivots(monkeypatch):
-    """Record the block pairs of each stacked step that a blocked driver
-    takes, with their column widths."""
+    """Record the block pairs of each per-width group of a stacked step that
+    a blocked driver takes, with their column widths."""
     steps = []
-    pending = []
-    local_pivot, step = blocking._local_pivot, blocking.stacked_step
+    taken = []  # (first column block, pivot) of every pivot taken so far
+    local_pivot, width_step = blocking._local_pivot, blocking._width_step
 
     def record_pivot(G, signs, part, i, j):
-        pending.append(((i, j), (part.sizes[i], None if j is None else part.sizes[j])))
-        return local_pivot(G, signs, part, i, j)
+        views = local_pivot(G, signs, part, i, j)
+        taken.append((views[0], ((i, j), (part.sizes[i], None if j is None else part.sizes[j]))))
+        return views
 
-    def record_step(*args, **kwargs):
-        steps.append(list(pending))
-        pending.clear()
-        return step(*args, **kwargs)
+    def record_group(pivots, *args):
+        steps.append([next(pivot for Gi, pivot in taken if Gi is pv[0]) for pv in pivots])
+        return width_step(pivots, *args)
 
     monkeypatch.setattr(blocking, "_local_pivot", record_pivot)
-    monkeypatch.setattr(blocking, "stacked_step", record_step)
+    monkeypatch.setattr(blocking, "_width_step", record_group)
     return steps
 
 
@@ -461,7 +505,7 @@ def test_full_block_spectrum_preserved_per_sweep(rng):
 def test_full_block_accumulated_v(rng):
     G, J = make_factor(rng, 12, n_neg=4)
     G0 = G.copy()
-    info = full_block(G, J, uniform_partition(12, 3), accumulate_V=True)
+    (info,) = block_members(G, J, uniform_partition(12, 3), 1, True, accumulate_V=True)
     assert info.converged
     assert np.abs(G0 @ info.W - G).max() <= 1e-10 * np.abs(G).max()
 

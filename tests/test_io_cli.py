@@ -110,6 +110,41 @@ def test_signs_roundtrip(tmp_path):
     assert np.array_equal(read_signs(path), [1, -1, 1])
 
 
+@pytest.mark.parametrize("signs", [[1, -1, -1, 1], [1.0, -1.0], np.array([-1, 1], np.int64)])
+def test_signs_roundtrip_from_any_sign_vector(tmp_path, signs):
+    path = tmp_path / "j.txt"
+    write_signs(path, signs)
+    got = read_signs(path)
+    assert got.dtype == np.int8 and np.array_equal(got, signs)
+
+
+@pytest.mark.parametrize("signs", [[2, 0, 1.5], [1, 0, -1], [1.5, -1]])
+def test_write_signs_rejects_a_bad_vector_and_writes_nothing(tmp_path, signs):
+    """A vector that ``read_signs`` would refuse is refused before the file
+    is opened: [2, 0, 1.5] once came out as ``2 0 1``."""
+    path = tmp_path / "j.txt"
+    with pytest.raises(ValueError):
+        write_signs(path, signs)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_matrix_roundtrip_coerces_to_float64(tmp_path, text):
+    M = np.arange(6, dtype=np.int32).reshape(2, 3)
+    path = tmp_path / "m"
+    write_matrix(path, M, text=text)
+    got = read_matrix(path)
+    assert got.dtype == np.float64 and np.array_equal(got, M)
+
+
+@pytest.mark.parametrize("text", [False, True])
+def test_write_matrix_rejects_a_1d_input_and_writes_nothing(tmp_path, text):
+    path = tmp_path / "m"
+    with pytest.raises(ValueError, match="2-d"):
+        write_matrix(path, np.ones(3), text=text)
+    assert not path.exists()
+
+
 # -- CLI --------------------------------------------------------------------
 
 def test_gen_and_solve_roundtrip(tmp_path, capsys):

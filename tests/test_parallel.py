@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_full_rank
-from hjacobi import _kernels, parallel
+from hjacobi import _kernels, blocking, parallel
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
@@ -179,14 +179,20 @@ def test_unequal_block_widths(rng, monkeypatch, n, p):
     to the pencil's eigenvalues under both strategies."""
     G, J = make_factor(rng, n, n // 3)
     ref = pencil_eigs(G, J)
-    stacked_step = parallel.stacked_step
+    width_step = blocking._width_step
     members = []
+    depth = []  # groups open on the stack: inner solvers' groups nest in a step's
 
     def record(pivots, *args):
-        members.append(len(pivots))
-        return stacked_step(pivots, *args)
+        if not depth:
+            members.append(len(pivots))
+        depth.append(None)
+        try:
+            return width_step(pivots, *args)
+        finally:
+            depth.pop()
 
-    monkeypatch.setattr(parallel, "stacked_step", record)
+    monkeypatch.setattr(blocking, "_width_step", record)
     for variant in ("2F", "2B", "3F", "3B"):
         for strategy in ("modulus", "round_robin"):
             members.clear()
