@@ -225,6 +225,8 @@ def stacked_step(pivots, signs, local, lam=None, V=None):
     groups = {}
     for b, (Gi, Gj) in enumerate(pivots):
         groups.setdefault((Gi.shape[1], None if Gj is None else Gj.shape[1]), []).append(b)
+    if len(groups) == 1:  # most rounds: no lists to pick apart and put back
+        return _width_step(pivots, signs, local, lam, V)
     infos = [None] * len(pivots)
     for group in groups.values():
         def pick(xs):
