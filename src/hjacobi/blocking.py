@@ -225,15 +225,12 @@ def stacked_step(pivots, signs, local, lam=None, V=None):
     groups = {}
     for b, (Gi, Gj) in enumerate(pivots):
         groups.setdefault((Gi.shape[1], None if Gj is None else Gj.shape[1]), []).append(b)
-    if len(groups) == 1:  # most rounds: no lists to pick apart and put back
-        return _width_step(pivots, signs, local, lam, V)
     infos = [None] * len(pivots)
     for group in groups.values():
-        def pick(xs):
-            return None if xs is None else [xs[b] for b in group]
-
-        for b, info in zip(group, _width_step(pick(pivots), pick(signs), local, pick(lam),
-                                              pick(V))):
+        sub = _width_step([pivots[b] for b in group], [signs[b] for b in group], local,
+                          None if lam is None else [lam[b] for b in group],
+                          None if V is None else [V[b] for b in group])
+        for b, info in zip(group, sub):
             infos[b] = info
     return infos
 

@@ -1,11 +1,12 @@
 import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_full_rank
-from hjacobi import _kernels, blocking, parallel
+from hjacobi import _kernels, parallel
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
@@ -179,20 +180,15 @@ def test_unequal_block_widths(rng, monkeypatch, n, p):
     to the pencil's eigenvalues under both strategies."""
     G, J = make_factor(rng, n, n // 3)
     ref = pencil_eigs(G, J)
-    width_step = blocking._width_step
-    members = []
-    depth = []  # groups open on the stack: inner solvers' groups nest in a step's
+    stacked_step = parallel.stacked_step
+    members = []  # pivots per width group of each step
 
     def record(pivots, *args):
-        if not depth:
-            members.append(len(pivots))
-        depth.append(None)
-        try:
-            return width_step(pivots, *args)
-        finally:
-            depth.pop()
+        widths = Counter((Gi.shape[1], None if Gj is None else Gj.shape[1]) for Gi, Gj in pivots)
+        members.extend(widths.values())
+        return stacked_step(pivots, *args)
 
-    monkeypatch.setattr(blocking, "_width_step", record)
+    monkeypatch.setattr(parallel, "stacked_step", record)
     for variant in ("2F", "2B", "3F", "3B"):
         for strategy in ("modulus", "round_robin"):
             members.clear()
