@@ -1,11 +1,13 @@
 """A/B timing of two source trees on the same inputs, in alternation.
 
-Each tree is imported in its own long-lived child process, so both stay
-warm, and both run on one BLAS thread.  The harness makes the inputs once,
-hands the same ones to both children, and then times whole passes (every
-input with every configuration of the case) in pairs, base and head
-alternating and taking turns at going first, so that a host whose speed
-drifts slows both sides alike.  A pass times the solver driver
+Each pair of timed passes starts a fresh child process per tree, which
+imports it, runs one warm-up pass and then the timed one, on one BLAS
+thread; a speed offset particular to one process then lasts for one pair
+only, not through every pair.  The harness makes the inputs once, hands the
+same ones to every child, and times whole passes (every input with every
+configuration of the case) in pairs, base and head alternating and taking
+turns at going first, so that a host whose speed drifts slows both sides
+alike.  A pass times the solver driver
 (``hjacobi.solve.run_solver``) on each input's factored form, which each
 child makes once; factorization (unless ``--factorize`` times it) and
 diagnostics are left out.
@@ -60,6 +62,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -196,7 +199,6 @@ class Side:
     def __init__(self, root, inputs):
         env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
         self.root = Path(root).resolve()
-        self.sha = git_sha(self.root)
         self.proc = subprocess.Popen(
             [sys.executable, __file__, "--child", str(self.root / "src"), inputs],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
@@ -216,6 +218,24 @@ class Side:
     def close(self):
         self.proc.stdin.close()
         self.proc.wait()
+
+
+def timed_pair(roots, inputs, base_first):
+    """One pair of timed passes, (base, head), each by a fresh child that
+    runs a warm-up pass first; ``base_first`` says whose timed pass runs
+    first.  Returns the children's numba flags and the two replies."""
+    sides = []
+    try:
+        for root in roots:
+            sides.append(Side(root, inputs))
+        for s in sides:  # warm-up pass
+            s.run_pass()
+        order = sides if base_first else sides[::-1]
+        got = {id(s): s.run_pass() for s in order}
+    finally:
+        for s in sides:
+            s.close()
+    return [s.numba for s in sides], tuple(got[id(s)] for s in sides)
 
 
 def quartiles(xs):
@@ -350,18 +370,12 @@ def main(argv=None):
         inputs = os.path.join(tmp, "inputs.npz")
         np.savez(inputs, ops=json.dumps(ops),
                  **{f"H{i}": H for i, H in enumerate(Hs)})
-        sides = [Side(args.base, inputs), Side(args.head, inputs)]
-        try:
-            for s in sides:  # warm-up pass
-                s.run_pass()
-            pairs = []
-            for k in range(args.pairs):
-                order = sides if k % 2 == 0 else sides[::-1]
-                got = {id(s): s.run_pass() for s in order}
-                pairs.append(tuple(got[id(s)] for s in sides))
-        finally:
-            for s in sides:
-                s.close()
+        pairs = []
+        for k in range(args.pairs):
+            numba, pair = timed_pair((args.base, args.head), inputs, k % 2 == 0)
+            pairs.append(pair)
+    sides = [SimpleNamespace(sha=git_sha(Path(root).resolve()), numba=flag)
+             for root, flag in zip((args.base, args.head), numba)]
     records = case_records(name, ops, *sides, pairs)
     for rec in records:
         print(json.dumps(rec))

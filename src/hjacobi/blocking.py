@@ -1,27 +1,33 @@
-"""Block partitions, the stacked block-pivot step, and the blocked sequential
-solvers.
+"""Block partitions, planned rounds of block pivots, and the blocked
+sequential solvers.
 
-Every blocked variant is built from ``stacked_step``, which takes a round
-of disjoint block pivots of any widths.  It groups them by width, and for
-each group it factors the pivots' Gram matrices as one stack,
-orthogonalizes the factors by one local solve on them side by side, and
-applies each accumulated transformation back to its block columns by one
-stacked GEMM.  Disjoint pivots do not interact, and every stacked operation
-acts on each member as it would alone, so a member comes out with the bits
-it gets by itself.
+Every blocked variant, and every step of the ring, runs its block pivots by
+rounds of disjoint pivots, each round by a plan (``round_plan``).  A plan
+depends only on the partition's sizes and the rounds, so it is built once
+and cached: for every round it holds the width groups in the order each
+width first appears, each group (``PlanGroup``) with the index array of its
+pivots' columns in gather order, the pivots' block pairs, their widths and
+their owners.  The executor (``_pivot_pass``) runs each group as one step
+(``_group_step``): one gather of its columns of G, the Cholesky factors of
+their Gram matrices as one stack (structured from one flat vector of
+squared column norms, when it is kept), one local solve on the factors side
+by side, one stacked GEMM that applies the W of every pivot that rotated,
+and one scatter back, of V and of the rotated columns' norms too.  Disjoint
+pivots do not interact, and every stacked operation acts on each member as
+it would alone, so a member comes out with the bits it gets by itself.
 
-The blocked solvers visit the block pivots by rounds of disjoint pivots,
-taken from the kernel's table of rounds (``_kernels.member_rounds``) at
-block level, with one stacked step per round.  The full block solver
-diagonalizes each pivot's factor; the block-oriented solver gives each
-diagonal block one cycle and each off-diagonal pivot one cross pass
-(``cross_members``).  ``off_diagonal_pass`` is the single pass over a cross
-block that the three-level parallel variants use.  Each of them is the
-one-member case of a member-aware driver (``block_members``,
-``off_diagonal_members``) that takes several factors of equal width side by
-side, as the ring has one per worker: round k holds round k of every
-member, each pivot's counters go to the member the table names as its
-owner, and each member stops at its own first quiet sweep.
+The blocked solvers take their rounds at block level from the kernel's
+table of rounds (``_kernels.member_rounds``), after one round of all
+diagonal blocks.  The full block solver diagonalizes each pivot's factor;
+the block-oriented solver gives each diagonal block one cycle and each
+off-diagonal pivot one cross pass (``cross_members``).
+``off_diagonal_pass`` is the single pass over a cross block that the
+three-level parallel variants use.  Each of them is the one-member case of
+a member-aware driver (``block_members``, ``off_diagonal_members``) that
+takes several factors of equal width side by side, as the ring has one per
+worker: round k holds round k of every member, each pivot's counters go to
+the member the table names as its owner, and each member stops at its own
+first quiet sweep.
 """
 
 import functools
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import member_rounds
+from ._kernels import _frozen, member_rounds
 from .core import column_norms_squared, gram, hermitize
 from .errors import DefinitenessError
 from .rotations import (DEFAULT_TOL, DiagInfo, Tolerances, cycle_members, diagonalize_members,
@@ -146,93 +152,122 @@ def update_block_columns(Gp, W):
     Gp[:, :] = out.transpose(1, 0, 2).reshape(m, n)
 
 
-def _gather(blocks):
-    """The column blocks (None: none) side by side in one column-major array."""
-    return np.concatenate([X for X in blocks if X is not None], axis=1)
-
-
-def _scatter(Xp, blocks):
-    """Write the columns of Xp back to the blocks ``_gather`` took them from."""
-    c = 0
-    for X in blocks:
-        if X is not None:
-            X[:, :] = Xp[:, c:c + X.shape[1]]
-            c += X.shape[1]
-
-
 def _factor(Gp, B, n_i, lam):
     """Upper Cholesky factors of the Gram matrices of B pivots whose columns
     lie side by side in Gp, as a stack: the structured Cholesky when ``lam``
-    holds each pivot's squared column norms, else dense.  If the structured
-    one fails for the stack, each pivot is factored alone, so only a pivot
-    that fails by itself falls back to the dense factor."""
+    holds the columns' squared norms (one flat vector), else dense.  If the
+    structured one fails for the stack, each pivot is factored alone, so only
+    a pivot that fails by itself falls back to the dense factor."""
     m, n = Gp.shape
     k = n // B
     G3 = Gp.reshape((m, k, B), order="F").transpose(2, 0, 1)
     if lam is not None:
+        L = lam.reshape(B, k)
         try:
-            return structured_cholesky(np.stack([li for li, _ in lam]),
-                                       gram(G3[..., :n_i], G3[..., n_i:]),
-                                       np.stack([lj for _, lj in lam]))
+            return structured_cholesky(L[:, :n_i], gram(G3[..., :n_i], G3[..., n_i:]), L[:, n_i:])
         except DefinitenessError:
             if B > 1:
-                return np.stack([_factor(Gp[:, b * k:(b + 1) * k], 1, n_i, lam[b:b + 1])[0]
-                                 for b in range(B)])
+                return np.stack([_factor(Gp[:, c:c + k], 1, n_i, lam[c:c + k])[0]
+                                 for c in range(0, n, k)])
     return chol_upper(gram(G3))
 
 
-def _width_step(pivots, signs, local, lam, V):
-    """``stacked_step`` on pivots of equal widths, as one: their Cholesky
-    factors go side by side, as one column-major (k, B k) array, to the
-    local solve, and one stacked GEMM applies the W of every pivot that
-    rotated to its blocks (and to its blocks of V)."""
-    B = len(pivots)
-    n_i = pivots[0][0].shape[1]
-    flat = [X for pv in pivots for X in pv]
-    Gp = _gather(flat)
-    R3 = _factor(Gp, B, n_i, lam)
-    k = R3.shape[-1]
+@dataclass(frozen=True)
+class PlanGroup:
+    """The pivots of one width (n_i, k - n_i) in a planned round: their block
+    pairs (j None: block i alone), the positions their counters go to, and
+    the read-only index array of their columns in gather order, pivot after
+    pivot, each pivot's block i before its block j."""
+
+    pivots: tuple
+    owners: tuple
+    cols: np.ndarray
+    n_i: int
+    k: int
+
+
+def _local_pivot(part, i, j):
+    """The column indices of blocks i and j of ``part`` (j None: block i
+    alone)."""
+    off = part.offsets
+    cols = np.arange(off[i], off[i + 1])
+    return cols if j is None else np.concatenate([cols, np.arange(off[j], off[j + 1])])
+
+
+@functools.lru_cache(maxsize=128)
+def round_plan(sizes, rounds):
+    """The plan of ``rounds`` of disjoint block pivots over the blocks of
+    ``sizes``: per round, a tuple of PlanGroups, one per pivot width
+    (n_i, n_j), in the order each width first appears in the round.
+
+    A round is a tuple of pivots (i, j, own): blocks i and j (j None: block
+    i alone), whose counters go to position own.  The plan depends on
+    nothing else, so it is built once and cached.
+    """
+    part = BlockPartition(sizes)
+    plan = []
+    for rnd in rounds:
+        groups = {}
+        for i, j, own in rnd:
+            width = (sizes[i], None if j is None else sizes[j])
+            groups.setdefault(width, []).append(((i, j), own, _local_pivot(part, i, j)))
+        plan.append(tuple(
+            PlanGroup(tuple(pv for pv, _, _ in g), tuple(o for _, o, _ in g),
+                      _frozen(np.concatenate([c for *_, c in g])), n_i, n_i + (n_j or 0))
+            for (n_i, n_j), g in groups.items()))
+    return tuple(plan)
+
+
+def _block_pivots(rounds):
+    """Rounds (R, S, own) of ``_kernels.member_rounds`` at block level as
+    ``round_plan`` takes them."""
+    return tuple(tuple(zip(R.tolist(), S.tolist(), own.tolist())) for R, S, own in rounds)
+
+
+def _group_step(G, signs, group, local, V=None, lam=None):
+    """The pivots of a PlanGroup as one step; returns the local solve's
+    DiagInfo per pivot.
+
+    One gather of the group's columns of G, the Cholesky factors of their
+    Gram matrices as one stack (structured from ``lam`` for pivots of two
+    blocks), the local solve ``local(R, J, n_i, B)`` on the B factors side
+    by side in R, which returns a DiagInfo per pivot with the accumulated W,
+    then one stacked GEMM that applies the W of every pivot that rotated to
+    its columns and one scatter back; the same for V, when given, and the
+    rotated columns' squared norms go to ``lam``, when given.
+    """
+    cols, n_i, k = group.cols, group.n_i, group.k
+    B = len(group.owners)
+    Gp = G[:, cols]
+    R3 = _factor(Gp, B, n_i, None if lam is None or n_i == k else lam[cols])
     R = np.asfortranarray(R3.transpose(1, 0, 2).reshape(k, B * k))
-    infos = local(R, np.concatenate(signs), n_i, B)
+    infos = local(R, signs[cols], n_i, B)
     moved = [b for b, info in enumerate(infos) if info.rotations]
     if moved:
         W = np.stack([infos[b].W for b in moved])
-        for blocks in (pivots, V):
-            if blocks is not None:
-                sub = [X for b in moved for X in blocks[b]]
-                Xp = Gp if blocks is pivots and len(moved) == B else _gather(sub)
-                update_block_columns(Xp, W)
-                _scatter(Xp, sub)
+        if len(moved) < B:
+            cols = cols.reshape(B, k)[moved].ravel()
+            Gp = G[:, cols]
+        update_block_columns(Gp, W)
+        G[:, cols] = Gp
+        if V is not None:
+            Vp = V[:, cols]
+            update_block_columns(Vp, W)
+            V[:, cols] = Vp
+        if lam is not None:
+            lam[cols] = column_norms_squared(Gp)
     return infos
 
 
-def stacked_step(pivots, signs, local, lam=None, V=None):
-    """One block-pivot step on a round of disjoint pivots of any widths.
-
-    pivots[b] = (Gi, Gj) holds the column blocks of pivot b (Gj None: Gi
-    alone); signs[b] is its sign vector.  lam[b], when given, holds both
-    blocks' squared column norms (their diagonal Gram blocks being
-    diagonal), which selects the structured Cholesky; V[b], when given,
-    holds blocks of an accumulator that receive the pivot's transformation
-    too.
-
-    The pivots are grouped by their widths (n_i, n_j), in the order each
-    width first appears, and each group runs as one (``_width_step``): the
-    local solve ``local(R, J, n_i, B)`` gets the group's B Cholesky factors
-    side by side in R and returns a DiagInfo per pivot with the accumulated
-    W.  Returns the DiagInfos in the pivots' order.
-    """
-    groups = {}
-    for b, (Gi, Gj) in enumerate(pivots):
-        groups.setdefault((Gi.shape[1], None if Gj is None else Gj.shape[1]), []).append(b)
-    infos = [None] * len(pivots)
-    for group in groups.values():
-        sub = _width_step([pivots[b] for b in group], [signs[b] for b in group], local,
-                          None if lam is None else [lam[b] for b in group],
-                          None if V is None else [V[b] for b in group])
-        for b, info in zip(group, sub):
-            infos[b] = info
-    return infos
+def _pivot_pass(G, signs, plan, local, infos, V=None, lam=None):
+    """The rounds of ``plan`` (``round_plan``), one ``_group_step`` per
+    width group, in the plan's order; each pivot's counters go to
+    infos[own].  V, when given, receives every W as well; ``lam``, when
+    given, holds the squared column norms of G and is kept current."""
+    for groups in plan:
+        for group in groups:
+            for o, info in zip(group.owners, _group_step(G, signs, group, local, V, lam)):
+                infos[o].absorb(info)
 
 
 def cross_members(R, J, n_i, members, tol: Tolerances = DEFAULT_TOL):
@@ -253,43 +288,11 @@ def _diagonalizer(tol):
     return lambda R, J, n_i, members: diagonalize_members(R, J, members, tol, accumulate=True)
 
 
-def _local_pivot(G, signs, part, i, j):
-    """Column views of blocks i and j of G (j None: block i alone), their
-    column slices and their signs."""
-    ci = part.columns(i)
-    if j is None:
-        return G[:, ci], None, signs[ci], ci, None
-    cj = part.columns(j)
-    return G[:, ci], G[:, cj], np.concatenate([signs[ci], signs[cj]]), ci, cj
-
-
-def _pivot_pass(G, signs, part, rounds, local, infos, V=None, lam=None):
-    """The block pivots of each round, one ``stacked_step`` per round.  A
-    round is (R, S, own) as ``_kernels.member_rounds`` gives them: pivot x
-    takes blocks R[x] and S[x] of ``part`` (S None: block R[x] alone), the
-    pivots of a round being disjoint, and its counters go to infos[own[x]].
-    V, when given, receives every W as well; ``lam``, when given, maps each
-    block to its squared column norms and is kept current."""
-    for R, S, own in rounds:
-        pivots = list(zip(R.tolist(), [None] * R.size if S is None else S.tolist()))
-        views = [_local_pivot(G, signs, part, i, j) for i, j in pivots]
-        subs = stacked_step(
-            [(Gi, Gj) for Gi, Gj, *_ in views], [Jp for _, _, Jp, _, _ in views], local,
-            None if lam is None else [(lam[i], lam[j]) for i, j in pivots],
-            None if V is None else [(V[:, ci], None if cj is None else V[:, cj])
-                                    for *_, ci, cj in views])
-        for (i, j), (Gi, Gj, *_), o, sub in zip(pivots, views, own.tolist(), subs):
-            if sub.rotations and lam is not None:
-                lam[i], lam[j] = column_norms_squared(Gi), column_norms_squared(Gj)
-            infos[o].absorb(sub)
-
-
-def _diag_block_pass(G, signs, part, nb, offsets, local, infos, V):
-    """The nb diagonal blocks of every member whose blocks start at
-    ``offsets``, as one round; member x's counters go to infos[x]."""
-    R = (np.asarray(offsets)[:, None] + np.arange(nb)).ravel()
-    _pivot_pass(G, signs, part, [(R, None, np.repeat(np.arange(len(offsets)), nb))],
-                local, infos, V)
+def _diag_block_pass(G, signs, sizes, nb, offsets, local, infos, V):
+    """The nb diagonal blocks of every member whose blocks (of ``sizes``)
+    start at ``offsets``, as one round; member x's counters go to infos[x]."""
+    diag = tuple((o + i, None, x) for x, o in enumerate(offsets) for i in range(nb))
+    _pivot_pass(G, signs, round_plan(sizes, (diag,)), local, infos, V)
 
 
 def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances = DEFAULT_TOL,
@@ -313,7 +316,7 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     if G.shape[1] != members * n:
         raise ValueError("partition does not cover all columns")
     nb = part.b
-    whole = BlockPartition(part.sizes * members)
+    sizes = part.sizes * members
     V = eye_blocks(n, members, G.dtype) if accumulate_V else None
     if full:
         diag = off = _diagonalizer(tol)
@@ -324,10 +327,9 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     def sweep(k, active):
         infos = [DiagInfo() for _ in active]
         offsets = tuple(b * nb for b in active)
-        _diag_block_pass(G, signs, whole, nb, offsets, diag, infos, V)
-        lam = {i: column_norms_squared(G[:, whole.columns(i)])
-               for o in offsets for i in range(o, o + nb)} if full else None
-        _pivot_pass(G, signs, whole, member_rounds(nb, 0, True, offsets), off, infos, V, lam)
+        _diag_block_pass(G, signs, sizes, nb, offsets, diag, infos, V)
+        plan = round_plan(sizes, _block_pivots(member_rounds(nb, 0, True, offsets)))
+        _pivot_pass(G, signs, plan, off, infos, V, column_norms_squared(G) if full else None)
         return infos
 
     return members_until_quiet(sweep, members, tol, V)
@@ -363,7 +365,7 @@ def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
     infos = [DiagInfo(sweeps=1, converged=True, W=None if V is None else V[:, b * n:(b + 1) * n])
              for b in range(members)]
     rounds = member_rounds(pr.b, ps.b, False, tuple(range(0, members * nb, nb)))
-    _pivot_pass(G, signs, BlockPartition((pr.sizes + ps.sizes) * members), rounds,
+    _pivot_pass(G, signs, round_plan((pr.sizes + ps.sizes) * members, _block_pivots(rounds)),
                 functools.partial(cross_members, tol=tol), infos, V)
     return infos
 

@@ -1,14 +1,18 @@
 """Ring of p workers running the parallel block Jacobi variants in lock-step.
 
 The workers take turns in the calling thread.  Each step has three phases:
-every worker rotates its block pair, then every worker sends one
+every worker takes its block pair, then every worker sends one
 block-column to a ring neighbor, then every worker receives one.  The
 schedules are the paper's: in a step the p workers hold disjoint block
-pairs, so their pivots do not interact, and the step is one call of
-``blocking.stacked_step``.  That groups the pivots by width
-(``uniform_partition(n, 2p)`` sizes differ by at most one, so a step has
-one or two widths) and runs one local solve on every pivot factor of a
-width at once.  Each worker's pivot comes out with the bits it gets alone,
+pairs (i, j), so a step is one round of pivots (i - 1, j - 1, rank) over
+``uniform_partition(n, 2p)``, run by its cached plan (``blocking.round_plan``)
+through the blocked drivers' executor (``blocking._pivot_pass``): one
+gather, factor, local solve, GEMM and scatter per width group (block sizes
+differ by at most one, so a step has one or two).  A block-column is a view
+of G that the plan's scatter updates in place, so the exchange moves no
+data: its BlockMessages only track which worker holds which block, and
+each message's norms segment is a view of the ring's one vector of squared
+column norms.  Each worker's pivot comes out with the bits it gets alone,
 and the run is deterministic for a fixed input and configuration.  A sweep
 ends with the all-reduce of the workers' counters, and the ring stops at
 the first sweep in which no worker rotated.
@@ -25,13 +29,13 @@ failing rank wins.
 The local solve is ``_Worker._local_transform``.  2F/3F sweep each local
 pivot factor until a sweep is quiet (using the structured Cholesky, since
 a sweep starts by re-diagonalizing all 2p diagonal Gram blocks, as one
-stacked step too); 2B/3B run one annihilation pass over its off-diagonal
+planned round too); 2B/3B run one annihilation pass over its off-diagonal
 block, except on a sweep's first step, which sweeps the whole pivot once.
 3F/3B hand a factor at least twice the inner target block size to the
 member-aware blocked solvers (``block_members``, ``off_diagonal_members``),
-which take the inner block pivots of every factor by rounds, the disjoint
-pivots of a round as one stacked step; their whole-pivot sweeps are
-block-oriented, so a 3F pivot is fully diagonalized by repeating them.
+which take the inner block pivots of every factor by planned rounds; their
+whole-pivot sweeps are block-oriented, so a 3F pivot is fully diagonalized
+by repeating them.
 """
 
 import functools
@@ -41,12 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import (
+    BlockPartition,
     _diagonalizer,
+    _pivot_pass,
     block_members,
     cross_members,
     num_blocks,
     off_diagonal_members,
-    stacked_step,
+    round_plan,
     uniform_partition,
 )
 from .core import column_norms_squared
@@ -63,8 +69,9 @@ from .rotations import jacobi_cycle, jacobi_diagonalize  # noqa: F401,E402
 
 @dataclass
 class BlockMessage:
-    """One block-column in flight: its index, columns of G, and the matching
-    J and Gram-diagonal segments."""
+    """A block-column a worker holds: its index, its view of G, and the
+    matching J segment and squared column norms (a view of the ring's one
+    norms vector, current for the F variants)."""
 
     index: int
     G_block: np.ndarray
@@ -159,34 +166,14 @@ class _Worker:
         self.blocks[msg.index] = msg
 
 
-def _stacked_pivots(owned, local, structured, refresh):
-    """Disjoint pivots as one ``stacked_step``, with the local solve
-    ``local(R, J, n_i, members)``.
-
-    ``owned`` lists (worker, pivot) pairs, a pivot being one or two
-    BlockMessages.  A pivot's counters go to its worker's sweep counters.
-    ``structured`` factors each pivot by the structured Cholesky from its
-    blocks' squared column norms, and ``refresh`` recomputes the norms of
-    the blocks a pivot rotated (F variants: their later steps read them)."""
-    infos = stacked_step(
-        [(pivot[0].G_block, pivot[1].G_block if len(pivot) > 1 else None) for _, pivot in owned],
-        [np.concatenate([msg.J_seg for msg in pivot]) for _, pivot in owned], local,
-        [tuple(msg.D_seg for msg in pivot) for _, pivot in owned] if structured else None)
-    for (owner, pivot), info in zip(owned, infos):
-        if refresh and info.rotations:
-            for msg in pivot:
-                msg.D_seg = column_norms_squared(msg.G_block)
-        owner.sweep_info.absorb(info)
-
-
 def parallel_jacobi(G, signs, opts):
     """Diagonalize (A = G^* G, J) with ``opts.p`` ring workers in lock-step,
     running the ring variant ``opts.variant`` of a SolveOptions; returns
     (G, info).
 
-    Like the other drivers it overwrites G's columns in place: each worker
-    updates views of G's block-columns, so G keeps its column order, and
-    eigenpairs are read off it with ``extract_eigen``.  An exception raised
+    Like the other drivers it overwrites G's columns in place, so G keeps
+    its column order, and eigenpairs are read off it with
+    ``extract_eigen``.  An exception raised
     by a worker propagates as it is.
     """
     if opts.variant.startswith("seq"):
@@ -195,32 +182,40 @@ def parallel_jacobi(G, signs, opts):
     p = opts.p
     if 2 * p > n:
         raise ValueError(f"need at least {2 * p} columns for p={p} workers")
-    part = uniform_partition(n, 2 * p)
+    sizes = uniform_partition(n, 2 * p).sizes
+    part = BlockPartition(sizes)
+    lam = column_norms_squared(G)  # F: kept current, and read by the structured Cholesky
     ring = Ring(p)
     workers = [_Worker(q, opts, ring) for q in range(p)]
     for w in workers:  # each block starts where its worker's schedule starts
         for blk in (w.state.i_blk, w.state.j_blk):
             cols = part.columns(blk - 1)
-            w.blocks[blk] = BlockMessage(index=blk, G_block=G[:, cols], J_seg=signs[cols].copy(),
-                                         D_seg=column_norms_squared(G[:, cols]))
+            w.blocks[blk] = BlockMessage(index=blk, G_block=G[:, cols], J_seg=signs[cols],
+                                         D_seg=lam[cols])
 
     lead = workers[0]  # the local solves read only the options every worker shares
 
     def sweep(k):
         for w in workers:
             w._start_sweep(k)
+        infos = [w.sweep_info for w in workers]
+
+        def run(rnd, local):  # one round of pivots (i, j, rank), by its cached plan
+            _pivot_pass(G, signs, round_plan(sizes, (rnd,)), local, infos,
+                        lam=lam if opts.full else None)
+
         if opts.full:
-            _stacked_pivots([(w, (msg,)) for w in workers for msg in w.blocks.values()],
-                            lead._diag_preprocess, False, refresh=True)
+            run(tuple((blk - 1, None, w.rank) for w in workers for blk in w.blocks),
+                lead._diag_preprocess)
         for step in range(steps_per_sweep(opts.strategy, p)):
-            _stacked_pivots([(w, w._step()) for w in workers],
-                            functools.partial(lead._local_transform, first_step=step == 0),
-                            opts.full, refresh=opts.full)
+            run(tuple((bi.index - 1, bj.index - 1, w.rank)
+                      for w in workers for bi, bj in (w._step(),)),
+                functools.partial(lead._local_transform, first_step=step == 0))
             plans = [w.stepper(w.state, p) for w in workers]
             for w, plan in zip(workers, plans):
                 w._send(plan)
             for w, plan in zip(workers, plans):
                 w._exchange(plan)
-        return exchange_convergence(w.sweep_info for w in workers)
+        return exchange_convergence(infos)
 
     return G, sweep_until_quiet(sweep, opts.tol)

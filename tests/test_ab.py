@@ -140,3 +140,26 @@ def test_workload_rejects_a_flag_it_would_ignore(ab, extra):
     ``--factorize``; a run of fewer than one pair is refused too."""
     with pytest.raises(SystemExit):
         ab.main(["--base", str(ROOT), "--head", str(ROOT), *extra])
+
+
+def test_each_pair_starts_a_fresh_child_per_side(ab, monkeypatch):
+    """Every pair of timed passes starts one child per tree, which runs a
+    warm-up pass and then its timed one, so no child lives through two
+    pairs and a speed offset particular to one process stays in one pair."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness prepends the head's paths
+    passes = []
+
+    class Counted(ab.Side):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.k = len(passes)
+            passes.append(0)
+
+        def run_pass(self):
+            passes[self.k] += 1
+            return super().run_pass()
+
+    monkeypatch.setattr(ab, "Side", Counted)
+    assert ab.main(["--base", str(ROOT), "--head", str(ROOT), "--n", "24", "--factorize",
+                    "--pairs", "3"]) == 0
+    assert passes == [2] * 6

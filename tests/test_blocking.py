@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import random_full_rank
 from hjacobi import _kernels, blocking
+from hjacobi._kernels import member_rounds
 from hjacobi.blocking import (
     BlockPartition,
+    _block_pivots,
     _diagonalizer,
+    _group_step,
     block_members,
     block_oriented,
     chol_upper,
@@ -19,7 +22,7 @@ from hjacobi.blocking import (
     num_blocks,
     off_diagonal_members,
     off_diagonal_pass,
-    stacked_step,
+    round_plan,
     structured_cholesky,
     uniform_partition,
     update_block_columns,
@@ -146,9 +149,24 @@ def test_update_gram_congruence(rng):
 
 # -- block-pivot step -----------------------------------------------------
 
-def lone_step(Gi, Gj, J, local, lam=None):
-    """``stacked_step`` on the one pivot [Gi, Gj]; returns its DiagInfo."""
-    return stacked_step([(Gi, Gj)], [J], local, None if lam is None else [lam])[0]
+def round_infos(G, J, sizes, pivots, local, lam=None, V=None):
+    """One planned round of the disjoint ``pivots`` (i, j) over blocks of
+    ``sizes``, each width group by the executor's ``_group_step``; returns
+    the pivots' DiagInfos in their order."""
+    (groups,) = round_plan(sizes, (tuple((i, j, x) for x, (i, j) in enumerate(pivots)),))
+    infos = [None] * len(pivots)
+    for group in groups:
+        for x, info in zip(group.owners, _group_step(G, J, group, local, V, lam)):
+            infos[x] = info
+    return infos
+
+
+def lone_step(G, n_i, J, local, lam=None):
+    """The one pivot of G, its first n_i columns and the rest (none: the
+    first alone), as a planned group step; returns its DiagInfo."""
+    n_j = G.shape[1] - n_i
+    sizes, pivot = ((n_i, n_j), (0, 1)) if n_j else ((n_i,), (0, None))
+    return round_infos(G, J, sizes, [pivot], local, lam)[0]
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
@@ -157,9 +175,7 @@ def test_pivot_step_full_local_solve(rng, n_i, n_j, complex_scalars):
     G = random_full_rank(rng, 12, n_i + n_j, complex_scalars)
     J = np.array([1, -1] * n_i, np.int8)[:n_i + n_j]
     G0 = G.copy()
-    Gi = G[:, :n_i]
-    Gj = G[:, n_i:] if n_j else None
-    info = lone_step(Gi, Gj, J, _diagonalizer(DEFAULT_TOL))
+    info = lone_step(G, n_i, J, _diagonalizer(DEFAULT_TOL))
     assert info.converged and info.rotations > 0
     assert np.abs(G - G0 @ info.W).max() <= 1e-13 * np.abs(G0).max() * np.abs(info.W).max()
     A = gram(G)
@@ -173,13 +189,12 @@ def test_pivot_step_failed_structured_cholesky_is_dense(rng, complex_scalars):
     n_i, n_j = 4, 3
     G = random_full_rank(rng, 10, n_i + n_j, complex_scalars)
     J = np.array([1, 1, -1, 1, -1, -1, 1], np.int8)
-    lam = (1e-3 * column_norms_squared(G[:, :n_i]),
-           1e-3 * column_norms_squared(G[:, n_i:]))
+    lam = 1e-3 * column_norms_squared(G)
     with pytest.raises(DefinitenessError):
-        structured_cholesky(lam[0], gram(G[:, :n_i], G[:, n_i:]), lam[1])
+        structured_cholesky(lam[:n_i], gram(G[:, :n_i], G[:, n_i:]), lam[n_i:])
     dense, scaled = G.copy(order="F"), G.copy(order="F")
-    a = lone_step(dense[:, :n_i], dense[:, n_i:], J, _diagonalizer(DEFAULT_TOL))
-    b = lone_step(scaled[:, :n_i], scaled[:, n_i:], J, _diagonalizer(DEFAULT_TOL), lam)
+    a = lone_step(dense, n_i, J, _diagonalizer(DEFAULT_TOL))
+    b = lone_step(scaled, n_i, J, _diagonalizer(DEFAULT_TOL), lam)
     assert np.array_equal(dense, scaled) and np.array_equal(a.W, b.W)
 
 
@@ -198,11 +213,8 @@ def _pivot_members(rng, m, n_i, n_j, complex_scalars):
                 Gc = np.asfortranarray(G[:, c])
                 jacobi_diagonalize(Gc, np.ones(Gc.shape[1], np.int8))
                 G[:, c] = Gc
-        li, lj = column_norms_squared(G[:, :n_i]), column_norms_squared(G[:, n_i:])
-        if b == 3:
-            li, lj = 1e-3 * li, 1e-3 * lj
         members.append(G)
-        lam.append((li, lj))
+        lam.append(column_norms_squared(G) * (1e-3 if b == 3 else 1.0))
     return members, lam
 
 
@@ -210,34 +222,38 @@ def _pivot_members(rng, m, n_i, n_j, complex_scalars):
 @pytest.mark.parametrize("body", ["sweep_rounds", "_sweep_pairs"])
 @pytest.mark.parametrize("solve", ["full", "cross"])
 def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex_scalars):
-    """Four disjoint pivots run as one stacked step come out, each, with the
-    bits in G and W and the counters of the pivot's step alone, which runs the
-    same kernel body: stacked matmul, Cholesky, einsum and GEMM act on every
-    member as the unstacked calls do.  The orthogonal member stays untouched
-    and is quiet at its first sweep; the member whose structured Cholesky
-    fails is factored densely while the others keep the structured one."""
+    """Four disjoint pivots run as one planned group step come out, each,
+    with the bits in G and W and the counters of the pivot's step alone,
+    which runs the same kernel body: stacked matmul, Cholesky, einsum and
+    GEMM act on every member as the unstacked calls do.  The orthogonal
+    member stays untouched and is quiet at its first sweep; the member whose
+    structured Cholesky fails is factored densely while the others keep the
+    structured one."""
     monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
     n_i, n_j, m = 4, 4, 11
     members, lam = _pivot_members(rng, m, n_i, n_j, complex_scalars)
     J = np.array([1, -1, 1, 1, -1, 1, -1, -1], np.int8)
     with pytest.raises(DefinitenessError):
-        structured_cholesky(lam[3][0], gram(members[3][:, :n_i], members[3][:, n_i:]), lam[3][1])
-    for G, (li, lj) in zip(members[:3], lam):
-        structured_cholesky(li, gram(G[:, :n_i], G[:, n_i:]), lj)
+        structured_cholesky(lam[3][:n_i], gram(members[3][:, :n_i], members[3][:, n_i:]),
+                            lam[3][n_i:])
+    for G, lb in zip(members[:3], lam):
+        structured_cholesky(lb[:n_i], gram(G[:, :n_i], G[:, n_i:]), lb[n_i:])
     if solve == "full":
         local = _diagonalizer(DEFAULT_TOL)
     else:
         local = functools.partial(cross_members, tol=DEFAULT_TOL)
-    stacked = [G.copy(order="F") for G in members]
-    infos = stacked_step([(G[:, :n_i], G[:, n_i:]) for G in stacked], [J] * 4, local, lam)
+    k = n_i + n_j
+    stacked = np.asfortranarray(np.hstack(members))
+    (group,) = round_plan((n_i, n_j) * 4, (tuple((2 * b, 2 * b + 1, b) for b in range(4)),))[0]
+    infos = _group_step(stacked, np.tile(J, 4), group, local, None, np.concatenate(lam))
     for b, G in enumerate(members):
         alone = G.copy(order="F")
-        info = lone_step(alone[:, :n_i], alone[:, n_i:], J, local, lam[b])
-        assert np.array_equal(stacked[b], alone)
+        info = lone_step(alone, n_i, J, local, lam[b].copy())
+        assert np.array_equal(stacked[:, b * k:(b + 1) * k], alone)
         assert np.array_equal(infos[b].W, info.W)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
-    assert np.array_equal(stacked[2], members[2])
+    assert np.array_equal(stacked[:, 2 * k:3 * k], members[2])
     assert infos[2].rotations == 0 and infos[2].sweeps == 1 and infos[2].converged
     assert all(infos[b].rotations > 0 for b in (0, 1, 3))
 
@@ -274,10 +290,10 @@ def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, comple
 @pytest.mark.parametrize("complex_scalars", [False, True])
 @pytest.mark.parametrize("solve", ["full", "cross"])
 def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars):
-    """One stacked step on a round of three disjoint pivots of two widths
-    (blocks 5, 5, 4, 4, 5, 5; pivots (0, 1), (2, 3), (4, 5)), with ``lam``
-    and V, returns the DiagInfos in the pivots' order, and each pivot comes
-    out with the bits in G, V and W and the counters of its step alone."""
+    """One planned round of three disjoint pivots of two widths (blocks 5,
+    5, 4, 4, 5, 5; pivots (0, 1), (2, 3), (4, 5)), with the squared column
+    norms and V, runs as one group step per width, and each pivot comes out
+    with the bits in G, V and W and the counters of its step alone."""
     part = BlockPartition((5, 5, 4, 4, 5, 5))
     G = random_full_rank(rng, 31, part.n, complex_scalars)
     for i in range(part.b):  # diagonal Gram blocks, as the structured Cholesky takes them
@@ -293,12 +309,7 @@ def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars)
     pivots = [(0, 1), (2, 3), (4, 5)]
 
     def step(X, Y, round_):
-        cols = [(part.columns(i), part.columns(j)) for i, j in round_]
-        return stacked_step([(X[:, ci], X[:, cj]) for ci, cj in cols],
-                            [np.concatenate([J[ci], J[cj]]) for ci, cj in cols], local,
-                            [(column_norms_squared(X[:, ci]), column_norms_squared(X[:, cj]))
-                             for ci, cj in cols],
-                            [(Y[:, ci], Y[:, cj]) for ci, cj in cols])
+        return round_infos(X, J, part.sizes, round_, local, column_norms_squared(X), Y)
 
     Gs, Vs = G.copy(order="F"), V.copy(order="F")
     infos = step(Gs, Vs, pivots)
@@ -372,24 +383,73 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
         assert infos[0].sweeps > infos[2].sweeps > 1
 
 
+# -- round plans ------------------------------------------------------------
+
+def _plan_rounds(b):
+    """Rounds over b blocks as the drivers take them: every block alone,
+    the circle method's rounds of block pairs, and a ring step whose
+    second pivot is the wider one."""
+    return ((tuple((i, None, i) for i in range(b)),)
+            + _block_pivots(member_rounds(b, 0, True, (0,)))
+            + (((1, 2, 0), (0, b - 1, 1)),))
+
+
+@pytest.mark.parametrize("sizes", [uniform_partition(33, 4).sizes, greedy_partition(30, 8).sizes],
+                         ids=["uniform-33-4", "greedy-30-8"])
+def test_round_plan_groups_each_round_by_first_seen_width(sizes):
+    """On uneven partitions (n = 33 over 2p = 4 blocks, and a greedy
+    partition with a remainder block) each round's groups come in the order
+    in which their widths first appear among its pivots; a group holds every
+    pivot of its width with its owner, and the round's pivots' columns, each
+    exactly once, pivot after pivot and block i before block j."""
+    part = BlockPartition(sizes)
+    rounds = _plan_rounds(part.b)
+    plan = round_plan(sizes, rounds)
+    assert len(plan) == len(rounds)
+    split = 0
+    for rnd, groups in zip(rounds, plan):
+        widths = [(sizes[i], None if j is None else sizes[j]) for i, j, _ in rnd]
+        assert [(g.n_i, None if g.pivots[0][1] is None else g.k - g.n_i) for g in groups] \
+            == list(dict.fromkeys(widths))
+        split += len(groups) > 1
+        got = []
+        for g in groups:
+            assert not g.cols.flags.writeable
+            assert len(g.pivots) == len(g.owners) and g.cols.size == len(g.pivots) * g.k
+            for (i, j), own, cols in zip(g.pivots, g.owners, g.cols.reshape(-1, g.k)):
+                assert (i, j, own) in rnd
+                blocks = [part.columns(i)] + ([] if j is None else [part.columns(j)])
+                assert cols.tolist() == [c for s in blocks for c in range(s.start, s.stop)]
+                got.append((i, j, own))
+        assert sorted(got, key=str) == sorted(rnd, key=str)
+        cols = np.concatenate([g.cols for g in groups])
+        assert len(set(cols.tolist())) == cols.size
+    assert split > 0  # some round holds two widths
+
+
+def test_round_plan_cache_stays_bounded(rng):
+    """Solving many orders builds more plans than the cache holds; the cache
+    keeps at most its maximum and the solves still converge."""
+    round_plan.cache_clear()
+    for n in range(12, 92):
+        G, J = make_factor(rng, n, n_neg=n // 3)
+        block_oriented(G, J, uniform_partition(n, 3 + n % 3), Tolerances(max_sweeps=2))
+    info = round_plan.cache_info()
+    assert info.misses > info.maxsize and info.currsize <= info.maxsize
+
+
 def _record_pivots(monkeypatch):
-    """Record the block pairs of each per-width group of a stacked step that
-    a blocked driver takes, with their column widths."""
+    """Record the block pairs, with their column widths, of each width group
+    that a blocked driver runs as one step (``_group_step``)."""
     steps = []
-    taken = []  # (first column block, pivot) of every pivot taken so far
-    local_pivot, width_step = blocking._local_pivot, blocking._width_step
+    group_step = blocking._group_step
 
-    def record_pivot(G, signs, part, i, j):
-        views = local_pivot(G, signs, part, i, j)
-        taken.append((views[0], ((i, j), (part.sizes[i], None if j is None else part.sizes[j]))))
-        return views
+    def record(G, signs, group, *args):
+        steps.append([(pv, (group.n_i, None if pv[1] is None else group.k - group.n_i))
+                      for pv in group.pivots])
+        return group_step(G, signs, group, *args)
 
-    def record_group(pivots, *args):
-        steps.append([next(pivot for Gi, pivot in taken if Gi is pv[0]) for pv in pivots])
-        return width_step(pivots, *args)
-
-    monkeypatch.setattr(blocking, "_local_pivot", record_pivot)
-    monkeypatch.setattr(blocking, "_width_step", record_group)
+    monkeypatch.setattr(blocking, "_group_step", record)
     return steps
 
 

@@ -1,12 +1,13 @@
 import dataclasses
+import importlib.util
 import time
-from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_full_rank
-from hjacobi import _kernels, parallel
+from hjacobi import _kernels, blocking, parallel
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
 from hjacobi.parallel import (
@@ -109,6 +110,37 @@ def test_step_raises_the_first_failure_it_meets(rng, monkeypatch, body, raised):
     assert (err.value.r, err.value.s) == raised
 
 
+@pytest.mark.parametrize("body", ["sweep_rounds", "_sweep_pairs"])
+def test_step_of_two_widths_raises_the_first_groups_failure(rng, monkeypatch, body):
+    """n = 33 over 2p = 4 blocks (9, 8, 8, 8): in the first step rank 0
+    holds blocks 1 and 4 (17 columns) and rank 1 blocks 2 and 3 (16), so the
+    step runs two width groups, rank 0's first.  Both pivots fail, rank 1's
+    in the kernel's first round and rank 0's in a later one; rank 0's error
+    is raised whatever the kernel body, because its group runs first."""
+    monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
+    rounds = {k: [list(zip(*rnd)) for rnd in _kernels.pass_rounds(k, 0, True)] for k in (16, 17)}
+    fail = {17: rounds[17][3][0], 16: rounds[16][0][0]}
+    local = _Worker._local_transform
+    widths = []
+
+    def corrupt(self, R, J, n_i, members, first_step):
+        k = R.shape[1] // members
+        widths.append(k)
+        if first_step:
+            r, s = fail[k]
+            Rb = np.eye(k)
+            Rb[:, s] = Rb[:, r]
+            R[:, :k] = Rb
+        return local(self, R, J, n_i, members, first_step)
+
+    monkeypatch.setattr(_Worker, "_local_transform", corrupt)
+    G, J = make_factor(rng, 33, 11)
+    with pytest.raises(PivotDefinitenessError) as err:
+        parallel_jacobi(G, J, SolveOptions(variant="2B", p=2))
+    assert (err.value.r, err.value.s) == tuple(fail[17])
+    assert widths == [17]  # rank 1's group never ran
+
+
 @pytest.mark.parametrize("complex_scalars", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("p", [1, 2, 4])
 @pytest.mark.parametrize("variant", ["2F", "3F"])
@@ -175,20 +207,19 @@ def test_cross_variant_cross_p_agreement(rng, complex_scalars):
 
 @pytest.mark.parametrize("n,p", [(33, 2), (50, 3), (50, 4)])
 def test_unequal_block_widths(rng, monkeypatch, n, p):
-    """n not divisible by 2p gives blocks of two widths, so a step's pivots
-    run as one stacked step per width group; every ring variant converges
-    to the pencil's eigenvalues under both strategies."""
+    """n not divisible by 2p gives blocks of two widths, so a step's planned
+    round runs one group step per width; every ring variant converges to
+    the pencil's eigenvalues under both strategies."""
     G, J = make_factor(rng, n, n // 3)
     ref = pencil_eigs(G, J)
-    stacked_step = parallel.stacked_step
+    pivot_pass = parallel._pivot_pass
     members = []  # pivots per width group of each step
 
-    def record(pivots, *args):
-        widths = Counter((Gi.shape[1], None if Gj is None else Gj.shape[1]) for Gi, Gj in pivots)
-        members.extend(widths.values())
-        return stacked_step(pivots, *args)
+    def record(G, signs, plan, *args, **kwargs):
+        members.extend(len(group.owners) for groups in plan for group in groups)
+        return pivot_pass(G, signs, plan, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "stacked_step", record)
+    monkeypatch.setattr(parallel, "_pivot_pass", record)
     for variant in ("2F", "2B", "3F", "3B"):
         for strategy in ("modulus", "round_robin"):
             members.clear()
@@ -270,3 +301,45 @@ def test_misrouted_exchange_fails_at_once(rng, monkeypatch):
     with pytest.raises(HJacobiError):
         parallel_jacobi(G, J, SolveOptions(variant="2B", p=3))
     assert time.perf_counter() - t0 < 10.0
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_tracer_finds_every_layer_it_wraps(rng):
+    """perfbench imports its tracer before any workload runs, and the tracer
+    reads every (owner, attribute) of its LAYERS and the BlockMessage
+    fields its send counter reads.  A traced 2F solve counts ring steps,
+    messages and pivots, and every block sent carries its columns' current
+    squared norms as a view of the ring's one norms vector."""
+    tracing = _tracing()
+    for owner, attr, _, _ in tracing.LAYERS:
+        assert attr in owner.__dict__, (owner, attr)
+    fields = {f.name for f in dataclasses.fields(parallel.BlockMessage)}
+    assert {"G_block", "J_seg", "D_seg"} <= fields
+    G, J = make_factor(rng, 24, 9)
+    blocking.round_plan.cache_clear()  # blocking.pivots counts the pivots of plans built
+    sent = []
+    with tracing.Tracer().installed() as tracer:
+        send = parallel.Ring.send
+
+        def keep(self, src, dst, msg):
+            sent.append(np.array_equal(msg.D_seg, column_norms_squared(msg.G_block))
+                        and msg.D_seg.base is not None)
+            return send(self, src, dst, msg)
+
+        parallel.Ring.send = keep
+        try:
+            _, info = parallel_jacobi(G, J, SolveOptions(variant="2F", p=2))
+        finally:
+            parallel.Ring.send = send
+    assert info.converged and sent and all(sent)
+    steps = info.sweeps * 4  # 2p modulus steps per sweep, one _step per worker
+    assert tracer.counts["ring.steps"] == 2 * steps
+    assert tracer.counts["ring.messages"] == 2 * steps
+    assert tracer.counts["blocking.pivots"] > 0
