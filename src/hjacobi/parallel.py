@@ -45,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import (
-    BlockPartition,
     _diagonalizer,
     _pivot_pass,
     block_members,
@@ -182,8 +181,7 @@ def parallel_jacobi(G, signs, opts):
     p = opts.p
     if 2 * p > n:
         raise ValueError(f"need at least {2 * p} columns for p={p} workers")
-    sizes = uniform_partition(n, 2 * p).sizes
-    part = BlockPartition(sizes)
+    part = uniform_partition(n, 2 * p)
     lam = column_norms_squared(G)  # F: kept current, and read by the structured Cholesky
     ring = Ring(p)
     workers = [_Worker(q, opts, ring) for q in range(p)]
@@ -201,7 +199,7 @@ def parallel_jacobi(G, signs, opts):
         infos = [w.sweep_info for w in workers]
 
         def run(rnd, local):  # one round of pivots (i, j, rank), by its cached plan
-            _pivot_pass(G, signs, round_plan(sizes, (rnd,)), local, infos,
+            _pivot_pass(G, signs, round_plan(part.sizes, (rnd,)), local, infos,
                         lam=lam if opts.full else None)
 
         if opts.full:
