@@ -263,7 +263,8 @@ def _pivot_pass(G, signs, plan, local, infos, V=None, lam=None):
     """The rounds of ``plan`` (``round_plan``), one ``_group_step`` per
     width group, in the plan's order; each pivot's counters go to
     infos[own].  V, when given, receives every W as well; ``lam``, when
-    given, holds the squared column norms of G and is kept current."""
+    given, holds the squared column norms of G, from which pivots of two
+    blocks are factored by the structured Cholesky, and is kept current."""
     for groups in plan:
         for group in groups:
             for o, info in zip(group.owners, _group_step(G, signs, group, local, V, lam)):
