@@ -39,7 +39,8 @@ host.  A pass's time in reference units is the sum over its ops.
 
 Prints, per configuration of the case, for the whole case and per scalar
 kind of its inputs (real, complex or graded, as perfbench's
-``real_solve_ref`` and ``complex_solve_ref`` split them), each side's
+``real_solve_ref`` and ``complex_solve_ref`` split them), the ``--seed``
+that drew the inputs, each side's
 median time in seconds and in reference units, the quartile distance of
 base's times in both, each side's median reference sample in seconds, the
 median of the per-pair ratios head/base of the times in reference units
@@ -298,13 +299,14 @@ def kernel(side):
     return "numba" if side.numba else "interpreted"
 
 
-def record(name, ops, picks, base, head, pairs):
-    """The record of the ops at positions ``picks``: its configuration and
-    scalar kind are those of the ops, distinct values joined by '+'."""
+def record(name, seed, ops, picks, base, head, pairs):
+    """The record of the ops at positions ``picks``, whose inputs ``seed``
+    drew: its configuration and scalar kind are those of the ops, distinct
+    values joined by '+'."""
     variant, strategy, p, n = (joined(ops[i]["config"][f] for i in picks) for f in range(4))
     b0, h0 = pairs[0]
     return {
-        "case": name, "n": n, "variant": variant, "strategy": strategy, "p": p,
+        "case": name, "seed": seed, "n": n, "variant": variant, "strategy": strategy, "p": p,
         "kind": joined(ops[i]["kind"] for i in picks),
         "kernel": joined([kernel(base), kernel(head)]),
         "base_sha": base.sha, "head_sha": head.sha, "cores": os.cpu_count(),
@@ -318,16 +320,17 @@ def record(name, ops, picks, base, head, pairs):
     }
 
 
-def case_records(name, ops, base, head, pairs):
+def case_records(name, seed, ops, base, head, pairs):
     """One record per configuration of the case, one for the whole case and
     one per scalar kind of its inputs (real, complex, graded), each with its
-    own verdict; a record whose ops an earlier one covers is left out."""
+    own verdict and the ``seed`` that drew the inputs; a record whose ops an
+    earlier one covers is left out."""
     configs, kinds = {}, {}
     for i, op in enumerate(ops):
         configs.setdefault(tuple(op["config"]), []).append(i)
         kinds.setdefault(op["kind"], []).append(i)
     picks = [*configs.values(), range(len(ops)), *kinds.values()]
-    return [record(name, ops, p, base, head, pairs)
+    return [record(name, seed, ops, p, base, head, pairs)
             for p in dict.fromkeys(tuple(p) for p in picks)]
 
 
@@ -376,7 +379,7 @@ def main(argv=None):
             pairs.append(pair)
     sides = [SimpleNamespace(sha=git_sha(Path(root).resolve()), numba=flag)
              for root, flag in zip((args.base, args.head), numba)]
-    records = case_records(name, ops, *sides, pairs)
+    records = case_records(name, args.seed, ops, *sides, pairs)
     for rec in records:
         print(json.dumps(rec))
     if args.out:

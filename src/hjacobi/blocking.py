@@ -11,10 +11,11 @@ their owners.  The executor (``_pivot_pass``) runs each group as one step
 (``_group_step``): one gather of its columns of G, the Cholesky factors of
 their Gram matrices as one stack (structured from one flat vector of
 squared column norms, when it is kept), one local solve on the factors side
-by side, one stacked GEMM that applies the W of every pivot that rotated,
-and one scatter back, of V and of the rotated columns' norms too.  Disjoint
-pivots do not interact, and every stacked operation acts on each member as
-it would alone, so a member comes out with the bits it gets by itself.
+by side into the group's one accumulator, one stacked GEMM that applies the
+W of every pivot that rotated, and one scatter back, of V and of the rotated
+columns' norms too.  Disjoint pivots do not interact, and every stacked
+operation acts on each member as it would alone, so a member comes out with
+the bits it gets by itself.
 
 The blocked solvers take their rounds at block level from the kernel's
 table of rounds (``_kernels.member_rounds``), after one round of all
@@ -40,7 +41,7 @@ from ._kernels import _frozen, member_rounds
 from .core import column_norms_squared, gram, hermitize
 from .errors import DefinitenessError
 from .rotations import (DEFAULT_TOL, DiagInfo, Tolerances, cycle_members, diagonalize_members,
-                        eye_blocks, members_until_quiet)
+                        members_until_quiet)
 
 # Not called here: bound so that perfbench/tracing.py can wrap them in this module.
 from .rotations import jacobi_cycle, jacobi_diagonalize  # noqa: F401,E402
@@ -81,12 +82,14 @@ def num_blocks(n: int, n_t: int) -> int:
     return -(-n // n_t)
 
 
+@functools.lru_cache(maxsize=128)
 def greedy_partition(n: int, n_t: int) -> BlockPartition:
     """All blocks of size n_t except a possibly smaller last one (no blocks
     when n = 0)."""
     return BlockPartition(tuple(min(n_t, n - i * n_t) for i in range(num_blocks(n, n_t))))
 
 
+@functools.lru_cache(maxsize=128)
 def uniform_partition(n: int, b: int) -> BlockPartition:
     """b blocks whose sizes differ by at most one, larger blocks first."""
     if not 1 <= b <= n:
@@ -133,6 +136,13 @@ def structured_cholesky(lam_ii, A_ij, lam_jj):
     R[..., :n_i, n_i:] = R_ij
     R[..., n_i:, n_i:] = R_jj
     return R
+
+
+def eye_blocks(k, members, dtype):
+    """``members`` k x k identities side by side, column-major."""
+    W = np.zeros((k, members * k), dtype=dtype, order="F")
+    W.reshape((k * k, members), order="F")[::k + 1] = 1.0  # each block's diagonal
+    return W
 
 
 def update_block_columns(Gp, W):
@@ -218,10 +228,11 @@ def round_plan(sizes, rounds):
     return tuple(plan)
 
 
-def _block_pivots(rounds):
-    """Rounds (R, S, own) of ``_kernels.member_rounds`` at block level as
-    ``round_plan`` takes them."""
-    return tuple(tuple(zip(R.tolist(), S.tolist(), own.tolist())) for R, S, own in rounds)
+@functools.lru_cache(maxsize=256)
+def _block_rounds(n_i, n_j, diag_bl, offsets):
+    """``_kernels.member_rounds`` at block level, as ``round_plan`` takes them."""
+    return tuple(tuple(zip(R.tolist(), S.tolist(), own.tolist()))
+                 for R, S, own in member_rounds(n_i, n_j, diag_bl, offsets))
 
 
 def _group_step(G, signs, group, local, V=None, lam=None):
@@ -230,21 +241,23 @@ def _group_step(G, signs, group, local, V=None, lam=None):
 
     One gather of the group's columns of G, the Cholesky factors of their
     Gram matrices as one stack (structured from ``lam`` for pivots of two
-    blocks), the local solve ``local(R, J, n_i, B)`` on the B factors side
-    by side in R, which returns a DiagInfo per pivot with the accumulated W,
-    then one stacked GEMM that applies the W of every pivot that rotated to
-    its columns and one scatter back; the same for V, when given, and the
-    rotated columns' squared norms go to ``lam``, when given.
+    blocks), the local solve ``local(R, J, n_i, B, W)`` on the B factors
+    side by side in R, which accumulates each pivot's transformation into W,
+    the group's one accumulator that this step makes (B identities, pivot b
+    at columns b*k), then one stacked GEMM that applies the W of every pivot
+    that rotated to its columns and one scatter back; the same for V, when
+    given, and the rotated columns' squared norms go to ``lam``, when given.
     """
     cols, n_i, k = group.cols, group.n_i, group.k
     B = len(group.owners)
     Gp = G[:, cols]
     R3 = _factor(Gp, B, n_i, None if lam is None or n_i == k else lam[cols])
     R = np.asfortranarray(R3.transpose(1, 0, 2).reshape(k, B * k))
-    infos = local(R, signs[cols], n_i, B)
+    W = eye_blocks(k, B, G.dtype)
+    infos = local(R, signs[cols], n_i, B, W)
     moved = [b for b, info in enumerate(infos) if info.rotations]
     if moved:
-        W = np.stack([infos[b].W for b in moved])
+        W = np.stack([W[:, b * k:(b + 1) * k] for b in moved])
         if len(moved) < B:
             cols = cols.reshape(B, k)[moved].ravel()
             Gp = G[:, cols]
@@ -271,22 +284,21 @@ def _pivot_pass(G, signs, plan, local, infos, V=None, lam=None):
                 infos[o].absorb(info)
 
 
-def cross_members(R, J, n_i, members, tol: Tolerances = DEFAULT_TOL):
+def cross_members(R, J, n_i, members, W, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over the cross pairs r < n_i <= s of each of
-    ``members`` factors side by side in R, with W accumulated; returns a
-    DiagInfo per factor."""
+    ``members`` factors side by side in R, accumulated into W; returns a
+    DiagInfo per factor, of one sweep and converged."""
     k = R.shape[1] // members
-    W = eye_blocks(k, members, R.dtype)
     infos = cycle_members(R, J, column_norms_squared(R), W, n_i, k - n_i, False, tol,
                           np.arange(0, R.shape[1], k))
-    for b, info in enumerate(infos):
-        info.sweeps, info.converged, info.W = 1, True, W[:, b * k:(b + 1) * k]
+    for info in infos:
+        info.sweeps, info.converged = 1, True
     return infos
 
 
 def _diagonalizer(tol):
-    """Local solve that runs jacobi_diagonalize on each pivot's factor."""
-    return lambda R, J, n_i, members: diagonalize_members(R, J, members, tol, accumulate=True)
+    """Local solve: jacobi_diagonalize of each pivot's factor, accumulated into W."""
+    return lambda R, J, n_i, members, W: diagonalize_members(R, J, members, tol, W)
 
 
 def _diag_block_pass(G, signs, sizes, nb, offsets, local, infos, V):
@@ -297,7 +309,7 @@ def _diag_block_pass(G, signs, sizes, nb, offsets, local, infos, V):
 
 
 def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances = DEFAULT_TOL,
-                  accumulate_V=False):
+                  V=None):
     """The sweeps of a blocked driver on ``members`` factors of equal width
     side by side in G, each partitioned by ``part``; returns a DiagInfo per
     member.
@@ -311,14 +323,13 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     diagonal block gets one cycle and an off-diagonal pivot one cross pass.
     Every member stops at its own first sweep without rotations
     (``members_until_quiet``), and comes out with the bits it gets alone.
-    With ``accumulate_V`` each member's W is its block of one accumulator.
+    Every block pivot's W also multiplies V, when given.
     """
     n = part.n
     if G.shape[1] != members * n:
         raise ValueError("partition does not cover all columns")
     nb = part.b
     sizes = part.sizes * members
-    V = eye_blocks(n, members, G.dtype) if accumulate_V else None
     if full:
         diag = off = _diagonalizer(tol)
     else:
@@ -329,11 +340,11 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
         infos = [DiagInfo() for _ in active]
         offsets = tuple(b * nb for b in active)
         _diag_block_pass(G, signs, sizes, nb, offsets, diag, infos, V)
-        plan = round_plan(sizes, _block_pivots(member_rounds(nb, 0, True, offsets)))
+        plan = round_plan(sizes, _block_rounds(nb, 0, True, offsets))
         _pivot_pass(G, signs, plan, off, infos, V, column_norms_squared(G) if full else None)
         return infos
 
-    return members_until_quiet(sweep, members, tol, V)
+    return members_until_quiet(sweep, members, tol)
 
 
 def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL):
@@ -351,22 +362,21 @@ def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL
 
 
 def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
-                         tol: Tolerances = DEFAULT_TOL, accumulate_V=False):
+                         tol: Tolerances = DEFAULT_TOL, V=None):
     """``off_diagonal_pass`` on ``members`` factors of equal width side by
     side in G, each split at n_r: round k of the inner grid holds round k of
-    every member, so every member comes out with the bits it gets alone.
-    Returns a DiagInfo per member."""
+    every member, so every member comes out with the bits it gets alone;
+    every inner pivot's W also multiplies V, when given.  Returns a DiagInfo
+    per member."""
     n = G.shape[1] // members
     if not (0 < n_r < n):
         raise ValueError("need 0 < n_r < total column count")
     pr = uniform_partition(n_r, num_blocks(n_r, inner_t))
     ps = uniform_partition(n - n_r, num_blocks(n - n_r, inner_t))
     nb = pr.b + ps.b
-    V = eye_blocks(n, members, G.dtype) if accumulate_V else None
-    infos = [DiagInfo(sweeps=1, converged=True, W=None if V is None else V[:, b * n:(b + 1) * n])
-             for b in range(members)]
-    rounds = member_rounds(pr.b, ps.b, False, tuple(range(0, members * nb, nb)))
-    _pivot_pass(G, signs, round_plan((pr.sizes + ps.sizes) * members, _block_pivots(rounds)),
+    infos = [DiagInfo(sweeps=1, converged=True) for _ in range(members)]
+    rounds = _block_rounds(pr.b, ps.b, False, tuple(range(0, members * nb, nb)))
+    _pivot_pass(G, signs, round_plan((pr.sizes + ps.sizes) * members, rounds),
                 functools.partial(cross_members, tol=tol), infos, V)
     return infos
 

@@ -121,14 +121,14 @@ class _Worker:
 
     # -- local solves, on the factors of every worker's pivot at once -------
 
-    def _diag_preprocess(self, R, J, n_i, members):
+    def _diag_preprocess(self, R, J, n_i, members, W):
         """F variants: re-diagonalize the diagonal Gram blocks that start a
         sweep, every worker's two at once."""
-        return _diagonalizer(self.opts.tol)(R, J, n_i, members)
+        return _diagonalizer(self.opts.tol)(R, J, n_i, members, W)
 
-    def _local_transform(self, R, J, n_i, members, first_step):
+    def _local_transform(self, R, J, n_i, members, W, first_step):
         """The local solve of one step on ``members`` pivot factors side by side
-        in R.  A whole pivot is swept until a sweep is quiet (F) or once (B)."""
+        in R, into W.  A whole pivot is swept until quiet (F) or once (B)."""
         opts = self.opts
         n_q = R.shape[1] // members
         blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
@@ -136,17 +136,13 @@ class _Worker:
         if opts.full or first_step:  # the whole pivot
             if blocked:
                 part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt))
-                return block_members(R, J, part, members, False, tol, accumulate_V=True)
-            return _diagonalizer(tol)(R, J, n_i, members)
+                return block_members(R, J, part, members, False, tol, W)
+            return _diagonalizer(tol)(R, J, n_i, members, W)
         if blocked:
-            return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, accumulate_V=True)
-        return cross_members(R, J, n_i, members, tol)
+            return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, W)
+        return cross_members(R, J, n_i, members, W, tol)
 
     # -- one sweep ---------------------------------------------------------
-
-    def _start_sweep(self, k):
-        self.state.nsweep = k
-        self.sweep_info = DiagInfo()
 
     def _step(self):
         """This worker's pivot of the step: its two block-columns."""
@@ -195,8 +191,8 @@ def parallel_jacobi(G, signs, opts):
 
     def sweep(k):
         for w in workers:
-            w._start_sweep(k)
-        infos = [w.sweep_info for w in workers]
+            w.state.nsweep = k
+        infos = [DiagInfo() for _ in workers]
 
         def run(rnd, local):  # one round of pivots (i, j, rank), by its cached plan
             _pivot_pass(G, signs, round_plan(part.sizes, (rnd,)), local, infos,

@@ -53,14 +53,13 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass
 class DiagInfo:
-    """Counters of an annihilation pass or of a whole diagonalization driver."""
+    """Counters only, of an annihilation pass or of a whole driver."""
 
     sweeps: int = 0
     rotations: int = 0
     big_rotations: int = 0
     max_abs_t: float = 0.0
     converged: bool = False
-    W: np.ndarray | None = None
 
     def absorb(self, other: "DiagInfo"):
         """Add another run's rotation counters to these."""
@@ -105,25 +104,16 @@ def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TO
     return cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol, _kernels.ONE_MEMBER)[0]
 
 
-def eye_blocks(k, members, dtype):
-    """``members`` k x k identities side by side, column-major."""
-    W = np.zeros((k, members * k), dtype=dtype, order="F")
-    W.reshape((k * k, members), order="F")[::k + 1] = 1.0  # each block's diagonal
-    return W
-
-
-def members_until_quiet(sweep, members, tol: Tolerances, W=None):
+def members_until_quiet(sweep, members, tol: Tolerances):
     """The convergence loop of every driver, for ``members`` factors at once.
 
     sweep(k, active) runs sweep k on the members listed in ``active`` and
     returns a DiagInfo per active member.  A member leaves ``active`` after
     its first sweep without rotations, which sets its ``converged``, or
     after tol.max_sweeps sweeps.  Returns a DiagInfo per member, summing
-    its sweeps; their W are the members' column blocks of the accumulator
-    W (equal widths, side by side), when given.
+    its sweeps.
     """
-    k = None if W is None else W.shape[1] // members
-    infos = [DiagInfo(W=None if W is None else W[:, b * k:(b + 1) * k]) for b in range(members)]
+    infos = [DiagInfo() for _ in range(members)]
     active = list(range(members))
     for sweep_k in range(1, tol.max_sweeps + 1):
         for b, stats in zip(active, sweep(sweep_k, active)):
@@ -143,24 +133,23 @@ def sweep_until_quiet(sweep, tol: Tolerances):
     return members_until_quiet(lambda k, _: [sweep(k)], 1, tol)[0]
 
 
-def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, accumulate=False):
+def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, W=None):
     """``jacobi_diagonalize`` on ``members`` factors of equal width side by
     side in G, with one stacked cycle per sweep.
 
     Each sweep cycles only the members that have not yet had a sweep without
     rotations, so every member stops at its own first quiet sweep (or at
-    tol.max_sweeps) and comes out with the bits, counters and W it gets
-    alone.  Returns a DiagInfo per member; their W are column blocks of one
-    accumulator when ``accumulate`` is set.
+    tol.max_sweeps) and comes out with the bits and counters it gets alone.
+    Its rotations rotate W's columns too, when given (the caller's
+    accumulator, with G's column count).  Returns a DiagInfo per member.
     """
     k = G.shape[1] // members
-    W = eye_blocks(k, members, G.dtype) if accumulate else None
 
     def sweep(_, active):
         return cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
                              [b * k for b in active])
 
-    return members_until_quiet(sweep, members, tol, W)
+    return members_until_quiet(sweep, members, tol)
 
 
 def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL):

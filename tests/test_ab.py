@@ -74,7 +74,7 @@ def test_case_records_give_each_scalar_kind_its_own_verdict(ab):
     pairs = [(fake_pass([t * (1 + 0.01 * k) for t in base_times]),
               fake_pass([t * (1 + 0.01 * k) for t in head_times])) for k in range(10)]
     side = SimpleNamespace(sha="sha", numba=False)
-    records = ab.case_records("cyclic", ops, side, side, pairs)
+    records = ab.case_records("cyclic", 7, ops, side, side, pairs)
     assert [r["kind"] for r in records] == ["real+complex", "graded", "real+complex+graded",
                                             "real", "complex"]
     by_kind = {r["kind"]: r for r in records}
@@ -84,6 +84,7 @@ def test_case_records_give_each_scalar_kind_its_own_verdict(ab):
     assert by_kind["complex"]["head_wins"] == 10 and by_kind["real"]["head_wins"] == 0
     assert by_kind["real+complex+graded"]["n"] == "64+32"
     assert by_kind["complex"]["inputs"] == 2 and by_kind["complex"]["kernel"] == "interpreted"
+    assert all(r["seed"] == 7 for r in records)
 
 
 def test_factorize_case_times_the_factorization(ab, tmp_path, monkeypatch):

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from conftest import random_full_rank
 from hjacobi import _kernels, blocking
-from hjacobi._kernels import member_rounds
 from hjacobi.blocking import (
     BlockPartition,
-    _block_pivots,
+    _block_rounds,
     _diagonalizer,
     _group_step,
     block_members,
     block_oriented,
     chol_upper,
     cross_members,
+    eye_blocks,
     full_block,
     greedy_partition,
     num_blocks,
@@ -149,24 +149,46 @@ def test_update_gram_congruence(rng):
 
 # -- block-pivot step -----------------------------------------------------
 
+def spy(local):
+    """``local`` as a local solve that records the accumulator W each group
+    step hands it, in the list it returns alongside."""
+    handed = []
+
+    def solve(R, J, n_i, members, W):
+        handed.append(W)
+        return local(R, J, n_i, members, W)
+
+    return solve, handed
+
+
+def member_blocks(W, members):
+    """The column blocks of accumulator W, one per member."""
+    k = W.shape[1] // members
+    return [W[:, b * k:(b + 1) * k] for b in range(members)]
+
+
 def round_infos(G, J, sizes, pivots, local, lam=None, V=None):
     """One planned round of the disjoint ``pivots`` (i, j) over blocks of
     ``sizes``, each width group by the executor's ``_group_step``; returns
-    the pivots' DiagInfos in their order."""
+    the pivots' DiagInfos and their W, each the pivot's block of the
+    accumulator its group step handed the local solve, in their order."""
     (groups,) = round_plan(sizes, (tuple((i, j, x) for x, (i, j) in enumerate(pivots)),))
-    infos = [None] * len(pivots)
+    infos, Ws = [None] * len(pivots), [None] * len(pivots)
     for group in groups:
-        for x, info in zip(group.owners, _group_step(G, J, group, local, V, lam)):
-            infos[x] = info
-    return infos
+        solve, handed = spy(local)
+        got = _group_step(G, J, group, solve, V, lam)
+        for x, info, W in zip(group.owners, got, member_blocks(handed[0], len(got))):
+            infos[x], Ws[x] = info, W
+    return infos, Ws
 
 
 def lone_step(G, n_i, J, local, lam=None):
     """The one pivot of G, its first n_i columns and the rest (none: the
-    first alone), as a planned group step; returns its DiagInfo."""
+    first alone), as a planned group step; returns its DiagInfo and W."""
     n_j = G.shape[1] - n_i
     sizes, pivot = ((n_i, n_j), (0, 1)) if n_j else ((n_i,), (0, None))
-    return round_infos(G, J, sizes, [pivot], local, lam)[0]
+    (info,), (W,) = round_infos(G, J, sizes, [pivot], local, lam)
+    return info, W
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
@@ -175,9 +197,9 @@ def test_pivot_step_full_local_solve(rng, n_i, n_j, complex_scalars):
     G = random_full_rank(rng, 12, n_i + n_j, complex_scalars)
     J = np.array([1, -1] * n_i, np.int8)[:n_i + n_j]
     G0 = G.copy()
-    info = lone_step(G, n_i, J, _diagonalizer(DEFAULT_TOL))
+    info, W = lone_step(G, n_i, J, _diagonalizer(DEFAULT_TOL))
     assert info.converged and info.rotations > 0
-    assert np.abs(G - G0 @ info.W).max() <= 1e-13 * np.abs(G0).max() * np.abs(info.W).max()
+    assert np.abs(G - G0 @ W).max() <= 1e-13 * np.abs(G0).max() * np.abs(W).max()
     A = gram(G)
     d = np.sqrt(np.diag(A).real)
     off = np.abs(A - np.diag(np.diag(A))) / np.outer(d, d)
@@ -193,9 +215,9 @@ def test_pivot_step_failed_structured_cholesky_is_dense(rng, complex_scalars):
     with pytest.raises(DefinitenessError):
         structured_cholesky(lam[:n_i], gram(G[:, :n_i], G[:, n_i:]), lam[n_i:])
     dense, scaled = G.copy(order="F"), G.copy(order="F")
-    a = lone_step(dense, n_i, J, _diagonalizer(DEFAULT_TOL))
-    b = lone_step(scaled, n_i, J, _diagonalizer(DEFAULT_TOL), lam)
-    assert np.array_equal(dense, scaled) and np.array_equal(a.W, b.W)
+    _, Wa = lone_step(dense, n_i, J, _diagonalizer(DEFAULT_TOL))
+    _, Wb = lone_step(scaled, n_i, J, _diagonalizer(DEFAULT_TOL), lam)
+    assert np.array_equal(dense, scaled) and np.array_equal(Wa, Wb)
 
 
 def _pivot_members(rng, m, n_i, n_j, complex_scalars):
@@ -245,12 +267,14 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     k = n_i + n_j
     stacked = np.asfortranarray(np.hstack(members))
     (group,) = round_plan((n_i, n_j) * 4, (tuple((2 * b, 2 * b + 1, b) for b in range(4)),))[0]
-    infos = _group_step(stacked, np.tile(J, 4), group, local, None, np.concatenate(lam))
+    solve, handed = spy(local)
+    infos = _group_step(stacked, np.tile(J, 4), group, solve, None, np.concatenate(lam))
+    (W,) = handed
     for b, G in enumerate(members):
         alone = G.copy(order="F")
-        info = lone_step(alone, n_i, J, local, lam[b].copy())
+        info, Wb = lone_step(alone, n_i, J, local, lam[b].copy())
         assert np.array_equal(stacked[:, b * k:(b + 1) * k], alone)
-        assert np.array_equal(infos[b].W, info.W)
+        assert np.array_equal(member_blocks(W, 4)[b], Wb)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
     assert np.array_equal(stacked[:, 2 * k:3 * k], members[2])
@@ -270,18 +294,20 @@ def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, comple
     members = [random_full_rank(rng, k, k, complex_scalars) for _ in range(B)]
     J = np.array([1, -1, 1, 1, -1, 1, -1, -1], np.int8)
     if solve == "full":
-        def run(G, count):
-            return diagonalize_members(G, np.tile(J, count), count, accumulate=True)
+        def run(G, count, W):
+            return diagonalize_members(G, np.tile(J, count), count, W=W)
     else:
-        def run(G, count):
-            return cross_members(G, np.tile(J, count), k // 2, count)
+        def run(G, count, W):
+            return cross_members(G, np.tile(J, count), k // 2, count, W)
     stacked = np.asfortranarray(np.hstack(members))
-    infos = run(stacked, B)
+    W = eye_blocks(k, B, stacked.dtype)
+    infos = run(stacked, B, W)
     for b, G in enumerate(members):
         alone = G.copy(order="F")
-        (info,) = run(alone, 1)
+        Wb = eye_blocks(k, 1, alone.dtype)
+        (info,) = run(alone, 1, Wb)
         assert np.array_equal(stacked[:, b * k:(b + 1) * k], alone)
-        assert np.array_equal(infos[b].W, info.W)
+        assert np.array_equal(member_blocks(W, B)[b], Wb)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
         assert info.rotations > 0
@@ -312,15 +338,15 @@ def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars)
         return round_infos(X, J, part.sizes, round_, local, column_norms_squared(X), Y)
 
     Gs, Vs = G.copy(order="F"), V.copy(order="F")
-    infos = step(Gs, Vs, pivots)
-    assert [info.W.shape[0] for info in infos] == [10, 8, 10]
-    for (i, j), info in zip(pivots, infos):
+    infos, Ws = step(Gs, Vs, pivots)
+    assert [W.shape[0] for W in Ws] == [10, 8, 10]
+    for (i, j), info, W in zip(pivots, infos, Ws):
         Ga, Va = G.copy(order="F"), V.copy(order="F")
-        (alone,) = step(Ga, Va, [(i, j)])
+        (alone,), (W_alone,) = step(Ga, Va, [(i, j)])
         cols = np.r_[part.columns(i), part.columns(j)]
         assert np.array_equal(Gs[:, cols], Ga[:, cols])
         assert np.array_equal(Vs[:, cols], Va[:, cols])
-        assert np.array_equal(info.W, alone.W)
+        assert np.array_equal(W, W_alone)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(info, field) == getattr(alone, field)
         assert info.rotations > 0
@@ -354,26 +380,22 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
     B = len(members)
     part = uniform_partition(k, 3)  # 5, 4, 4: two pivot widths
     if driver == "off_diagonal":
-        def stacked(G):
-            return off_diagonal_members(G, np.tile(J, B), 5, 4, B, accumulate_V=True)
-
-        def lone(G):
-            return off_diagonal_members(G, J, 5, 4, 1, accumulate_V=True)[0]
+        def run(G, count, V):
+            return off_diagonal_members(G, np.tile(J, count), 5, 4, count, V=V)
     else:
         full = driver == "full"
 
-        def stacked(G):
-            return block_members(G, np.tile(J, B), part, B, full, accumulate_V=True)
-
-        def lone(G):
-            return block_members(G, J, part, 1, full, accumulate_V=True)[0]
+        def run(G, count, V):
+            return block_members(G, np.tile(J, count), part, count, full, V=V)
     G = np.asfortranarray(np.hstack(members))
-    infos = stacked(G)
+    V = eye_blocks(k, B, G.dtype)
+    infos = run(G, B, V)
     for b, Gb in enumerate(members):
         alone = Gb.copy(order="F")
-        info = lone(alone)
+        Vb = eye_blocks(k, 1, alone.dtype)
+        (info,) = run(alone, 1, Vb)
         assert np.array_equal(G[:, b * k:(b + 1) * k], alone)
-        assert np.array_equal(infos[b].W, info.W)
+        assert np.array_equal(member_blocks(V, B)[b], Vb)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
     assert np.array_equal(G[:, k:2 * k], members[1])
@@ -390,7 +412,7 @@ def _plan_rounds(b):
     the circle method's rounds of block pairs, and a ring step whose
     second pivot is the wider one."""
     return ((tuple((i, None, i) for i in range(b)),)
-            + _block_pivots(member_rounds(b, 0, True, (0,)))
+            + _block_rounds(b, 0, True, (0,))
             + (((1, 2, 0), (0, b - 1, 1)),))
 
 
@@ -565,9 +587,10 @@ def test_full_block_spectrum_preserved_per_sweep(rng):
 def test_full_block_accumulated_v(rng):
     G, J = make_factor(rng, 12, n_neg=4)
     G0 = G.copy()
-    (info,) = block_members(G, J, uniform_partition(12, 3), 1, True, accumulate_V=True)
+    V = eye_blocks(12, 1, G.dtype)
+    (info,) = block_members(G, J, uniform_partition(12, 3), 1, True, V=V)
     assert info.converged
-    assert np.abs(G0 @ info.W - G).max() <= 1e-10 * np.abs(G).max()
+    assert np.abs(G0 @ V - G).max() <= 1e-10 * np.abs(G).max()
 
 
 def test_off_diagonal_pass_single_blocks(rng):

@@ -61,14 +61,14 @@ def _fail_in_first_step(monkeypatch, pairs):
     pivots share one width, member b is worker b's pivot."""
     local = _Worker._local_transform
 
-    def corrupt(self, R, J, n_i, members, first_step):
+    def corrupt(self, R, J, n_i, members, W, first_step):
         if first_step:
             k = R.shape[1] // members
             for b, (r, s) in pairs.items():
                 Rb = np.eye(k)
                 Rb[:, s] = Rb[:, r]
                 R[:, b * k:(b + 1) * k] = Rb
-        return local(self, R, J, n_i, members, first_step)
+        return local(self, R, J, n_i, members, W, first_step)
 
     monkeypatch.setattr(_Worker, "_local_transform", corrupt)
 
@@ -123,7 +123,7 @@ def test_step_of_two_widths_raises_the_first_groups_failure(rng, monkeypatch, bo
     local = _Worker._local_transform
     widths = []
 
-    def corrupt(self, R, J, n_i, members, first_step):
+    def corrupt(self, R, J, n_i, members, W, first_step):
         k = R.shape[1] // members
         widths.append(k)
         if first_step:
@@ -131,7 +131,7 @@ def test_step_of_two_widths_raises_the_first_groups_failure(rng, monkeypatch, bo
             Rb = np.eye(k)
             Rb[:, s] = Rb[:, r]
             R[:, :k] = Rb
-        return local(self, R, J, n_i, members, first_step)
+        return local(self, R, J, n_i, members, W, first_step)
 
     monkeypatch.setattr(_Worker, "_local_transform", corrupt)
     G, J = make_factor(rng, 33, 11)
@@ -155,8 +155,8 @@ def test_f_worker_pivot_ends_each_step_diagonalized(rng, monkeypatch, variant, p
     local = _Worker._local_transform
     ratios = []
 
-    def check(self, R, J, n_i, members, first_step):
-        infos = local(self, R, J, n_i, members, first_step)
+    def check(self, R, J, n_i, members, W, first_step):
+        infos = local(self, R, J, n_i, members, W, first_step)
         k = R.shape[1] // members
         for b, info in enumerate(infos):
             assert info.converged
