@@ -19,25 +19,29 @@ member after member, and rotates a pair's two columns of M in place by a
 by the pair's phase.  Without numba, every pass runs ``sweep_rounds``: it
 takes them as rounds of disjoint pairs (``pass_rounds``: round-robin steps
 for a diagonal pass, shifted diagonals for a cross pass; ``member_rounds``:
-round k of every member at once).  A round is one panel of its pairs'
-columns, gathered from M once and scattered back once, and two BLAS calls
-on it: one ``np.vecdot`` for the Gram entries and one batched 2x2 matmul
-(``rotate_columns``) for the rotation.  Complex rounds run in real
-arithmetic too: the phases scale the r columns in place first, and the
-real matrices multiply the panel's float64 view.  What does not change
-during a pass (the rounds' column indices, the pairs' kinds, the panel
-buffers) is set up once per pass.  Either body treats each member as it
-would alone, so stacking never changes a member's bits.
+round k of every member at once), in round order (``round_panels``): the
+pass's columns travel through the pass in buffers whose layouts put each
+round's pairs in one contiguous block.  A round takes its block from the
+buffer the last rotating round wrote (from M until one has) by one
+``take`` and rotates it into the other buffer; D moves on by one ``take``
+per uncut round, and both go back into M and D once, at the end of the
+pass.  A round makes two BLAS calls on its block: one ``np.vecdot`` for
+the Gram entries and one batched 2x2 matmul of its ``rotation_matrices``
+for the rotation.  Complex rounds run in real arithmetic too: the phases
+scale the r columns in place first, and the real matrices multiply the
+block's float64 view.  What does not change during a pass (the layouts and
+the takes' indices, cached per pass shape; the pairs' kinds, the buffers
+and the views into them) is set up once per pass.  Either body treats each
+member as it would alone, so stacking never changes a member's bits.
 
 ``plane_rotation`` is the only copy of the rotation's parameters, and
 ``rotation_matrices`` of its 2x2 matrix, for scalars and for arrays of
 disjoint pairs alike; ``rotate_columns`` applies the phase and the
-matrices to pairs of columns, and the factorization's 2x2 eigensolve calls
-it too.
+matrices to pairs of columns for the factorization's 2x2 eigensolve.
 """
 
 import functools
-import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,10 +216,12 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     return -1, -1
 
 
-# Rounds are cut at 64 pairs.  Uncut rounds give the same bits, but on
-# `seq` (benchmarks/ab.py, 10 pairs, interpreted, one BLAS thread, 2-core
-# Xeon) they ran n = 256 at 0.95x of the cut ones (7 of 10 pairs won, within
-# the spread) and n = 512, 256-pair rounds, at 1.43x (0 of 10 won).
+# Rounds are cut at 64 pairs.  Where a round is cut changes no bit.  One
+# pass over a random 256 x 256 factor (128-pair rounds) ran uncut at 0.92x
+# real and 0.99x complex; one over 512 x 512 (256-pair rounds) ran cut at
+# 128 pairs at 1.10x real and complex, and uncut at 1.25-1.36x real and
+# 1.18x complex (interpreted, one BLAS thread, 2-core Xeon with 2 MB of L2
+# per core, medians of 9 passes alternating in one process).
 ROUND_MAX_PAIRS = 64
 
 
@@ -229,6 +235,24 @@ def _cut(rounds):
     """Rounds of more than ROUND_MAX_PAIRS pairs cut into consecutive ones."""
     return tuple(tuple(_frozen(x[lo:lo + ROUND_MAX_PAIRS]) for x in rnd)
                  for rnd in rounds for lo in range(0, rnd[0].size, ROUND_MAX_PAIRS))
+
+
+def _full_rounds(n_i, n_j, diag_bl):
+    """``pass_rounds`` before the cut."""
+    rounds = []
+    if diag_bl:
+        q = n_i - 1 + n_i % 2
+        r = np.arange(q, dtype=np.intp)
+        for k in range(q):
+            s = (k - r) % q
+            s[r == s] = q
+            keep = (r < s) & (s < n_i)
+            rounds.append((r[keep], s[keep]))
+    else:
+        x = np.arange(min(n_i, n_j), dtype=np.intp)
+        for k in range(max(n_i, n_j)):
+            rounds.append((x, n_i + (x + k) % n_j) if n_i <= n_j else ((x + k) % n_i, n_i + x))
+    return rounds
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,20 +272,25 @@ def pass_rounds(n_i, n_j, diag_bl):
     more than ROUND_MAX_PAIRS pairs are cut into consecutive rounds of at
     most that many.
     """
-    rounds = []
-    if diag_bl:
-        q = n_i - 1 + n_i % 2
-        r = np.arange(q, dtype=np.intp)
-        for k in range(q):
-            s = (k - r) % q
-            s[r == s] = q
-            keep = (r < s) & (s < n_i)
-            rounds.append((r[keep], s[keep]))
-    else:
-        x = np.arange(min(n_i, n_j), dtype=np.intp)
-        for k in range(max(n_i, n_j)):
-            rounds.append((x, n_i + (x + k) % n_j) if n_i <= n_j else ((x + k) % n_i, n_i + x))
-    return _cut(rounds)
+    return _cut(_full_rounds(n_i, n_j, diag_bl))
+
+
+def _member_groups(n_i, n_j, diag_bl, offsets):
+    """``member_rounds`` grouped by the uncut round of ``pass_rounds`` they
+    come from, empty groups dropped: the rounds of one group hold disjoint
+    pairs, so they may be applied in any order."""
+    own = np.arange(len(offsets), dtype=np.intp)
+    off = np.asarray(offsets, dtype=np.intp)
+    groups = []
+    for full in _full_rounds(n_i, n_j, diag_bl):
+        group = []
+        for R, S in _cut([full]):
+            shift = np.repeat(off, R.size)
+            group += _cut([(np.tile(R, off.size) + shift, np.tile(S, off.size) + shift,
+                            np.repeat(own, R.size))])
+        if group:
+            groups.append(group)
+    return groups
 
 
 @functools.lru_cache(maxsize=256)
@@ -271,113 +300,196 @@ def member_rounds(n_i, n_j, diag_bl, offsets):
     its indices offset.  Returns read-only (R, S, owner) arrays, owner
     giving each pair's member as a position in offsets; rounds of more than
     ROUND_MAX_PAIRS pairs are cut."""
-    own = np.arange(len(offsets), dtype=np.intp)
-    off = np.asarray(offsets, dtype=np.intp)
-    rounds = []
-    for R, S in pass_rounds(n_i, n_j, diag_bl):
-        shift = np.repeat(off, R.size)
-        rounds.append((np.tile(R, off.size) + shift, np.tile(S, off.size) + shift,
-                       np.repeat(own, R.size)))
-    return _cut(rounds)
+    return tuple(rnd for group in _member_groups(n_i, n_j, diag_bl, offsets) for rnd in group)
+
+
+class RoundTable(NamedTuple):
+    """A pass's ``member_rounds`` in round order (``round_panels``)."""
+
+    groups: tuple  # per group: (layout, step, span, rounds)
+    blocks: tuple  # the distinct (lo, k) of the rounds' blocks
+    R: np.ndarray  # every round's R and S, concatenated in pass order
+    S: np.ndarray
+    width: int  # the most pairs of a round
 
 
 @functools.lru_cache(maxsize=256)
 def round_panels(n_i, n_j, diag_bl, offsets):
-    """``member_rounds`` as ``sweep_rounds`` takes them: (panels, R, S,
-    width).  Per round, panels holds (RS, own, lo), with RS = [R, S] of the
-    round concatenated and its pairs at positions lo .. lo + k of the whole
-    pass's R and S, all rounds' concatenated; width is the most pairs of a
-    round.  All arrays are read-only."""
-    rounds = member_rounds(n_i, n_j, diag_bl, offsets)
-    sizes = [own.size for _, _, own in rounds]
-    panels = tuple((_frozen(np.concatenate([R, S])), own, lo)
-                   for (R, S, own), lo in zip(rounds, itertools.accumulate(sizes, initial=0)))
+    """``member_rounds`` in round order, as ``sweep_rounds`` takes them.
+
+    The rounds cut from one round of ``pass_rounds`` before its cut (for
+    all members) form a group; their pairs are disjoint.  Each group has a
+    layout, an order of the pass's N columns (every column a round of the
+    pass touches), in which its rounds hold consecutive blocks from row 0:
+    round i rows lo_i .. lo_i + 2k_i, its k_i pairs' r columns, then their
+    s columns.  These span rows are followed by the columns the group
+    leaves alone, in ascending order.  So a cut round is one block of its
+    group's layout, and every pass takes the same path.
+
+    Returns a ``RoundTable``.  Per group it holds (layout, step, span,
+    rounds): the layout is, row for row, step's rows of the previous
+    group's layout (M's columns for the first group), and span is the
+    number of its rows that its rounds hold.  rounds holds (block, own, lo)
+    per round: block indexes ``blocks``, the distinct (lo_i, k_i); own
+    gives the pairs' members; lo is the round's first pair in R and S.  All
+    arrays are read-only.
+    """
+    groups = _member_groups(n_i, n_j, diag_bl, offsets)
+    rounds = [rnd for group in groups for rnd in group]
     none = [np.zeros(0, dtype=np.intp)]
     R = _frozen(np.concatenate(none + [R for R, _, _ in rounds]))
     S = _frozen(np.concatenate(none + [S for _, S, _ in rounds]))
-    return panels, R, S, max(sizes, default=0)
+    cols = np.union1d(R, S)
+    where = np.empty(cols.max(initial=-1) + 1, dtype=np.intp)  # a column's row in a layout
+    blocks = {}
+    table = []
+    lo = 0
+    step = None
+    for group in groups:
+        head = np.concatenate([x for R_g, S_g, _ in group for x in (R_g, S_g)])
+        layout = _frozen(np.concatenate([head, np.setdiff1d(cols, head)]))
+        step = layout if step is None else _frozen(where[layout])
+        where[layout] = np.arange(cols.size)
+        rows = []
+        span = 0
+        for _, _, own in group:
+            k = own.size
+            rows.append((blocks.setdefault((span, k), len(blocks)), own, lo))
+            lo += k
+            span += 2 * k
+        table.append((layout, step, span, tuple(rows)))
+    return RoundTable(tuple(table), tuple(blocks), R, S, max((k for _, k in blocks), default=0))
+
+
+def _pairs(PT):
+    """The (k, 2, rows) view of pairs of a (2k, rows) panel PT whose rows j
+    and k + j are pair j's columns; of its float64 view if complex."""
+    k = PT.shape[0] // 2
+    P = PT.reshape(2, k, PT.shape[1]).transpose(1, 0, 2)
+    return P.view(np.float64) if P.dtype.kind == "c" else P
 
 
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
-    """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``.
+    """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``, in
+    round order (``round_panels``).
 
-    Every round is a handful of whole-array operations on all the members at
-    once, on one panel: its pairs' columns are gathered from M once, the
-    Gram entries read from the panel's first m rows by one ``np.vecdot``
-    (which conjugates the r columns), the pairs that are not yet orthogonal
-    rotated by ``plane_rotation`` on arrays and ``rotate_columns`` on the
-    panel's (k, 2, rows) view of pairs (one real batched 2x2 matmul; complex
-    pairs' phases first scale the panel's contiguous block of r columns),
-    and the rotated panel and its D entries scattered back once.  The
-    pairs' kinds are taken once per pass, and the panels live in two
-    buffers allocated once per pass.  Each operation, BLAS products
-    included, is done per pair, so a member gets the bits it gets alone.
-    A round holding a pivot that is not positive definite is not applied;
-    its first such pair is returned.  M is column-major.
+    Set up once per pass: the pairs' kinds, two buffers Y for the pass's
+    columns, two panels, a Q buffer for the rotation matrices, two buffers
+    for D, and the views of every block of them.  A group first moves D
+    into its layout by one ``take``.  One round then makes only the calls
+    its arithmetic needs, on all the members at once: one ``take`` of its
+    block into a panel from where the previous layout's columns are (M
+    until a group rotates, then the Y it wrote), the Gram entries from the
+    panel's first m columns by one ``np.vecdot`` (which conjugates the r
+    columns), the skip test, ``plane_rotation`` on arrays, the test for a
+    pivot that is not positive definite, D's entries updated where they
+    lie, the phases of complex pairs on the panel's r rows,
+    ``rotation_matrices`` into Q, and one real batched 2x2 matmul into the
+    round's block of the other Y.  A round with orthogonal pairs copies the
+    panel there and rotates the rest compacted.  A group that rotates
+    takes the rest of its layout there too; one that rotates nothing moves
+    no column.  The pass ends with one scatter of the Y last written back
+    into M and of D; a round holding a pivot that is not positive definite
+    ends it too, unapplied, and its first such pair is returned.  Each
+    operation, BLAS products included, is done per pair, so a member gets
+    the bits it gets alone.  M is column-major.
     """
-    rounds, R_all, S_all, width = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
-    kinds = pair_kind(signs[R_all] == signs[S_all])
+    table = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
+    if not table.groups:
+        return -1, -1
+    kinds = pair_kind(signs[table.R] == signs[table.S])
     real = M.dtype.kind != "c"
-    rows = M.shape[0]
-    MT = M.T  # row c of MT is column c of M, contiguous
-    bufs = np.empty((2, 2 * width * rows), dtype=M.dtype)
-    views = {}
-
-    def panel(b, k):
-        """Views of the first 2k columns of the panel bufs[b], held as rows:
-        (PT, pairs), PT the (2k, rows) panel with pair j's columns in rows j
-        and k + j, and pairs its (k, 2, rows) view of pairs."""
-        if (b, k) not in views:
-            PT = bufs[b][:2 * k * rows].reshape(2 * k, rows)
-            views[b, k] = (PT, PT.reshape(2, k, rows).transpose(1, 0, 2))
-        return views[b, k]
+    N, rows, width = table.groups[0][0].size, M.shape[0], table.width
+    Y = np.empty((2, N, rows), dtype=M.dtype)
+    P = np.empty((2, 2 * width, rows), dtype=M.dtype)  # a round's block as taken, compacted
+    dl = np.empty((2, N))  # D in a group's layout, by the parity of its position
+    Q = np.empty((width, 2, 2))
+    panels = []
+    for row, k in table.blocks:
+        PT = P[0][:2 * k]
+        panels.append((row, k, PT, PT[:k, :m], PT[k:, :m], _pairs(PT), Q[:k]))
+    placed = ([], [])  # per buffer, per block: the block in Y
+    held = ([], [])  # and in dl
+    for b in (0, 1):
+        for row, k in table.blocks:
+            o, d_blk = Y[b][row:row + 2 * k], dl[b][row:row + 2 * k]
+            placed[b].append((o, _pairs(o)))
+            held[b].append((d_blk, d_blk[:k], d_blk[k:]))
 
     ts = []
     owners = []
     fail = (-1, -1)
-    for RS, own, lo in rounds:
-        k = own.size
-        src, dst = 0, 1  # the buffers of the gathered panel and of the rotated one
-        PT = panel(src, k)[0]
-        MT.take(RS, axis=0, out=PT, mode="clip")
-        a = np.vecdot(PT[:k, :m], PT[k:, :m])  # conjugates the r columns
-        aa = np.abs(a) if real else np.hypot(a.real, a.imag)  # as abs() of a complex scalar
-        d = D[RS]
-        dd = d[:k] * d[k:]
-        skip = aa <= orth_tol * np.sqrt(dd)  # what _sweep_pairs skips
-        nskip = np.count_nonzero(skip)
-        hyp = kinds[lo:lo + k]
-        if nskip:
+    src, d_src = M.T, D  # row c of M.T is column c of M, contiguous
+    at = None  # src's rows that hold the previous group's layout; None: row for row
+    q = 0  # the Y that a group which rotates writes: not src
+    for g, (layout, step, span, rounds) in enumerate(table.groups):
+        p = g % 2
+        d_src.take(step, out=dl[p], mode="clip")
+        d_src = dl[p]
+        here = step if at is None else at[step]  # src's rows that hold this layout
+        upto = span  # the rows of the layout its rounds write, if they rotate
+        quiet = []  # rounds that rotate nothing
+        moved = False
+        for block, own, lo in rounds:
+            row, k, blk, g_r, g_s, pairs, Qk = panels[block]
+            o, o_pairs = placed[q][block]
+            d_blk, d_rr, d_ss = held[p][block]
+            src.take(here[row:row + 2 * k], axis=0, out=blk, mode="clip")
+            a = np.vecdot(g_r, g_s)  # conjugates the r columns
+            aa = np.abs(a) if real else np.hypot(a.real, a.imag)  # as abs() of a complex scalar
+            dd = d_rr * d_ss
+            skip = aa <= orth_tol * np.sqrt(dd)  # what _sweep_pairs skips
+            nskip = np.count_nonzero(skip)
             if nskip == k:
+                quiet.append((row, k))
                 continue
-            act = np.flatnonzero(~skip)
-            act2 = np.concatenate([act, act + k])
-            RS, own, a, aa, d, dd, hyp = RS[act2], own[act], a[act], aa[act], d[act2], dd[act], hyp[act]
-            k -= nskip
-            PT.take(act2, axis=0, out=panel(dst, k)[0], mode="clip")  # compacted
-            src, dst = dst, src
-        d_rr = d[:k]
-        d_ss = d[k:]
-        eta = a if real else signed_modulus(a, aa)  # real: phase 1.0
-        t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
-        bad = (aa * aa >= dd) | (cs == 0.0)
-        if np.count_nonzero(bad):
-            j = np.argmax(bad)
-            fail = (int(RS[j]), int(RS[k + j]))
+            hyp = kinds[lo:lo + k]
+            if nskip:
+                o[...] = blk  # the orthogonal pairs move on as they are
+                act = np.flatnonzero(~skip)
+                act2 = np.concatenate([act, act + k])
+                own, a, aa, dd, hyp, d = own[act], a[act], aa[act], dd[act], hyp[act], d_blk[act2]
+                k -= nskip
+                d_rr, d_ss = d[:k], d[k:]
+                rot = blk[:2 * k]  # free once copied on
+                blk = blk.take(act2, axis=0, out=P[1][:2 * k], mode="clip")  # compacted
+                pairs, o_pairs, Qk = _pairs(blk), _pairs(rot), Q[:k]
+            eta = a if real else signed_modulus(a, aa)  # real: phase 1.0
+            t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
+            if np.count_nonzero(aa * aa >= dd) or np.count_nonzero(cs) < k:
+                j = np.argmax((aa * aa >= dd) | (cs == 0.0))
+                upto, k = table.blocks[block]
+                if nskip:
+                    j = act[j]
+                fail = (int(layout[upto + j]), int(layout[upto + k + j]))
+                break
+            te = t * eta
+            d_rr += hyp * te
+            d_ss += te
+            if not real:  # the phases, on the r columns' contiguous block
+                blk[:k] *= (a / eta)[:, None]
+            rotation_matrices(cs, sn, hyp, Qk)
+            np.matmul(Qk, pairs, o_pairs)
+            if nskip:
+                d_blk[act2] = d
+                o[act2] = rot
+            moved = True
+            ts.append(t)
+            owners.append(own)
+        if moved:  # the layout's other columns follow, unrotated
+            for row, k in quiet:
+                src.take(here[row:row + 2 * k], axis=0, out=Y[q][row:row + 2 * k], mode="clip")
+            if upto < N:
+                src.take(here[upto:], axis=0, out=Y[q][upto:], mode="clip")
+            src, src_layout, at, q = Y[q], layout, None, 1 - q
+        else:
+            at = here
+        if fail[0] >= 0:
             break
-        te = t * eta
-        d_rr += hyp * te
-        d_ss += te
-        D[RS] = d
-        PT, pairs = panel(src, k)
-        if not real:  # the phases, on the r columns' contiguous block
-            PT[:k] *= (a / eta)[:, None]
-        out, out_pairs = panel(dst, k)
-        rotate_columns(pairs, None, cs, sn, hyp, out_pairs)
-        MT[RS] = out
-        ts.append(t)
-        owners.append(own)
-    if ts:  # the members' counters, once per pass
+    if ts:  # else M and D are as they were
+        M.T[src_layout] = src
+        D[layout] = dl[p]
+        # the members' counters, once per pass
         at = np.abs(np.concatenate(ts))
         own = np.concatenate(owners)
         stats[:, 0] += np.bincount(own, minlength=len(stats))

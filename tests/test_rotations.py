@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -438,6 +439,153 @@ def test_round_products_keep_each_pairs_bits(rng, k, rows, complex_scalars):
         assert M_j.tobytes() == M[:, pair].tobytes()
         assert D_j.tobytes() == D[pair].tobytes()
         assert stats_j[0].tobytes() == stats[j].tobytes()
+
+
+@pytest.fixture
+def cut_at_three():
+    """Rounds cut at 3 pairs: ``_kernels.ROUND_MAX_PAIRS`` patched, with the
+    round caches cleared before and after."""
+    caches = (_kernels.pass_rounds, _kernels.member_rounds, _kernels.round_panels)
+    for cache in caches:
+        cache.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "ROUND_MAX_PAIRS", 3)
+        yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def replay_counting(M, D, J, m, n_i, n_j, diag_bl):
+    """``replay_pass`` by rounds, which also returns the |t| of each rotation
+    it applies, in order."""
+    ts = []
+
+    def rotate(M, D, J, r, s, a_rs):
+        ts.append(abs(kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])[2]))
+        return rotate_by_kernel(M, D, J, r, s, a_rs)
+
+    rotate_by_kernel = _rotate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules[__name__], "_rotate", rotate)
+        kinds, fail = replay_pass(M, D, J, m, n_i, n_j, diag_bl, _kernels.sweep_rounds)
+    assert len(ts) == len(kinds)
+    return np.array(ts), fail
+
+
+def counters(ts, quad_tol):
+    """A member's (rotations, big_rotations, max_abs_t) from its |t|s."""
+    return [ts.size, np.count_nonzero(ts > quad_tol), ts.max(initial=0.0)]
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n_i,n_j,diag_bl,pieces", [(10, 0, True, [3, 2]), (11, 0, True, [3, 2]),
+                                                    (4, 7, False, [3, 1])])
+def test_cut_rounds_match_replay(rng, cut_at_three, n_i, n_j, diag_bl, pieces, planted,
+                                 complex_scalars):
+    """Passes whose rounds are cut (at 3 pairs here), with W rows: a diagonal
+    pass of even and of odd width and a non-square cross pass.  G, W, D, the
+    counters and the failing pair agree bit for bit with the replay by the
+    same cut rounds (``replay_pass``).  planted: the last pair of the
+    middle round's second piece is singular (its columns are parallel, and
+    orthogonal to every other column, so they stay so until they meet), so
+    the pass stops there with the round's first piece applied."""
+    rounds = _kernels.pass_rounds(n_i, n_j, diag_bl)
+    assert [R.size for R, _ in rounds] == pieces * (len(rounds) // 2)  # each round cut in two
+    n = n_i if diag_bl else n_i + n_j
+    m = n + 6
+    J = np.array([1, -1, -1, 1, 1], np.int8)[np.arange(n) % 5]
+    G = rng.standard_normal((m, n))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    G[n + 3:] = 0.0
+    fail_at = (-1, -1)
+    if planted:
+        R, S = rounds[len(rounds) // 2 | 1]
+        fail_at = r, s = int(R[-1]), int(S[-1])
+        G[:, [r, s]] = 0.0
+        G[n + 3:, r] = [1.0, 2.0, 2.0]
+        G[n + 3:, s] = [2.0, 4.0, 4.0]
+    W = rng.standard_normal((4, n)).astype(G.dtype)
+    M = np.asfortranarray(np.vstack([G, W]))
+    D = column_norms_squared(M[:m])
+    M_api, D_api = M.copy(order="F"), D.copy()
+    ts, fail_api = replay_counting(M_api, D_api, J, m, n_i, n_j, diag_bl)
+    quad_tol = float(np.median(ts))  # some rotations big, some not
+    stats = np.zeros((1, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, quad_tol,
+                                 _kernels.ONE_MEMBER, stats)
+    assert fail == fail_api == fail_at
+    assert 0 < ts.size <= sum(R.size for R, _ in rounds)  # every pair once, unless planted
+    assert planted or ts.size == sum(R.size for R, _ in rounds)
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
+    assert stats[0].tolist() == counters(ts, quad_tol)
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_cut_stacked_rounds_match_replay(rng, cut_at_three, complex_scalars):
+    """Two 10-column members side by side, with W rows, by rounds cut at 3
+    pairs, so that some cut rounds hold pairs of both members: each
+    member's G, W, D and counters agree bit for bit with the replay of the
+    member alone."""
+    n, w = 10, 20
+    rounds = _kernels.member_rounds(n, 0, True, (0, n))
+    assert any(np.unique(own).size == 2 for _, _, own in rounds)
+    m = n + 3
+    J = np.array([1, -1, -1, 1, 1], np.int8)[np.arange(w) % 5]
+    G = rng.standard_normal((m, w))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    M = np.asfortranarray(np.vstack([G, rng.standard_normal((4, w)).astype(G.dtype)]))
+    D = column_norms_squared(M[:m])
+    M_api, D_api = M.copy(order="F"), D.copy()
+    ts = [replay_counting(M_api[:, b:b + n], D_api[b:b + n], J[b:b + n], m, n, 0, True)[0]
+          for b in (0, n)]
+    quad_tol = float(np.median(np.concatenate(ts)))
+    stats = np.zeros((2, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, 1e-15, quad_tol,
+                                 np.array([0, n]), stats)
+    assert fail == (-1, -1)
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
+    assert [row.tolist() for row in stats] == [counters(t, quad_tol) for t in ts]
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("eta", [-0.5, 0.5])
+def test_equal_diagonals_take_plus_one_in_a_round(rng, eta, complex_scalars):
+    """``test_equal_diagonals_take_plus_one``'s pivot inside a round of two
+    pairs: two 2-column members side by side, member 0 the trigonometric
+    pivot d_rr = d_ss = 1 with Gram entry eta (theta = -0.0 for eta > 0,
+    +0.0 for eta < 0), member 1 a generic pair.  The round takes t = +1 for
+    it, so its D becomes (1 - eta, 1 + eta), and G, W and D agree bit for
+    bit with the replay of each member alone."""
+    m = 4
+    G = np.zeros((m, 4), dtype=complex if complex_scalars else float)
+    G[0, 0] = 1.0
+    G[:, 1] = [eta, 0.5, 0.5, 0.5]
+    G[:, 2:] = rng.standard_normal((m, 2))
+    if complex_scalars:
+        G[:, 2:] += 1j * rng.standard_normal((m, 2))
+    G[:, 3] += 0.3 * G[:, 2]
+    J = np.array([1, 1, 1, -1], np.int8)
+    M = np.asfortranarray(np.vstack([G, rng.standard_normal((3, 4))]))
+    D = column_norms_squared(M[:m])
+    assert D[:2].tolist() == [1.0, 1.0]
+    assert len(_kernels.member_rounds(2, 0, True, (0, 2))) == 1
+    M_api, D_api = M.copy(order="F"), D.copy()
+    for b in (0, 2):
+        kinds, _ = replay_pass(M_api[:, b:b + 2], D_api[b:b + 2], J[b:b + 2], m, 2, 0, True,
+                               _kernels.sweep_rounds)
+        assert len(kinds) == 1
+    stats = np.zeros((2, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, 2, 0, True, 1e-15, 1e-15, np.array([0, 2]), stats)
+    assert fail == (-1, -1)
+    assert D[:2].tolist() == [1.0 - eta, 1.0 + eta]  # d_rr + hyp*t*eta, d_ss + t*eta
+    assert stats[0].tolist() == [1.0, 1.0, 1.0]
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
 
 
 def _pairs_of(rounds):
