@@ -339,25 +339,29 @@ def round_panels(n_i, n_j, diag_bl, offsets):
     none = [np.zeros(0, dtype=np.intp)]
     R = _frozen(np.concatenate(none + [R for R, _, _ in rounds]))
     S = _frozen(np.concatenate(none + [S for _, S, _ in rounds]))
-    cols = np.union1d(R, S)
-    where = np.empty(cols.max(initial=-1) + 1, dtype=np.intp)  # a column's row in a layout
+    used = np.zeros(max(R.max(initial=-1), S.max(initial=-1)) + 1, dtype=bool)
+    used[R] = True
+    used[S] = True
+    where = np.empty(used.size, dtype=np.intp)  # a column's row in a layout
     blocks = {}
     table = []
     lo = 0
     step = None
     for group in groups:
         head = np.concatenate([x for R_g, S_g, _ in group for x in (R_g, S_g)])
-        layout = _frozen(np.concatenate([head, np.setdiff1d(cols, head)]))
+        idle = used.copy()
+        idle[head] = False
+        layout = _frozen(np.concatenate([head, np.flatnonzero(idle)]))
         step = layout if step is None else _frozen(where[layout])
-        where[layout] = np.arange(cols.size)
-        rows = []
+        where[layout] = np.arange(layout.size)
+        entries = []
         span = 0
         for _, _, own in group:
             k = own.size
-            rows.append((blocks.setdefault((span, k), len(blocks)), own, lo))
+            entries.append((blocks.setdefault((span, k), len(blocks)), own, lo))
             lo += k
             span += 2 * k
-        table.append((layout, step, span, tuple(rows)))
+        table.append((layout, step, span, tuple(entries)))
     return RoundTable(tuple(table), tuple(blocks), R, S, max((k for _, k in blocks), default=0))
 
 
@@ -400,7 +404,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     kinds = pair_kind(signs[table.R] == signs[table.S])
     real = M.dtype.kind != "c"
     N, rows, width = table.groups[0][0].size, M.shape[0], table.width
-    Y = np.empty((2, N, rows), dtype=M.dtype)
+    Y = np.empty((2, N, rows), dtype=M.dtype)  # the columns in the layout of a group that rotated
     P = np.empty((2, 2 * width, rows), dtype=M.dtype)  # a round's block as taken, compacted
     dl = np.empty((2, N))  # D in a group's layout, by the parity of its position
     Q = np.empty((width, 2, 2))
@@ -420,13 +424,13 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     owners = []
     fail = (-1, -1)
     src, d_src = M.T, D  # row c of M.T is column c of M, contiguous
-    at = None  # src's rows that hold the previous group's layout; None: row for row
+    via = None  # src's rows that hold the previous group's layout; None: row for row
     q = 0  # the Y that a group which rotates writes: not src
     for g, (layout, step, span, rounds) in enumerate(table.groups):
         p = g % 2
         d_src.take(step, out=dl[p], mode="clip")
         d_src = dl[p]
-        here = step if at is None else at[step]  # src's rows that hold this layout
+        here = step if via is None else via[step]  # src's rows that hold this layout
         upto = span  # the rows of the layout its rounds write, if they rotate
         quiet = []  # rounds that rotate nothing
         moved = False
@@ -481,9 +485,9 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 src.take(here[row:row + 2 * k], axis=0, out=Y[q][row:row + 2 * k], mode="clip")
             if upto < N:
                 src.take(here[upto:], axis=0, out=Y[q][upto:], mode="clip")
-            src, src_layout, at, q = Y[q], layout, None, 1 - q
+            src, src_layout, via, q = Y[q], layout, None, 1 - q
         else:
-            at = here
+            via = here
         if fail[0] >= 0:
             break
     if ts:  # else M and D are as they were

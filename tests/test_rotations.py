@@ -457,14 +457,14 @@ def cut_at_three():
 
 def replay_counting(M, D, J, m, n_i, n_j, diag_bl):
     """``replay_pass`` by rounds, which also returns the |t| of each rotation
-    it applies, in order."""
+    it applies, in order, recorded by a wrapper around ``_rotate``."""
     ts = []
+    apply = _rotate
 
     def rotate(M, D, J, r, s, a_rs):
         ts.append(abs(kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])[2]))
-        return rotate_by_kernel(M, D, J, r, s, a_rs)
+        return apply(M, D, J, r, s, a_rs)
 
-    rotate_by_kernel = _rotate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys.modules[__name__], "_rotate", rotate)
         kinds, fail = replay_pass(M, D, J, m, n_i, n_j, diag_bl, _kernels.sweep_rounds)
@@ -501,7 +501,7 @@ def test_cut_rounds_match_replay(rng, cut_at_three, n_i, n_j, diag_bl, pieces, p
     G[n + 3:] = 0.0
     fail_at = (-1, -1)
     if planted:
-        R, S = rounds[len(rounds) // 2 | 1]
+        R, S = rounds[len(rounds) // 2 | 1]  # an odd position: a round's second piece
         fail_at = r, s = int(R[-1]), int(S[-1])
         G[:, [r, s]] = 0.0
         G[n + 3:, r] = [1.0, 2.0, 2.0]
