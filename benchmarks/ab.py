@@ -46,10 +46,13 @@ base's times in both, each side's median reference sample in seconds, the
 median of the per-pair ratios head/base of the times in reference units
 with their quartiles, the number of pairs head won, whether every output
 fingerprint (the solved factor's bytes, sweeps and rotations) is equal on
-both sides, and a ``verdict``: ``faster`` when head won at least 9 of 10
-pairs and its median in reference units is below base's by more than
-base's quartile distance in those units, ``slower`` by the mirror rule,
-and ``unresolved`` otherwise.  ``--out FILE`` appends the records to a
+both sides, each side's median over the timed passes of the ops' minor page
+faults (``resource.getrusage``'s ``ru_minflt``, counted around each op) and
+of the child's ``ru_maxrss`` after its timed pass (KiB, the whole child,
+inputs and warm-up included), and a ``verdict``: ``faster`` when head
+won at least 9 of 10 pairs and its median in reference units is below
+base's by more than base's quartile distance in those units, ``slower`` by
+the mirror rule, and ``unresolved`` otherwise.  ``--out FILE`` appends the records to a
 JSON list in FILE.
 """
 
@@ -75,8 +78,12 @@ OPTION_FIELDS = ("variant", "strategy", "p", "nt_outer", "inner_nt")
 
 def child(src, inputs):
     """Serve passes over stdin/stdout: one JSON request per line, one reply
-    with the pass's op times, their fingerprints and the reference samples
-    taken before the first op and after every op."""
+    with the pass's op times, their fingerprints, each op's minor page
+    faults, the reference samples taken before the first op and after every
+    op, and the process's peak resident set size (``ru_maxrss``, KiB) after
+    the pass."""
+    import resource
+
     sys.path[:0] = [src, str(PERFBENCH)]
     import numpy as np
     import reference
@@ -116,15 +123,22 @@ def child(src, inputs):
         reference.ref_computation(ref_arrays)
         return time.perf_counter() - t0
 
+    def minflt():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     print(json.dumps({"numba": bool(_accel.NUMBA_ENABLED)}), flush=True)
     for _line in sys.stdin:
-        times, prints, refs = [], [], [time_ref()]
+        times, prints, faults, refs = [], [], [], [time_ref()]
         for op in ops:
+            f0 = minflt()
             out, dt = run(op)
+            faults.append(minflt() - f0)
             times.append(dt)
             prints.append(out)
             refs.append(time_ref())
-        print(json.dumps({"times": times, "prints": prints, "refs": refs}), flush=True)
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        print(json.dumps({"times": times, "prints": prints, "minflt": faults, "refs": refs,
+                          "maxrss_kib": maxrss}), flush=True)
 
 
 # -- harness --------------------------------------------------------------------
@@ -267,6 +281,9 @@ def summarize(pairs, picks):
         r = reply["refs"]
         return sum(2 * reply["times"][i] / (r[i] + r[i + 1]) for i in picks)
 
+    def faults(reply):
+        return sum(reply["minflt"][i] for i in picks)
+
     base = [in_refs(b) for b, _ in pairs]
     head = [in_refs(h) for _, h in pairs]
     ratios = [h / b for b, h in zip(base, head)]
@@ -285,6 +302,10 @@ def summarize(pairs, picks):
         "head_ref_s": statistics.median(t for _, h in pairs for t in h["refs"]),
         "ratio_median": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3,
         "head_wins": wins, "pairs": len(ratios),
+        "base_minflt": statistics.median(faults(b) for b, _ in pairs),
+        "head_minflt": statistics.median(faults(h) for _, h in pairs),
+        "base_maxrss_kib": statistics.median(b["maxrss_kib"] for b, _ in pairs),
+        "head_maxrss_kib": statistics.median(h["maxrss_kib"] for _, h in pairs),
         "verdict": verdict(wins, losses, len(ratios), base_median, head_median, b3 - b1),
     }
 

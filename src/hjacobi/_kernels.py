@@ -29,10 +29,16 @@ pass.  A round makes two BLAS calls on its block: one ``np.vecdot`` for
 the Gram entries and one batched 2x2 matmul of its ``rotation_matrices``
 for the rotation.  Complex rounds run in real arithmetic too: the phases
 scale the r columns in place first, and the real matrices multiply the
-block's float64 view.  What does not change during a pass (the layouts and
-the takes' indices, cached per pass shape; the pairs' kinds, the buffers
-and the views into them) is set up once per pass.  Either body treats each
-member as it would alone, so stacking never changes a member's bits.
+block's float64 view.  What does not change during a pass is set up at
+most once: the layouts and the takes' indices are cached per pass shape;
+the buffers and the views into them (a ``_Workspace``) are kept across
+passes in ``WORKSPACES``, one per round table, dtype, row count and m, up
+to ``WORKSPACE_BYTES`` of buffers in all, the least recently used dropped
+first; a pass pops its workspace at its start and puts it back at its end,
+so no two passes share one, and one too large to keep is made and dropped
+per pass; the pairs' kinds are found at a pass's first rotating round.
+Either body treats each member as it would alone, so stacking never
+changes a member's bits.
 
 ``plane_rotation`` is the only copy of the rotation's parameters, and
 ``rotation_matrices`` of its 2x2 matrix, for scalars and for arrays of
@@ -41,6 +47,7 @@ matrices to pairs of columns for the factorization's 2x2 eigensolve.
 """
 
 import functools
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -373,16 +380,98 @@ def _pairs(PT):
     return P.view(np.float64) if P.dtype.kind == "c" else P
 
 
+class _Workspace:
+    """The buffers of a pass by ``sweep_rounds`` and the views of every
+    block of them, for the passes of one RoundTable, dtype, row count and m:
+    two buffers Y for the pass's columns, two panels, a Q buffer for the
+    rotation matrices and two buffers for D.  ``key`` names what it serves;
+    it holds its table, so no other table can take the table's ``id`` while
+    it lives."""
+
+    def __init__(self, key, table, dtype, rows, m):
+        N, width = table.groups[0][0].size, table.width
+        self.key, self.table = key, table
+        self.Y = Y = np.empty((2, N, rows), dtype=dtype)  # the columns in the layout of a group that rotated
+        P = np.empty((2, 2 * width, rows), dtype=dtype)  # a round's block as taken, compacted
+        self.dl = dl = np.empty((2, N))  # D in a group's layout, by the parity of its position
+        self.Q = Q = np.empty((width, 2, 2))
+        self.P1 = P[1]
+        self.nbytes = Y.nbytes + P.nbytes + dl.nbytes + Q.nbytes
+        self.panels = []
+        for row, k in table.blocks:
+            PT = P[0][:2 * k]
+            self.panels.append((row, k, PT, PT[:k, :m], PT[k:, :m], _pairs(PT), Q[:k]))
+        self.placed = ([], [])  # per buffer, per block: the block in Y
+        self.held = ([], [])  # and in dl
+        for b in (0, 1):
+            for row, k in table.blocks:
+                o, d_blk = Y[b][row:row + 2 * k], dl[b][row:row + 2 * k]
+                self.placed[b].append((o, _pairs(o)))
+                self.held[b].append((d_blk, d_blk[:k], d_blk[k:]))
+
+
+class WorkspacePool:
+    """Workspaces of finished passes, one per key, kept for the next pass
+    with the same key while their buffers hold at most ``limit`` bytes in
+    all; the least recently put back goes first.  A pass pops its key's
+    workspace at its start and puts it back at its end, so two passes never
+    hold the same one, and a lock guards the pool itself."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.nbytes = 0  # of the buffers kept
+        self._kept = {}  # key -> workspace, least recently put back first
+        self._lock = threading.Lock()
+
+    def pop(self, key):
+        """The workspace kept for ``key``, taken out of the pool; None if
+        there is none."""
+        with self._lock:
+            ws = self._kept.pop(key, None)
+            if ws is not None:
+                self.nbytes -= ws.nbytes
+            return ws
+
+    def put(self, ws):
+        """Keep ``ws`` for its key, unless its buffers alone exceed the
+        limit or its key has one already; drop the least recently put back
+        until the limit holds."""
+        with self._lock:
+            if ws.nbytes > self.limit or ws.key in self._kept:
+                return
+            self._kept[ws.key] = ws
+            self.nbytes += ws.nbytes
+            while self.nbytes > self.limit:
+                self.nbytes -= self._kept.pop(next(iter(self._kept))).nbytes
+
+    def clear(self):
+        with self._lock:
+            self._kept.clear()
+            self.nbytes = 0
+
+
+# The workspaces of a seqB, 2B or 3B solve at n = 256 take 1.2-3.2 MB, and
+# of a seqB or 3B solve at n = 512 2.0-4.0 MB; a pass too large to keep
+# spends a small share of its time on allocating its buffers.
+WORKSPACE_BYTES = 4 << 20
+WORKSPACES = WorkspacePool(WORKSPACE_BYTES)
+
+
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
     """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``, in
-    round order (``round_panels``).
+    round order (``round_panels``); offsets is a tuple of ints or an intp
+    array.
 
-    Set up once per pass: the pairs' kinds, two buffers Y for the pass's
-    columns, two panels, a Q buffer for the rotation matrices, two buffers
-    for D, and the views of every block of them.  A group first moves D
-    into its layout by one ``take``.  One round then makes only the calls
-    its arithmetic needs, on all the members at once: one ``take`` of its
-    block into a panel from where the previous layout's columns are (M
+    The pass pops the workspace (``_Workspace``: two buffers Y for the
+    pass's columns, two panels, a Q buffer for the rotation matrices, two
+    buffers for D, and the views of every block of them) of its round table,
+    dtype, row count and m from ``WORKSPACES`` at its start, builds one if
+    there is none, and puts it back at its end; the pairs' kinds are set up
+    at its first round that rotates.  Every buffer is written before it is
+    read, so what a workspace held before changes no bit.  A group first
+    moves D into its layout by one ``take``.  One round then makes only the
+    calls its arithmetic needs, on all the members at once: one ``take`` of
+    its block into a panel from where the previous layout's columns are (M
     until a group rotates, then the Y it wrote), the Gram entries from the
     panel's first m columns by one ``np.vecdot`` (which conjugates the r
     columns), the skip test, ``plane_rotation`` on arrays, the test for a
@@ -398,28 +487,18 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     operation, BLAS products included, is done per pair, so a member gets
     the bits it gets alone.  M is column-major.
     """
-    table = round_panels(n_i, n_j, diag_bl, tuple(offsets.tolist()))
+    if type(offsets) is not tuple:
+        offsets = tuple(offsets.tolist())
+    table = round_panels(n_i, n_j, diag_bl, offsets)
     if not table.groups:
         return -1, -1
-    kinds = pair_kind(signs[table.R] == signs[table.S])
+    key = (id(table), M.dtype, M.shape[0], m)
+    ws = WORKSPACES.pop(key) or _Workspace(key, table, M.dtype, M.shape[0], m)
+    Y, dl, Q, panels, placed, held = ws.Y, ws.dl, ws.Q, ws.panels, ws.placed, ws.held
     real = M.dtype.kind != "c"
-    N, rows, width = table.groups[0][0].size, M.shape[0], table.width
-    Y = np.empty((2, N, rows), dtype=M.dtype)  # the columns in the layout of a group that rotated
-    P = np.empty((2, 2 * width, rows), dtype=M.dtype)  # a round's block as taken, compacted
-    dl = np.empty((2, N))  # D in a group's layout, by the parity of its position
-    Q = np.empty((width, 2, 2))
-    panels = []
-    for row, k in table.blocks:
-        PT = P[0][:2 * k]
-        panels.append((row, k, PT, PT[:k, :m], PT[k:, :m], _pairs(PT), Q[:k]))
-    placed = ([], [])  # per buffer, per block: the block in Y
-    held = ([], [])  # and in dl
-    for b in (0, 1):
-        for row, k in table.blocks:
-            o, d_blk = Y[b][row:row + 2 * k], dl[b][row:row + 2 * k]
-            placed[b].append((o, _pairs(o)))
-            held[b].append((d_blk, d_blk[:k], d_blk[k:]))
+    N = dl.shape[1]
 
+    kinds = None
     ts = []
     owners = []
     fail = (-1, -1)
@@ -447,6 +526,8 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
             if nskip == k:
                 quiet.append((row, k))
                 continue
+            if kinds is None:
+                kinds = pair_kind(signs[table.R] == signs[table.S])
             hyp = kinds[lo:lo + k]
             if nskip:
                 o[...] = blk  # the orthogonal pairs move on as they are
@@ -456,7 +537,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 k -= nskip
                 d_rr, d_ss = d[:k], d[k:]
                 rot = blk[:2 * k]  # free once copied on
-                blk = blk.take(act2, axis=0, out=P[1][:2 * k], mode="clip")  # compacted
+                blk = blk.take(act2, axis=0, out=ws.P1[:2 * k], mode="clip")  # compacted
                 pairs, o_pairs, Qk = _pairs(blk), _pairs(rot), Q[:k]
             eta = a if real else signed_modulus(a, aa)  # real: phase 1.0
             t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
@@ -496,9 +577,11 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         # the members' counters, once per pass
         at = np.abs(np.concatenate(ts))
         own = np.concatenate(owners)
-        stats[:, 0] += np.bincount(own, minlength=len(stats))
-        stats[:, 1] += np.bincount(own[at > quad_tol], minlength=len(stats))
-        np.maximum.at(stats[:, 2], own, at)
+        counts = stats.T
+        counts[0] += np.bincount(own, None, len(stats))
+        counts[1] += np.bincount(own, at > quad_tol, len(stats))
+        np.maximum.at(counts[2], own, at)
+    WORKSPACES.put(ws)
     return fail
 
 
@@ -523,10 +606,10 @@ def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
     with the J-unitary transformation accumulated into W.
 
     G may hold several member factors side by side, member b's columns
-    starting at offsets[b] (an intp array; by default one member at 0), each
-    with its own pass over its n_i (+ n_j) columns.  ``stats``, when given,
-    is a zeroed float array of one row per member that receives the
-    member's (rotations, big_rotations, max_abs_t).
+    starting at offsets[b] (a tuple of ints or an intp array; by default one
+    member at 0), each with its own pass over its n_i (+ n_j) columns.
+    ``stats``, when given, is a zeroed float array of one row per member
+    that receives the member's (rotations, big_rotations, max_abs_t).
 
     G and W (with G's columns and dtype) are rotated in place as one stacked
     column-major array [G; W], so that each rotation is one column update.
@@ -538,8 +621,10 @@ def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
     stopped, -1 if it did not.
     """
     if stats is None:
-        stats = np.zeros((offsets.size, 3))
+        stats = np.zeros((len(offsets), 3))
     body = pass_kernel()
+    if body is not sweep_rounds:
+        offsets = np.asarray(offsets, dtype=np.intp)
     m = G.shape[0]
     if W.shape[0] == 0:
         fail_r, fail_s = body(G, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats)
@@ -553,5 +638,6 @@ def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
         finally:
             G[...] = M[:m]
             W[...] = M[m:]
-    nrot, nbig = stats[:, :2].sum(axis=0).tolist()
-    return int(nrot), int(nbig), float(stats[:, 2].max()), fail_r, fail_s
+    counts = stats.tolist()
+    return (int(sum(c[0] for c in counts)), int(sum(c[1] for c in counts)),
+            max(c[2] for c in counts), fail_r, fail_s)

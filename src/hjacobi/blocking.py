@@ -257,10 +257,12 @@ def _group_step(G, signs, group, local, V=None, lam=None):
     infos = local(R, signs[cols], n_i, B, W)
     moved = [b for b, info in enumerate(infos) if info.rotations]
     if moved:
-        W = np.stack([W[:, b * k:(b + 1) * k] for b in moved])
         if len(moved) < B:
+            W = np.stack([W[:, b * k:(b + 1) * k] for b in moved])
             cols = cols.reshape(B, k)[moved].ravel()
             Gp = G[:, cols]
+        else:  # every block of W, as a view with np.stack's strides
+            W = W.reshape((k, k, B), order="F").transpose(2, 0, 1)
         update_block_columns(Gp, W)
         G[:, cols] = Gp
         if V is not None:
@@ -290,7 +292,7 @@ def cross_members(R, J, n_i, members, W, tol: Tolerances = DEFAULT_TOL):
     DiagInfo per factor, of one sweep and converged."""
     k = R.shape[1] // members
     infos = cycle_members(R, J, column_norms_squared(R), W, n_i, k - n_i, False, tol,
-                          np.arange(0, R.shape[1], k))
+                          tuple(range(0, R.shape[1], k)))
     for info in infos:
         info.sweeps, info.converged = 1, True
     return infos

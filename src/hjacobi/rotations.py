@@ -71,22 +71,22 @@ class DiagInfo:
 def cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances, offsets):
     """``jacobi_cycle`` on member factors of G side by side, as one kernel call.
 
-    Member b's columns start at offsets[b] (increasing); each member gets
-    its own pass, with the bits it gets alone, and a DiagInfo of its own in
-    the returned list.  Raises PivotDefinitenessError with the failing
-    member's own pair.
+    Member b's columns start at offsets[b] (a sequence of ints,
+    increasing); each member gets its own pass, with the bits it gets
+    alone, and a DiagInfo of its own in the returned list.  Raises
+    PivotDefinitenessError with the failing member's own pair.
     """
     m = G.shape[0]
     n = n_i if diag_bl else n_i + n_j
     if W is None:
         W = np.zeros((0, G.shape[1]), dtype=G.dtype, order="F")
-    offsets = np.asarray(offsets, dtype=np.intp)
-    stats = np.zeros((offsets.size, 3))
+    offsets = tuple(offsets)  # the kernel's key of its round table, as it is
+    stats = np.zeros((len(offsets), 3))
     *_, fail_r, fail_s = _kernels.sweep_pairs(
         G, signs, D, W, n_i, n_j, diag_bl, tol.orth(m), n * EPS, offsets, stats
     )
     if fail_r >= 0:
-        o = offsets[np.searchsorted(offsets, fail_r, side="right") - 1]
+        o = max(x for x in offsets if x <= fail_r)
         raise PivotDefinitenessError(int(fail_r - o), int(fail_s - o))
     return [DiagInfo(rotations=int(r), big_rotations=int(b), max_abs_t=float(t))
             for r, b, t in stats.tolist()]
@@ -101,7 +101,7 @@ def jacobi_cycle(G, signs, D, W, n_i, n_j, diag_bl, tol: Tolerances = DEFAULT_TO
     |t| > n*eps (n = columns in the pass).  Raises PivotDefinitenessError if
     a visited pivot is not positive definite.
     """
-    return cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol, _kernels.ONE_MEMBER)[0]
+    return cycle_members(G, signs, D, W, n_i, n_j, diag_bl, tol, (0,))[0]
 
 
 def members_until_quiet(sweep, members, tol: Tolerances):
@@ -147,7 +147,7 @@ def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, W=None
 
     def sweep(_, active):
         return cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
-                             [b * k for b in active])
+                             tuple(b * k for b in active))
 
     return members_until_quiet(sweep, members, tol)
 

@@ -56,8 +56,10 @@ def test_git_sha_of_a_checkout_is_its_head(ab, tmp_path):
 
 
 def fake_pass(times):
-    """A child's reply to one pass: op times, fingerprints and references."""
-    return {"times": times, "prints": [["x", 1, 10]] * len(times), "refs": [1.0] * (len(times) + 1)}
+    """A child's reply to one pass: op times, fingerprints, page faults,
+    references and peak RSS."""
+    return {"times": times, "prints": [["x", 1, 10]] * len(times), "minflt": [3] * len(times),
+            "refs": [1.0] * (len(times) + 1), "maxrss_kib": 40000}
 
 
 def test_case_records_give_each_scalar_kind_its_own_verdict(ab):
@@ -164,3 +166,26 @@ def test_each_pair_starts_a_fresh_child_per_side(ab, monkeypatch):
     assert ab.main(["--base", str(ROOT), "--head", str(ROOT), "--n", "24", "--factorize",
                     "--pairs", "3"]) == 0
     assert passes == [2] * 6
+
+
+def test_records_carry_each_sides_page_faults_and_peak_rss(ab, tmp_path, monkeypatch):
+    """Each child counts the minor page faults of every op of a timed pass
+    and reads its peak RSS after it; every record carries both sides'
+    medians over the pairs: the faults of its own ops summed, and the RSS."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness prepends the head's paths
+    out = tmp_path / "ab.json"
+    assert ab.main(["--base", str(ROOT), "--head", str(ROOT), "--n", "24", "--variant", "seqB",
+                    "--pairs", "2", "--out", str(out)]) == 0
+    (rec,) = json.loads(out.read_text())
+    for side in ("base", "head"):
+        assert rec[f"{side}_minflt"] >= 0 and rec[f"{side}_maxrss_kib"] > 1000
+    ops = [{"input": 0, "kind": "real", "config": ["seq", "modulus", 1, 8]},
+           {"input": 1, "kind": "complex", "config": ["seq", "modulus", 1, 8]}]
+    base, head = fake_pass([1.0, 1.0]), fake_pass([1.0, 1.0])
+    head["minflt"], head["maxrss_kib"] = [5, 7], 50000
+    side = SimpleNamespace(sha="sha", numba=False)
+    by_kind = {r["kind"]: r for r in ab.case_records("x", 1, ops, side, side, [(base, head)])}
+    assert [by_kind[k]["head_minflt"] for k in ("real", "complex", "real+complex")] == [5, 7, 12]
+    assert by_kind["real"]["base_minflt"] == 3
+    assert by_kind["real"]["base_maxrss_kib"] == 40000
+    assert by_kind["real"]["head_maxrss_kib"] == 50000
