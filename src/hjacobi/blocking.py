@@ -150,7 +150,10 @@ def update_block_columns(Gp, W):
     B consecutive column groups of Gp, one each (a block-diagonal W).
 
     The products go to a column-major buffer, which makes BLAS run
-    column-major GEMMs; a row-major one can differ in the last bit.
+    column-major GEMMs; a row-major one can differ in the last bit.  So
+    does W's own layout per matrix: each of W's matrices is column-major
+    (a view of the group step's accumulator, or its ``np.stack``), and a
+    row-major copy of them moves the last bits of some products.
     """
     m, n = Gp.shape
     W = W.reshape((-1,) + W.shape[-2:])
@@ -247,6 +250,10 @@ def _group_step(G, signs, group, local, V=None, lam=None):
     at columns b*k), then one stacked GEMM that applies the W of every pivot
     that rotated to its columns and one scatter back; the same for V, when
     given, and the rotated columns' squared norms go to ``lam``, when given.
+    When every pivot rotated, the GEMM takes W's blocks as one view, with
+    the strides of the ``np.stack`` of the blocks that it takes otherwise:
+    each matrix stays column-major, as the GEMM's bits require
+    (``update_block_columns``).
     """
     cols, n_i, k = group.cols, group.n_i, group.k
     B = len(group.owners)

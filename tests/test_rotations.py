@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gram_entries, kernel_rotation, rotation_matrices
-from hjacobi import _kernels
+from hjacobi import (EigSpec, SolveOptions, _kernels, factorize_hermitian_indefinite,
+                     generate_test_matrix, order_by_inertia)
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import PivotDefinitenessError
 from hjacobi.rotations import (
@@ -18,6 +20,7 @@ from hjacobi.rotations import (
     jacobi_cycle,
     jacobi_diagonalize,
 )
+from hjacobi.solve import run_solver
 from hjacobi.strategies import ROUND_ROBIN, generate_sweep_schedule
 
 EPS = np.finfo(np.float64).eps
@@ -856,3 +859,143 @@ def test_extract_eigen_permutation():
     b = extract_eigen(G, J, col_perm=np.array([1, 0]))
     assert sorted(a.eigenvalues) == sorted(b.eigenvalues)
     assert np.array_equal(b.eigenvalues, a.eigenvalues[::-1])
+
+
+@pytest.fixture
+def empty_pool():
+    """``_kernels.WORKSPACES`` emptied before and after."""
+    _kernels.WORKSPACES.clear()
+    yield _kernels.WORKSPACES
+    _kernels.WORKSPACES.clear()
+
+
+def stacked_pass(M0, D0, J, m, n_i, n_j, diag_bl, offsets):
+    """One ``sweep_rounds`` pass on copies of M0 and D0; returns the bytes of
+    M, D and the counters, and the failing pair."""
+    M, D = M0.copy(order="F"), D0.copy()
+    stats = np.zeros((len(offsets), 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15,
+                                 np.array(offsets, np.intp), stats)
+    return M.tobytes(), D.tobytes(), stats.tobytes(), fail
+
+
+def stacked_input(rng, m, w, complex_scalars):
+    """[G; W] of m rows of G and 4 of W over w columns, its D and J."""
+    G = rng.standard_normal((m, w))
+    if complex_scalars:
+        G = G + 1j * rng.standard_normal(G.shape)
+    M = np.asfortranarray(np.vstack([G, rng.standard_normal((4, w)).astype(G.dtype)]))
+    J = np.array([1, -1, -1, 1, 1], np.int8)[np.arange(w) % 5]
+    return M, column_norms_squared(M[:m]), J
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_pass_after_a_stopped_pass_keeps_its_bits(rng, empty_pool, complex_scalars):
+    """A pass stopped in its middle round by a non-positive-definite pivot
+    puts its workspace back with what its rotating rounds wrote there; the
+    next pass of the same shape takes that workspace and gets the bits it
+    gets from an empty pool."""
+    n, m = 12, 15
+    M, D, J = stacked_input(rng, m, n, complex_scalars)
+    clean = stacked_pass(M, D, J, m, n, 0, True, (0,))
+    assert clean[3] == (-1, -1)
+    rounds = _kernels.pass_rounds(n, 0, True)
+    R, S = rounds[len(rounds) // 2]
+    r, s = int(R[-1]), int(S[-1])
+    bad = M.copy(order="F")
+    bad[m - 3:m] = 0.0
+    bad[:m, [r, s]] = 0.0
+    bad[m - 3:m, r] = [1.0, 2.0, 2.0]
+    bad[m - 3:m, s] = [2.0, 4.0, 4.0]  # a singular pivot, orthogonal to every other column
+    empty_pool.clear()
+    assert stacked_pass(bad, column_norms_squared(bad[:m]), J, m, n, 0, True, (0,))[3] == (r, s)
+    assert empty_pool.nbytes > 0
+    assert stacked_pass(M, D, J, m, n, 0, True, (0,)) == clean
+
+
+def test_interleaved_shapes_and_dtypes_keep_their_bits(rng, empty_pool):
+    """Passes of one round table with real and complex scalars, and of two
+    members and of one, interleaved so that each finds the pool holding
+    the others' workspaces: every pass gets the bits it gets from an empty
+    pool."""
+    n, m = 10, 13
+    cases = []
+    for complex_scalars in (False, True):
+        for offsets in ((0, n), (0,)):
+            M, D, J = stacked_input(rng, m, n * len(offsets), complex_scalars)
+            cases.append((M, D, J, offsets))
+    alone = []
+    for M, D, J, offsets in cases:
+        empty_pool.clear()
+        alone.append(stacked_pass(M, D, J, m, n, 0, True, offsets))
+    empty_pool.clear()
+    for _ in range(2):
+        for (M, D, J, offsets), bits in zip(cases, alone):
+            assert stacked_pass(M, D, J, m, n, 0, True, offsets) == bits
+    assert len(empty_pool._kept) == len(cases)
+
+
+def test_two_threads_get_the_bits_of_serial_solves(rng, empty_pool):
+    """Two threads solving inputs of one shape at once, each many times,
+    share one pool; every solve gets the bits of the same solve run alone."""
+    opts = SolveOptions(variant="seqB", nt_outer=4)
+    Gs = [np.asfortranarray(rng.standard_normal((16, 16))) for _ in range(2)]
+    J = np.array([1, -1] * 8, np.int8)
+
+    def solve(G):
+        G = G.copy(order="F")
+        info = run_solver(G, J, opts)[1]
+        return G.tobytes(), info.sweeps, info.rotations
+
+    serial = [solve(G) for G in Gs]
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def work(t):
+        start.wait()
+        results[t] += [solve(Gs[t]) for _ in range(20)]
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert results == [[serial[0]] * 20, [serial[1]] * 20]
+
+
+def solve_test_matrix(n, complex_scalars, variants, p=1):
+    """``run_solver`` of each of ``variants`` on the factor of one
+    log-uniform test matrix of order n."""
+    spec = EigSpec(mode="log_uniform", lo=1e-3, hi=1.0, neg_fraction=0.4, seed=n)
+    f = order_by_inertia(factorize_hermitian_indefinite(
+        generate_test_matrix(n, spec, complex_scalars)))
+    for variant in variants:
+        run_solver(f.G.copy(order="F"), f.J, SolveOptions(variant=variant, p=p))
+
+
+def kept_within(pool, limit):
+    kept = list(pool._kept.values())
+    assert pool.nbytes == sum(ws.nbytes for ws in kept) <= limit
+    return kept
+
+
+def test_pool_keeps_at_most_its_limit(empty_pool):
+    """After solves from n = 32 to 256 (complex up to 128), non-blocked,
+    blocked and by the ring, the buffers the pool keeps take at most
+    ``WORKSPACE_BYTES`` in all."""
+    for n in (32, 64, 128, 256):
+        for complex_scalars in (False, True)[:1 + (n < 256)]:
+            solve_test_matrix(n, complex_scalars, ("seq", "seqB"))
+            solve_test_matrix(n, complex_scalars, ("3B",), p=2)
+            assert kept_within(empty_pool, _kernels.WORKSPACE_BYTES)
+
+
+def test_pool_drops_what_exceeds_its_limit(empty_pool, monkeypatch):
+    """Under a limit of 1 MiB, a ``seq`` pass at n = 256 (1.6 MB of
+    buffers) is not kept, and a ``seqB`` solve keeps its smaller workspace
+    only, within the limit."""
+    monkeypatch.setattr(empty_pool, "limit", 1 << 20)
+    solve_test_matrix(256, False, ("seq",))
+    assert not kept_within(empty_pool, 1 << 20)
+    solve_test_matrix(256, False, ("seqB",))
+    assert kept_within(empty_pool, 1 << 20)
