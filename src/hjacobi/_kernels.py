@@ -21,26 +21,16 @@ takes them as rounds of disjoint pairs (``pass_rounds``: round-robin steps
 for a diagonal pass, shifted diagonals for a cross pass; ``member_rounds``:
 round k of every member at once), in round order (``round_panels``): the
 pass's columns travel through the pass in buffers whose layouts put each
-round's pairs in one contiguous block.  A round takes its block from the
-buffer the last rotating round wrote (from M until one has) by one
-``take`` and rotates it into the other buffer; D moves on by one ``take``
-per uncut round, and both go back into M and D once, at the end of the
-pass.  A round makes two BLAS calls on its block: one ``np.vecdot`` for
-the Gram entries and one batched 2x2 matmul of its ``rotation_matrices``
-for the rotation.  Complex rounds run in real arithmetic too: the phases
-scale the r columns in place first, and the real matrices multiply the
-block's float64 view.  What does not change during a pass is set up at
-most once: the layouts and the takes' indices are cached per pass shape;
-the buffers and the views into them (a ``_Workspace``) are kept across
-passes in ``WORKSPACES``, one per round table, dtype, row count and m, up
-to ``WORKSPACE_BYTES`` of buffers in all, the least recently used dropped
-first; a pass pops its workspace at its start and puts it back at its end,
-so no two passes share one, and one too large to keep is made and dropped
-per pass; the pairs' kinds are found at a pass's first rotating round.
-Either body treats each member as it would alone, so stacking never
-changes a member's bits.
+round's pairs in one contiguous block, which a round rotates by two BLAS
+calls, one ``np.vecdot`` for the Gram entries and one batched 2x2 matmul,
+under masks when it skips some of its pairs.  What does not change during
+a pass is set up at most once: the layouts and the takes' indices are
+cached per pass shape, and the buffers and their views (a ``_Workspace``)
+are kept across passes in ``WORKSPACES``.  Either body treats each member
+as it would alone, so stacking never changes a member's bits.
 
-``plane_rotation`` is the only copy of the rotation's parameters, and
+``rotation_theta`` and ``rotation_tangent`` are the only copies of the
+rotation's parameters, which ``plane_rotation`` puts together, and
 ``rotation_matrices`` of its 2x2 matrix, for scalars and for arrays of
 disjoint pairs alike; ``rotate_columns`` applies the phase and the
 matrices to pairs of columns for the factorization's 2x2 eigensolve.
@@ -57,10 +47,10 @@ from ._accel import NUMBA_ENABLED, jit_kernel, jitable
 
 TRIG = -1.0  # plane_rotation's hyp of a trigonometric pair; +1.0 is hyperbolic
 # A numpy bool times a Python float takes ~2 us, times a numpy float ~0.15 us;
-# a numpy bool divided by a float takes ~1.5 us, and a bool array divided by
-# a float array costs a cast
-_ONE = np.float64(1.0)
-_TWO = np.float64(2.0)
+# an operation on 16 floats takes ~1.2 us with a Python float operand, ~1.0
+# with a numpy float and ~0.4 with a 0-d array (the array-only expressions')
+_ONE, _TWO = np.float64(1.0), np.float64(2.0)
+_A0, _A1, _ATRIG, _ANONE = (np.asarray(x) for x in (0.0, 1.0, TRIG, -1.0))
 
 
 @jitable
@@ -68,6 +58,25 @@ def pair_kind(same_sign):
     """``plane_rotation``'s kind of a column pair: TRIG = -1.0 if its J signs
     are equal (same_sign), +1.0 if they are opposite; scalar or array."""
     return 1.0 - _TWO * same_sign
+
+
+@jitable
+def rotation_theta(d_rr, d_ss, eta, hyp):
+    """``plane_rotation``'s theta, (d_ss - d_rr)/(2 eta) for a trigonometric
+    pair and -(d_rr + d_ss)/(2 eta) for a hyperbolic one by one expression,
+    and disc = theta^2 - hyp: the pivot has an inner root iff disc > 0."""
+    theta = (hyp * d_ss + d_rr) / (-2.0 * eta)
+    return theta, theta * theta - hyp
+
+
+@jitable
+def rotation_tangent(theta, disc, hyp, one):
+    """``plane_rotation``'s minimal-|t| root t and cs = 1/sqrt(1 - hyp t^2)
+    from ``rotation_theta``'s theta and a disc >= 0, both times ``one``.
+    t takes the sign of theta, and a theta of -0.0 counts as +."""
+    # theta + sign(theta) sqrt(disc) is sign(theta) (|theta| + sqrt(disc)) exactly
+    t = one / (theta + np.copysign(np.sqrt(disc), theta + 0.0))
+    return t, one / np.sqrt(1.0 - hyp * t * t)
 
 
 @jitable
@@ -85,21 +94,13 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
 
     Both make the 2x2 transformation J-unitary for the pivot's sign pair; the
     diagonal becomes (d_rr + hyp*t*eta, d_ss + t*eta).  A hyperbolic pivot
-    with no inner root returns cs == 0.0.
-
-    The arithmetic is branch-free, so the arguments may be scalars or arrays
-    of disjoint pairs alike; theta = (d_ss - d_rr)/(2 eta) for a
-    trigonometric pair and -(d_rr + d_ss)/(2 eta) for a hyperbolic one come
-    out of one expression, bit for bit.  t takes the sign of theta, and a
-    theta of -0.0 (d_rr == d_ss) counts as +.
+    with no inner root (``rotation_theta``'s disc <= 0) returns cs == 0.0.
+    Built from ``rotation_theta`` and ``rotation_tangent`` without a branch,
+    so the arguments may be scalars or arrays of disjoint pairs alike.
     """
-    theta = (hyp * d_ss + d_rr) / (-2.0 * eta)
-    disc = theta * theta - hyp
+    theta, disc = rotation_theta(d_rr, d_ss, eta, hyp)
     root = _ONE * (disc > 0.0)  # 0.0 only for a hyperbolic pivot without inner root
-    # theta + sign(theta) sqrt|disc| is sign(theta) (|theta| + sqrt|disc|)
-    # exactly; theta + 0.0 turns -0.0 into +0.0
-    t = root / (theta + np.copysign(np.sqrt(abs(disc)), theta + 0.0))
-    cs = root / np.sqrt(1.0 - hyp * t * t)
+    t, cs = rotation_tangent(theta, abs(disc), hyp, root)
     return t, cs, cs * t
 
 
@@ -144,7 +145,7 @@ def signed_modulus(a, aa):
     """``plane_rotation``'s eta of Gram entries a (an array) with moduli aa:
     aa where a.real >= 0.0, -0.0 included, else -aa, as ``_sweep_pairs``
     takes it."""
-    return np.copysign(aa, a.real + 0.0)  # + 0.0 turns -0.0 into +0.0
+    return np.copysign(aa, a.real + _A0)  # + 0.0 turns -0.0 into +0.0
 
 
 def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
@@ -315,8 +316,9 @@ class RoundTable(NamedTuple):
 
     groups: tuple  # per group: (layout, step, span, rounds)
     blocks: tuple  # the distinct (lo, k) of the rounds' blocks
-    R: np.ndarray  # every round's R and S, concatenated in pass order
+    R: np.ndarray  # every round's R, S and owners, concatenated in pass order
     S: np.ndarray
+    own: np.ndarray
     width: int  # the most pairs of a round
 
 
@@ -336,16 +338,14 @@ def round_panels(n_i, n_j, diag_bl, offsets):
     Returns a ``RoundTable``.  Per group it holds (layout, step, span,
     rounds): the layout is, row for row, step's rows of the previous
     group's layout (M's columns for the first group), and span is the
-    number of its rows that its rounds hold.  rounds holds (block, own, lo)
-    per round: block indexes ``blocks``, the distinct (lo_i, k_i); own
-    gives the pairs' members; lo is the round's first pair in R and S.  All
-    arrays are read-only.
+    number of its rows that its rounds hold.  rounds holds (block, lo) per
+    round: block indexes ``blocks``, the distinct (lo_i, k_i), and lo is
+    the round's first pair in R, S and own.  All arrays are read-only.
     """
     groups = _member_groups(n_i, n_j, diag_bl, offsets)
     rounds = [rnd for group in groups for rnd in group]
     none = [np.zeros(0, dtype=np.intp)]
-    R = _frozen(np.concatenate(none + [R for R, _, _ in rounds]))
-    S = _frozen(np.concatenate(none + [S for _, S, _ in rounds]))
+    R, S, own = (_frozen(np.concatenate(none + [rnd[i] for rnd in rounds])) for i in range(3))
     used = np.zeros(max(R.max(initial=-1), S.max(initial=-1)) + 1, dtype=bool)
     used[R] = True
     used[S] = True
@@ -363,13 +363,14 @@ def round_panels(n_i, n_j, diag_bl, offsets):
         where[layout] = np.arange(layout.size)
         entries = []
         span = 0
-        for _, _, own in group:
-            k = own.size
-            entries.append((blocks.setdefault((span, k), len(blocks)), own, lo))
+        for R_g, _, _ in group:
+            k = R_g.size
+            entries.append((blocks.setdefault((span, k), len(blocks)), lo))
             lo += k
             span += 2 * k
         table.append((layout, step, span, tuple(entries)))
-    return RoundTable(tuple(table), tuple(blocks), R, S, max((k for _, k in blocks), default=0))
+    return RoundTable(tuple(table), tuple(blocks), R, S, own,
+                      max((k for _, k in blocks), default=0))
 
 
 def _pairs(PT):
@@ -383,32 +384,26 @@ def _pairs(PT):
 class _Workspace:
     """The buffers of a pass by ``sweep_rounds`` and the views of every
     block of them, for the passes of one RoundTable, dtype, row count and m:
-    two buffers Y for the pass's columns, two panels, a Q buffer for the
-    rotation matrices and two buffers for D.  ``key`` names what it serves;
-    it holds its table, so no other table can take the table's ``id`` while
-    it lives."""
+    two buffers Y for the pass's columns, a panel, a Q buffer for the
+    rotation matrices, two buffers for D and one for the pairs' |t|.
+    ``key`` names what it serves; it holds its table, so no other table can
+    take the table's ``id`` while it lives."""
 
     def __init__(self, key, table, dtype, rows, m):
         N, width = table.groups[0][0].size, table.width
         self.key, self.table = key, table
         # the columns in the layout of a group that rotated
         self.Y = Y = np.empty((2, N, rows), dtype=dtype)
-        P = np.empty((2, 2 * width, rows), dtype=dtype)  # a round's block as taken, compacted
+        P = np.empty((2 * width, rows), dtype=dtype)  # a round's block as taken
         self.dl = dl = np.empty((2, N))  # D in a group's layout, by the parity of its position
-        self.Q = Q = np.empty((width, 2, 2))
-        self.P1 = P[1]
-        self.nbytes = Y.nbytes + P.nbytes + dl.nbytes + Q.nbytes
-        self.panels = []
-        for row, k in table.blocks:
-            PT = P[0][:2 * k]
-            self.panels.append((row, k, PT, PT[:k, :m], PT[k:, :m], _pairs(PT), Q[:k]))
-        self.placed = ([], [])  # per buffer, per block: the block in Y
-        self.held = ([], [])  # and in dl
-        for b in (0, 1):
-            for row, k in table.blocks:
-                o, d_blk = Y[b][row:row + 2 * k], dl[b][row:row + 2 * k]
-                self.placed[b].append((o, _pairs(o)))
-                self.held[b].append((d_blk, d_blk[:k], d_blk[k:]))
+        Q = np.empty((width, 2, 2))
+        self.at = np.empty(table.R.size)  # |t| of each pair in table order, -1.0: not rotated
+        self.nbytes = Y.nbytes + P.nbytes + dl.nbytes + Q.nbytes + self.at.nbytes
+        self.panels = [(row, k, P[:2 * k], P[:k, :m], P[k:2 * k, :m], _pairs(P[:2 * k]), Q[:k])
+                       for row, k in table.blocks]
+        # per buffer, per block: the block's pairs in Y and its D entries in dl
+        self.placed = tuple([_pairs(y[r:r + 2 * k]) for r, k in table.blocks] for y in Y)
+        self.held = tuple([(d[r:r + k], d[r + k:r + 2 * k]) for r, k in table.blocks] for d in dl)
 
 
 class WorkspacePool:
@@ -451,10 +446,10 @@ class WorkspacePool:
             self.nbytes = 0
 
 
-# The workspaces of a seqB, 2B or 3B solve at n = 256 take 1.2-3.2 MB, and
-# of a seqB or 3B solve at n = 512 2.0-4.0 MB.  A pass too large to keep is
-# long enough not to notice its allocation: a seq solve at n = 512, whose
-# 5.3 MB workspace is not kept, takes about 12,400 minor page faults in 2 s.
+# The workspaces of a seqB, 2B or 3B solve at n = 256 take 1.0-2.7 MB, and
+# of a seqB or 3B solve at n = 512 1.8-3.6 MB.  A pass too large to keep is
+# long enough not to notice its allocation: a seq pass at n = 512, whose
+# 5.5 MB workspace is not kept, takes about 0.2 s.
 WORKSPACE_BYTES = 4 << 20
 WORKSPACES = WorkspacePool(WORKSPACE_BYTES)
 
@@ -462,32 +457,34 @@ WORKSPACES = WorkspacePool(WORKSPACE_BYTES)
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
     """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``, in
     round order (``round_panels``); offsets is a tuple of ints or an intp
-    array.
+    array.  M is column-major.
 
-    The pass pops the workspace (``_Workspace``: two buffers Y for the
-    pass's columns, two panels, a Q buffer for the rotation matrices, two
-    buffers for D, and the views of every block of them) of its round table,
-    dtype, row count and m from ``WORKSPACES`` at its start, builds one if
-    there is none, and puts it back at its end; the pairs' kinds are set up
-    at its first round that rotates.  Every buffer is written before it is
-    read, so what a workspace held before changes no bit.  A group first
-    moves D into its layout by one ``take``.  One round then makes only the
-    calls its arithmetic needs, on all the members at once: one ``take`` of
-    its block into a panel from where the previous layout's columns are (M
-    until a group rotates, then the Y it wrote), the Gram entries from the
-    panel's first m columns by one ``np.vecdot`` (which conjugates the r
-    columns), the skip test, ``plane_rotation`` on arrays, the test for a
-    pivot that is not positive definite, D's entries updated where they
-    lie, the phases of complex pairs on the panel's r rows,
-    ``rotation_matrices`` into Q, and one real batched 2x2 matmul into the
-    round's block of the other Y.  A round with orthogonal pairs copies the
-    panel there and rotates the rest compacted.  A group that rotates
+    The pass pops the workspace (``_Workspace``) of its round table, dtype,
+    row count and m from ``WORKSPACES`` at its start, builds one if there
+    is none, and puts it back at its end; the pairs' kinds are set up at its
+    first round that rotates.  Every buffer is written before it is read,
+    so what a workspace held before changes no bit.  A group first moves D
+    into its layout by one ``take``.  A round then makes only the calls its
+    arithmetic needs, on all the members at once: one ``take`` of its block
+    into the panel from where the previous layout's columns are (M until a
+    group rotates, then the Y it wrote), the Gram entries from the panel's
+    first m columns by one ``np.vecdot`` (which conjugates the r columns),
+    the skip test, ``rotation_theta``, the test for a pivot that is not
+    positive definite (aa^2 >= d_rr d_ss or disc <= 0) before
+    ``rotation_tangent`` takes the root, D updated where it lies, the phases
+    of complex pairs on the panel's r rows, ``rotation_matrices`` into Q,
+    and one real batched 2x2 matmul into its block of the other Y.  A round
+    that skips some pairs runs at full width under masks: a skipped pair
+    computes as a trigonometric stand-in with eta = 1, finite for any D,
+    then takes t = 0 and cs = 1, so its D stays; it gets no phase, and its
+    columns as taken overwrite the matmul's result.  A group that rotates
     takes the rest of its layout there too; one that rotates nothing moves
     no column.  The pass ends with one scatter of the Y last written back
-    into M and of D; a round holding a pivot that is not positive definite
-    ends it too, unapplied, and its first such pair is returned.  Each
-    operation, BLAS products included, is done per pair, so a member gets
-    the bits it gets alone.  M is column-major.
+    into M and of D, and the counters from the pairs' |t|; a round holding
+    a pivot that is not positive definite ends it too, unapplied, and its
+    first such pair that it does not skip is returned.  Each operation,
+    BLAS products included, is done per pair, so a member gets the bits it
+    gets alone.
     """
     if type(offsets) is not tuple:
         offsets = tuple(offsets.tolist())
@@ -496,15 +493,15 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         return -1, -1
     key = (id(table), M.dtype, M.shape[0], m)
     ws = WORKSPACES.pop(key) or _Workspace(key, table, M.dtype, M.shape[0], m)
-    Y, dl, Q, panels, placed, held = ws.Y, ws.dl, ws.Q, ws.panels, ws.placed, ws.held
+    Y, dl, at, panels, placed, held = ws.Y, ws.dl, ws.at, ws.panels, ws.placed, ws.held
     real = M.dtype.kind != "c"
     N = dl.shape[1]
+    orth_tol = np.asarray(orth_tol, dtype=np.float64)
 
     kinds = None
-    ts = []
-    owners = []
     fail = (-1, -1)
     src, d_src = M.T, D  # row c of M.T is column c of M, contiguous
+    src_layout = None  # the layout of the Y last written; None: M holds the pass's columns
     via = None  # src's rows that hold the previous group's layout; None: row for row
     q = 0  # the Y that a group which rotates writes: not src
     for g, (layout, step, span, rounds) in enumerate(table.groups):
@@ -515,10 +512,10 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         upto = span  # the rows of the layout its rounds write, if they rotate
         quiet = []  # rounds that rotate nothing
         moved = False
-        for block, own, lo in rounds:
+        for block, lo in rounds:
             row, k, blk, g_r, g_s, pairs, Qk = panels[block]
-            o, o_pairs = placed[q][block]
-            d_blk, d_rr, d_ss = held[p][block]
+            o_pairs = placed[q][block]
+            d_rr, d_ss = held[p][block]
             src.take(here[row:row + 2 * k], axis=0, out=blk, mode="clip")
             a = np.vecdot(g_r, g_s)  # conjugates the r columns
             aa = np.abs(a) if real else np.hypot(a.real, a.imag)  # as abs() of a complex scalar
@@ -530,39 +527,39 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 continue
             if kinds is None:
                 kinds = pair_kind(signs[table.R] == signs[table.S])
-            hyp = kinds[lo:lo + k]
-            if nskip:
-                o[...] = blk  # the orthogonal pairs move on as they are
-                act = np.flatnonzero(~skip)
-                act2 = np.concatenate([act, act + k])
-                own, a, aa, dd, hyp, d = own[act], a[act], aa[act], dd[act], hyp[act], d_blk[act2]
-                k -= nskip
-                d_rr, d_ss = d[:k], d[k:]
-                rot = blk[:2 * k]  # free once copied on
-                blk = blk.take(act2, axis=0, out=ws.P1[:2 * k], mode="clip")  # compacted
-                pairs, o_pairs, Qk = _pairs(blk), _pairs(rot), Q[:k]
+                at.fill(-1.0)
+            hyp = kinds[lo:lo + k]  # made for this pass, so it takes the stand-ins
             eta = a if real else signed_modulus(a, aa)  # real: phase 1.0
-            t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
-            if np.count_nonzero(aa * aa >= dd) or np.count_nonzero(cs) < k:
-                j = np.argmax((aa * aa >= dd) | (cs == 0.0))
-                upto, k = table.blocks[block]
-                if nskip:
-                    j = act[j]
-                fail = (int(layout[upto + j]), int(layout[upto + k + j]))
+            if nskip:  # the skipped pairs compute as trigonometric, with eta = 1
+                act = ~skip
+                np.copyto(hyp, _ATRIG, where=skip)
+                np.copyto(eta, _A1, where=skip)
+            theta, disc = rotation_theta(d_rr, d_ss, eta, hyp)
+            bad = (aa * aa >= dd) | (disc <= _A0)
+            if nskip:
+                bad &= act
+            if np.count_nonzero(bad):  # the block and the rows after it follow unrotated
+                upto, j = row, int(np.argmax(bad))
+                fail = (int(layout[row + j]), int(layout[row + k + j]))
                 break
+            t, cs = rotation_tangent(theta, disc, hyp, _A1)
+            if nskip:
+                np.copyto(t, _A0, where=skip)
+                np.copyto(cs, _A1, where=skip)
             te = t * eta
             d_rr += hyp * te
             d_ss += te
             if not real:  # the phases, on the r columns' contiguous block
-                blk[:k] *= (a / eta)[:, None]
-            rotation_matrices(cs, sn, hyp, Qk)
+                np.multiply(blk[:k], (a / eta)[:, None], out=blk[:k],
+                            where=act[:, None] if nskip else True)
+            rotation_matrices(cs, cs * t, hyp, Qk)
             np.matmul(Qk, pairs, o_pairs)
-            if nskip:
-                d_blk[act2] = d
-                o[act2] = rot
+            at_k = at[lo:lo + k]
+            np.abs(t, out=at_k)
+            if nskip:  # the skipped pairs move on as they were taken
+                np.copyto(o_pairs, pairs, where=skip[:, None, None])
+                np.copyto(at_k, _ANONE, where=skip)
             moved = True
-            ts.append(t)
-            owners.append(own)
         if moved:  # the layout's other columns follow, unrotated
             for row, k in quiet:
                 src.take(here[row:row + 2 * k], axis=0, out=Y[q][row:row + 2 * k], mode="clip")
@@ -573,16 +570,19 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
             via = here
         if fail[0] >= 0:
             break
-    if ts:  # else M and D are as they were
+    if src_layout is not None:  # else M and D are as they were
         M.T[src_layout] = src
         D[layout] = dl[p]
-        # the members' counters, once per pass
-        at = np.abs(np.concatenate(ts))
-        own = np.concatenate(owners)
+        # the members' counters, once per pass, from every pair's |t| (a NaN counts)
+        done, big = ~(at < _A0), at > quad_tol
         counts = stats.T
-        counts[0] += np.bincount(own, None, len(stats))
-        counts[1] += np.bincount(own, at > quad_tol, len(stats))
-        np.maximum.at(counts[2], own, at)
+        if len(stats) == 1:  # bincount and maximum.at into one bin take ~20x as long
+            counts[:2, 0] += np.count_nonzero(done), np.count_nonzero(big)
+            np.maximum(counts[2], at.max(), out=counts[2])
+        else:
+            counts[0] += np.bincount(table.own, done, len(stats))
+            counts[1] += np.bincount(table.own, big, len(stats))
+            np.maximum.at(counts[2], table.own, at)
     WORKSPACES.put(ws)
     return fail
 

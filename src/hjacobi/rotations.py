@@ -1,8 +1,8 @@
 """Annihilation passes and the non-blocked one-sided Jacobi driver.
 
 The J-unitary plane rotation itself lives only in ``_kernels``: its
-parameters in ``plane_rotation`` and its 2x2 matrix in
-``rotation_matrices``.  ``jacobi_cycle`` runs one annihilation pass through the
+parameters in ``rotation_theta`` and ``rotation_tangent``, its 2x2 matrix
+in ``rotation_matrices``.  ``jacobi_cycle`` runs one annihilation pass through the
 kernel; ``members_until_quiet`` is the convergence loop of every driver,
 with ``sweep_until_quiet`` its one-factor case, and ``jacobi_diagonalize``
 sweeps one factor until a sweep rotates nothing.  ``cycle_members`` and

@@ -409,6 +409,73 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     assert 0 < stats[:, 1].sum() < stats[:, 0].sum()
 
 
+def mixed_round_input(rng, complex_scalars, planted):
+    """[G; W] of a 12-column pass whose first round (0, 11), (1, 10), (2, 9),
+    (3, 8), (4, 7), (5, 6) mixes pairs it skips and pairs it rotates.  G's
+    columns are small (D about 0.01) and lie in three groups of rows:
+    columns 0, 3, 6, 9 in the first, 1, 2, 4, 5, 7, 8, 10 in the second,
+    and column 11 is zero.  So (0, 11) has a Gram entry and D of exactly 0,
+    (2, 9) and (3, 8) are hyperbolic pairs with a Gram entry of exactly 0
+    and d_rr + d_ss < 2, for which a hyperbolic stand-in with eta = 1 would
+    find no root, (5, 6), across the first two groups, is skipped too, and
+    (1, 10) and (4, 7) rotate.  planted: columns 5 and 6 are parallel and
+    live only in the third group of rows, so (5, 6) is a singular pivot,
+    after the skipped pairs of its round.  Column 11, never rotated, holds
+    a -0.0 in W beside a positive entry of column 0, which a product by the
+    identity would turn into +0.0.  Returns M, D, J and G's row count."""
+    n, m = 12, 15
+    J = np.array([1, -1] * (n // 2), np.int8)
+    G = 0.05 * rng.standard_normal((m, n))
+    if complex_scalars:
+        G = G + 0.05j * rng.standard_normal(G.shape)
+    first = np.arange(n) % 3 == 0
+    G[:6, ~first] = 0.0
+    G[6:, first] = 0.0
+    G[m - 3:] = 0.0
+    G[:, 11] = 0.0
+    if planted:
+        G[:, [5, 6]] = 0.0
+        G[m - 3:, 5] = [1.0, 2.0, 2.0]
+        G[m - 3:, 6] = [2.0, 4.0, 4.0]
+    W = rng.standard_normal((4, n)).astype(G.dtype)
+    W[0, 0] = 1.0
+    W[0, 11] = complex(-0.0, -0.0) if complex_scalars else -0.0
+    M = np.asfortranarray(np.vstack([G, W]))
+    return M, column_norms_squared(M[:m]), J, m
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("complex_scalars", [False, True])
+@pytest.mark.parametrize("planted", [False, True])
+def test_mixed_rounds_match_replay(rng, complex_scalars, planted):
+    """A pass by rounds whose rounds skip some pairs and rotate the others
+    (``mixed_round_input``) raises no warning, and G, W, D and the counters
+    agree bit for bit with the replay by rounds (``replay_pass``): the
+    skipped pairs' stand-ins, Gram entries of exactly 0 and a zero column
+    included.  planted: the singular pair after the skipped pairs of the
+    first round is reported, and that round stays unapplied, so nothing
+    moves."""
+    M, D, J, m = mixed_round_input(rng, complex_scalars, planted)
+    R, S = _kernels.pass_rounds(12, 0, True)[0]
+    assert list(zip(R.tolist(), S.tolist())) == [(0, 11), (1, 10), (2, 9), (3, 8), (4, 7),
+                                                 (5, 6)]
+    a = gram_entries(M, m, R, S)
+    assert a[[1, 4]].all() and a[[0, 2, 3]].tolist() == [0.0] * 3 and bool(a[5]) == planted
+    assert D[11] == 0.0 and J[2] != J[9] and J[3] != J[8]
+    assert D[2] + D[9] < 2.0 and D[3] + D[8] < 2.0
+    M_api, D_api = M.copy(order="F"), D.copy()
+    ts, fail_api = replay_counting(M_api, D_api, J, m, 12, 0, True)
+    quad_tol = float(np.median(ts)) if ts.size else 1e-15
+    stats = np.zeros((1, 3))
+    fail = _kernels.sweep_rounds(M, J, D, m, 12, 0, True, 1e-15, quad_tol,
+                                 _kernels.ONE_MEMBER, stats)
+    assert fail == fail_api == ((5, 6) if planted else (-1, -1))
+    assert M.tobytes() == M_api.tobytes()
+    assert D.tobytes() == D_api.tobytes()
+    assert stats[0].tolist() == counters(ts, quad_tol)
+    assert (ts.size == 0) == planted
+
+
 @pytest.mark.parametrize("complex_scalars", [False, True])
 @pytest.mark.parametrize("rows", [3, 16, 65, 130])
 @pytest.mark.parametrize("k", [2, 7, 32, 64])
