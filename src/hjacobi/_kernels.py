@@ -47,8 +47,8 @@ from ._accel import NUMBA_ENABLED, jit_kernel, jitable
 
 TRIG = -1.0  # plane_rotation's hyp of a trigonometric pair; +1.0 is hyperbolic
 # A numpy bool times a Python float takes ~2 us, times a numpy float ~0.15 us;
-# an operation on 16 floats takes ~1.2 us with a Python float operand, ~1.0
-# with a numpy float and ~0.4 with a 0-d array (the array-only expressions')
+# an array operation on 16 floats takes ~1.2 us with a Python float operand,
+# ~1.0 with a numpy float and ~0.4 with a 0-d array, which sweep_rounds uses
 _ONE, _TWO = np.float64(1.0), np.float64(2.0)
 _A0, _A1, _ATRIG, _ANONE = (np.asarray(x) for x in (0.0, 1.0, TRIG, -1.0))
 

@@ -64,3 +64,15 @@ def test_compare_reads_a_saved_file_without_values_by_its_hashes(equivalence):
     assert differing == 1 and worst is None
     assert lines == ["n=3 complex=False seed=1 variant=seq strategy=modulus p=1:"
                      " eigenvectors vec1 -> moved"]
+
+
+def test_compare_keys_solves_by_input(equivalence):
+    """Solves of the same n, seed and configuration on different inputs are
+    different solves, a record without ``input`` is a ``dense`` one, and
+    only a solve on another input names it."""
+    dense = dict(fingerprint(0), input="dense")
+    graded = dict(fingerprint(0), input="graded", rotations=10)
+    lines, differing, _ = equivalence.compare([dense, graded], [fingerprint(0)])
+    assert differing == 1
+    assert lines == ["input=graded n=3 complex=False seed=0 variant=seq strategy=modulus p=1:"
+                     " only in this tree"]

@@ -363,7 +363,7 @@ def test_narrow_rounds_match_replay(rng, n_i, n_j, diag_bl, complex_scalars):
 def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     """A pass by rounds on two members side by side in which some pairs are
     exactly orthogonal, so that rounds are partly active and the round body
-    takes its filter path.  Each member's columns split in two groups with
+    takes its masked path.  Each member's columns split in two groups with
     disjoint row supports: a pair across the groups has a Gram entry of
     exactly 0, is skipped, and stays so, since a rotation mixes only the
     columns of one group.  G, W and D agree bit for bit with a replay pair
