@@ -42,15 +42,18 @@ kind of its inputs (real, complex or graded, as perfbench's
 ``real_solve_ref`` and ``complex_solve_ref`` split them), the ``--seed``
 that drew the inputs, each side's
 median time in seconds and in reference units, the quartile distance of
-base's times in both, each side's median reference sample in seconds, the
+base's times in both, each side's median CPU time in seconds
+(``time.process_time`` around each op, every thread of the child, so a
+ring solve at p > 1 can take more CPU than wall time) with the quartile
+distance of base's, each side's median reference sample in seconds, the
 median of the per-pair ratios head/base of the times in reference units
 with their quartiles, the number of pairs head won, whether every output
 fingerprint (the solved factor's bytes, sweeps and rotations) is equal on
 both sides, each side's median over the timed passes of the ops' minor page
 faults (``resource.getrusage``'s ``ru_minflt``, counted around each op) and
 of the child's ``ru_maxrss`` after its timed pass (KiB, the whole child,
-inputs and warm-up included), and a ``verdict``: ``faster`` when head
-won at least 9 of 10 pairs and its median in reference units is below
+inputs and warm-up included), and a ``verdict`` on wall times: ``faster``
+when head won at least 9 of 10 pairs and its median in reference units is below
 base's by more than base's quartile distance in those units, ``slower`` by
 the mirror rule, and ``unresolved`` otherwise.  ``--out FILE`` appends the records to a
 JSON list in FILE.
@@ -78,8 +81,8 @@ OPTION_FIELDS = ("variant", "strategy", "p", "nt_outer", "inner_nt")
 
 def child(src, inputs):
     """Serve passes over stdin/stdout: one JSON request per line, one reply
-    with the pass's op times, their fingerprints, each op's minor page
-    faults, the reference samples taken before the first op and after every
+    with the pass's op times (wall and CPU), their fingerprints, each op's
+    minor page faults, the reference samples taken before the first op and after every
     op, and the process's peak resident set size (``ru_maxrss``, KiB) after
     the pass."""
     import resource
@@ -98,25 +101,26 @@ def child(src, inputs):
     ref_arrays = reference.ref_arrays()
 
     def run(op):
-        """(fingerprint, seconds) of one op: a solve of its input's factored
-        form, or, for an op without options, the factorization of its input."""
+        """(fingerprint, seconds, CPU seconds) of one op: a solve of its
+        input's factored form, or, for an op without options, the
+        factorization of its input."""
         if op["options"] is None:
             H = data[f"H{op['input']}"]
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             f = factorize_hermitian_indefinite(H)
-            dt = time.perf_counter() - t0
+            dt, dc = time.perf_counter() - t0, time.process_time() - c0
             return [hashlib.sha256(f.G.tobytes() + f.J.tobytes() + f.P.tobytes()).hexdigest(),
-                    0, 0], dt
+                    0, 0], dt, dc
         f = factored[op["input"]]
         opts = SolveOptions(**op["options"])
         G = f.G.copy(order="F")
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.process_time()
         try:
             G, info = run_solver(G, f.J, opts)
             out = [hashlib.sha256(G.tobytes()).hexdigest(), info.sweeps, info.rotations]
         except Exception as exc:  # noqa: BLE001 - a failing solve is part of the fingerprint
             out = [type(exc).__name__, 0, 0]
-        return out, time.perf_counter() - t0
+        return out, time.perf_counter() - t0, time.process_time() - c0
 
     def time_ref():
         t0 = time.perf_counter()
@@ -128,17 +132,18 @@ def child(src, inputs):
 
     print(json.dumps({"numba": bool(_accel.NUMBA_ENABLED)}), flush=True)
     for _line in sys.stdin:
-        times, prints, faults, refs = [], [], [], [time_ref()]
+        times, cpus, prints, faults, refs = [], [], [], [], [time_ref()]
         for op in ops:
             f0 = minflt()
-            out, dt = run(op)
+            out, dt, dc = run(op)
             faults.append(minflt() - f0)
             times.append(dt)
+            cpus.append(dc)
             prints.append(out)
             refs.append(time_ref())
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        print(json.dumps({"times": times, "prints": prints, "minflt": faults, "refs": refs,
-                          "maxrss_kib": maxrss}), flush=True)
+        print(json.dumps({"times": times, "cpu": cpus, "prints": prints, "minflt": faults,
+                          "refs": refs, "maxrss_kib": maxrss}), flush=True)
 
 
 # -- harness --------------------------------------------------------------------
@@ -273,9 +278,9 @@ def verdict(wins, losses, pairs, base_median, head_median, base_iqr):
 
 def summarize(pairs, picks):
     """Medians, quartiles, wins and the verdict over the ops at positions
-    ``picks``, the verdict on times in reference units."""
-    def seconds(reply):
-        return sum(reply["times"][i] for i in picks)
+    ``picks``, the verdict on wall times in reference units."""
+    def seconds(reply, key="times"):
+        return sum(reply[key][i] for i in picks)
 
     def in_refs(reply):
         r = reply["refs"]
@@ -290,12 +295,16 @@ def summarize(pairs, picks):
     q1, q3 = quartiles(ratios)
     b1, b3 = quartiles(base)
     s1, s3 = quartiles([seconds(b) for b, _ in pairs])
+    c1, c3 = quartiles([seconds(b, "cpu") for b, _ in pairs])
     wins, losses = sum(r < 1.0 for r in ratios), sum(r > 1.0 for r in ratios)
     base_median, head_median = statistics.median(base), statistics.median(head)
     return {
         "base_median_s": statistics.median(seconds(b) for b, _ in pairs),
         "head_median_s": statistics.median(seconds(h) for _, h in pairs),
         "base_iqr_s": s3 - s1,
+        "base_median_cpu_s": statistics.median(seconds(b, "cpu") for b, _ in pairs),
+        "head_median_cpu_s": statistics.median(seconds(h, "cpu") for _, h in pairs),
+        "base_iqr_cpu_s": c3 - c1,
         "base_median_ref": base_median, "head_median_ref": head_median,
         "base_iqr_ref": b3 - b1,
         "base_ref_s": statistics.median(t for b, _ in pairs for t in b["refs"]),

@@ -50,7 +50,7 @@ TRIG = -1.0  # plane_rotation's hyp of a trigonometric pair; +1.0 is hyperbolic
 # an array operation on 16 floats takes ~1.2 us with a Python float operand,
 # ~1.0 with a numpy float and ~0.4 with a 0-d array, which sweep_rounds uses
 _ONE, _TWO = np.float64(1.0), np.float64(2.0)
-_A0, _A1, _ATRIG, _ANONE = (np.asarray(x) for x in (0.0, 1.0, TRIG, -1.0))
+_A0, _A1, _AM2, _ATRIG, _ANONE = (np.asarray(x) for x in (0.0, 1.0, -2.0, TRIG, -1.0))
 
 
 @jitable
@@ -61,22 +61,24 @@ def pair_kind(same_sign):
 
 
 @jitable
-def rotation_theta(d_rr, d_ss, eta, hyp):
+def rotation_theta(d_rr, d_ss, eta, hyp, minus_two):
     """``plane_rotation``'s theta, (d_ss - d_rr)/(2 eta) for a trigonometric
     pair and -(d_rr + d_ss)/(2 eta) for a hyperbolic one by one expression,
-    and disc = theta^2 - hyp: the pivot has an inner root iff disc > 0."""
-    theta = (hyp * d_ss + d_rr) / (-2.0 * eta)
+    and disc = theta^2 - hyp: the pivot has an inner root iff disc > 0.
+    ``minus_two`` = -2.0, a 0-d array for arrays (a Python float is slower)."""
+    theta = (hyp * d_ss + d_rr) / (minus_two * eta)
     return theta, theta * theta - hyp
 
 
 @jitable
-def rotation_tangent(theta, disc, hyp, one):
+def rotation_tangent(theta, disc, hyp, one, zero, unit):
     """``plane_rotation``'s minimal-|t| root t and cs = 1/sqrt(1 - hyp t^2)
     from ``rotation_theta``'s theta and a disc >= 0, both times ``one``.
-    t takes the sign of theta, and a theta of -0.0 counts as +."""
+    t takes the sign of theta, and a theta of -0.0 counts as +.  ``zero``
+    and ``unit`` are 0.0 and 1.0, as ``rotation_theta``'s ``minus_two``."""
     # theta + sign(theta) sqrt(disc) is sign(theta) (|theta| + sqrt(disc)) exactly
-    t = one / (theta + np.copysign(np.sqrt(disc), theta + 0.0))
-    return t, one / np.sqrt(1.0 - hyp * t * t)
+    t = one / (theta + np.copysign(np.sqrt(disc), theta + zero))
+    return t, one / np.sqrt(unit - hyp * t * t)
 
 
 @jitable
@@ -98,9 +100,9 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
     Built from ``rotation_theta`` and ``rotation_tangent`` without a branch,
     so the arguments may be scalars or arrays of disjoint pairs alike.
     """
-    theta, disc = rotation_theta(d_rr, d_ss, eta, hyp)
+    theta, disc = rotation_theta(d_rr, d_ss, eta, hyp, -2.0)
     root = _ONE * (disc > 0.0)  # 0.0 only for a hyperbolic pivot without inner root
-    t, cs = rotation_tangent(theta, abs(disc), hyp, root)
+    t, cs = rotation_tangent(theta, abs(disc), hyp, root, 0.0, 1.0)
     return t, cs, cs * t
 
 
@@ -534,7 +536,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 act = ~skip
                 np.copyto(hyp, _ATRIG, where=skip)
                 np.copyto(eta, _A1, where=skip)
-            theta, disc = rotation_theta(d_rr, d_ss, eta, hyp)
+            theta, disc = rotation_theta(d_rr, d_ss, eta, hyp, _AM2)
             bad = (aa * aa >= dd) | (disc <= _A0)
             if nskip:
                 bad &= act
@@ -542,7 +544,7 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 upto, j = row, int(np.argmax(bad))
                 fail = (int(layout[row + j]), int(layout[row + k + j]))
                 break
-            t, cs = rotation_tangent(theta, disc, hyp, _A1)
+            t, cs = rotation_tangent(theta, disc, hyp, _A1, _A0, _A1)
             if nskip:
                 np.copyto(t, _A0, where=skip)
                 np.copyto(cs, _A1, where=skip)

@@ -10,12 +10,16 @@ pivots' columns in gather order, the pivots' block pairs, their widths and
 their owners.  The executor (``_pivot_pass``) runs each group as one step
 (``_group_step``): one gather of its columns of G, the Cholesky factors of
 their Gram matrices as one stack (structured from one flat vector of
-squared column norms, when it is kept), one local solve on the factors side
-by side into the group's one accumulator, one stacked GEMM that applies the
-W of every pivot that rotated, and one scatter back, of V and of the rotated
+squared column norms, when it is kept), one local solve on the group's one
+array of factors above their accumulators W, one stacked GEMM that applies
+the W of every pivot that rotated, and one scatter back, of the rotated
 columns' norms too.  Disjoint pivots do not interact, and every stacked
 operation acts on each member as it would alone, so a member comes out with
 the bits it gets by itself.
+
+Every driver and local solve here takes its factors as ``(M, m)``: M's
+first m rows; the rows below m, if any, are accumulator rows, which every
+transformation of the factors' columns multiplies too.
 
 The blocked solvers take their rounds at block level from the kernel's
 table of rounds (``_kernels.member_rounds``), after one round of all
@@ -138,13 +142,6 @@ def structured_cholesky(lam_ii, A_ij, lam_jj):
     return R
 
 
-def eye_blocks(k, members, dtype):
-    """``members`` k x k identities side by side, column-major."""
-    W = np.zeros((k, members * k), dtype=dtype, order="F")
-    W.reshape((k * k, members), order="F")[::k + 1] = 1.0  # each block's diagonal
-    return W
-
-
 def update_block_columns(Gp, W):
     """Gp <- Gp @ W in place.  A stack W of B square matrices multiplies the
     B consecutive column groups of Gp, one each (a block-diagonal W).
@@ -152,8 +149,8 @@ def update_block_columns(Gp, W):
     The products go to a column-major buffer, which makes BLAS run
     column-major GEMMs; a row-major one can differ in the last bit.  So
     does W's own layout per matrix: each of W's matrices is column-major
-    (a view of the group step's accumulator, or its ``np.stack``), and a
-    row-major copy of them moves the last bits of some products.
+    (a view of the group step's M, or the ``np.stack`` of such views), and
+    a row-major copy of them moves the last bits of some products.
     """
     m, n = Gp.shape
     W = W.reshape((-1,) + W.shape[-2:])
@@ -238,90 +235,88 @@ def _block_rounds(n_i, n_j, diag_bl, offsets):
                  for R, S, own in member_rounds(n_i, n_j, diag_bl, offsets))
 
 
-def _group_step(G, signs, group, local, V=None, lam=None):
-    """The pivots of a PlanGroup as one step; returns the local solve's
-    DiagInfo per pivot.
+def _group_step(G, m, signs, group, local, lam=None):
+    """The pivots of a PlanGroup as one step on ``(G, m)``, G's rows below m
+    accumulator rows; returns the local solve's DiagInfo per pivot.
 
-    One gather of the group's columns of G, the Cholesky factors of their
-    Gram matrices as one stack (structured from ``lam`` for pivots of two
-    blocks), the local solve ``local(R, J, n_i, B, W)`` on the B factors
-    side by side in R, which accumulates each pivot's transformation into W,
-    the group's one accumulator that this step makes (B identities, pivot b
-    at columns b*k), then one stacked GEMM that applies the W of every pivot
-    that rotated to its columns and one scatter back; the same for V, when
-    given, and the rotated columns' squared norms go to ``lam``, when given.
-    When every pivot rotated, the GEMM takes W's blocks as one view, with
-    the strides of the ``np.stack`` of the blocks that it takes otherwise:
-    each matrix stays column-major, as the GEMM's bits require
+    One gather of the group's columns of G, the Cholesky factors of the Gram
+    matrices of their first m rows as one stack (structured from ``lam`` for
+    pivots of two blocks), and one column-major M of 2k rows, pivot b at
+    columns b*k: its factor above an identity, its W.  ``local(M, k, J, n_i,
+    B)`` rotates M; then one stacked GEMM applies the W of every pivot that
+    rotated to all rows of its columns, one scatter writes them back, and
+    their squared norms go to ``lam``, when given.  The GEMM takes the W's
+    as one view of M's bottom rows when every pivot rotated, else their
+    ``np.stack``: each matrix column-major, as its bits require
     (``update_block_columns``).
     """
     cols, n_i, k = group.cols, group.n_i, group.k
     B = len(group.owners)
     Gp = G[:, cols]
-    R3 = _factor(Gp, B, n_i, None if lam is None or n_i == k else lam[cols])
-    R = np.asfortranarray(R3.transpose(1, 0, 2).reshape(k, B * k))
-    W = eye_blocks(k, B, G.dtype)
-    infos = local(R, signs[cols], n_i, B, W)
+    R3 = _factor(Gp[:m], B, n_i, None if lam is None or n_i == k else lam[cols])
+    M = np.zeros((2 * k, B * k), dtype=G.dtype, order="F")
+    M3 = M.reshape((2 * k, k, B), order="F")  # column j of pivot b is M3[:, j, b]
+    M3[:k] = R3.transpose(1, 2, 0)
+    M.reshape((2 * k * k, B), order="F")[k::2 * k + 1] = 1.0  # each pivot's identity
+    infos = local(M, k, signs[cols], n_i, B)
     moved = [b for b, info in enumerate(infos) if info.rotations]
     if moved:
         if len(moved) < B:
-            W = np.stack([W[:, b * k:(b + 1) * k] for b in moved])
+            W = np.stack([M[k:, b * k:(b + 1) * k] for b in moved])
             cols = cols.reshape(B, k)[moved].ravel()
             Gp = G[:, cols]
-        else:  # every block of W, as a view with np.stack's strides
-            W = W.reshape((k, k, B), order="F").transpose(2, 0, 1)
+        else:  # every pivot's W, as one view
+            W = M3[k:].transpose(2, 0, 1)
         update_block_columns(Gp, W)
         G[:, cols] = Gp
-        if V is not None:
-            Vp = V[:, cols]
-            update_block_columns(Vp, W)
-            V[:, cols] = Vp
         if lam is not None:
-            lam[cols] = column_norms_squared(Gp)
+            lam[cols] = column_norms_squared(Gp[:m])
     return infos
 
 
-def _pivot_pass(G, signs, plan, local, infos, V=None, lam=None):
-    """The rounds of ``plan`` (``round_plan``), one ``_group_step`` per
-    width group, in the plan's order; each pivot's counters go to
-    infos[own].  V, when given, receives every W as well; ``lam``, when
-    given, holds the squared column norms of G, from which pivots of two
+def _pivot_pass(G, m, signs, plan, local, infos, lam=None):
+    """The rounds of ``plan`` (``round_plan``) on the factor G[:m] and its
+    accumulator rows below, one ``_group_step`` per width group, in the
+    plan's order; each pivot's counters go to infos[own].  ``lam``, when
+    given, holds the squared column norms of G[:m], from which pivots of two
     blocks are factored by the structured Cholesky, and is kept current."""
     for groups in plan:
         for group in groups:
-            for o, info in zip(group.owners, _group_step(G, signs, group, local, V, lam)):
+            for o, info in zip(group.owners, _group_step(G, m, signs, group, local, lam)):
                 infos[o].absorb(info)
 
 
-def cross_members(R, J, n_i, members, W, tol: Tolerances = DEFAULT_TOL):
+def cross_members(M, m, J, n_i, members, tol: Tolerances = DEFAULT_TOL):
     """One annihilation pass over the cross pairs r < n_i <= s of each of
-    ``members`` factors side by side in R, accumulated into W; returns a
-    DiagInfo per factor, of one sweep and converged."""
-    k = R.shape[1] // members
-    infos = cycle_members(R, J, column_norms_squared(R), W, n_i, k - n_i, False, tol,
-                          tuple(range(0, R.shape[1], k)))
+    ``members`` factors side by side in M[:m], which rotates M's rows below
+    m too; returns a DiagInfo per factor, of one sweep and converged."""
+    k = M.shape[1] // members
+    G = M[:m]
+    infos = cycle_members(G, J, column_norms_squared(G), M[m:], n_i, k - n_i, False, tol,
+                          tuple(range(0, M.shape[1], k)))
     for info in infos:
         info.sweeps, info.converged = 1, True
     return infos
 
 
 def _diagonalizer(tol):
-    """Local solve: jacobi_diagonalize of each pivot's factor, accumulated into W."""
-    return lambda R, J, n_i, members, W: diagonalize_members(R, J, members, tol, W)
+    """Local solve: jacobi_diagonalize of each pivot's factor in ``(M, m)``."""
+    return lambda M, m, J, n_i, members: diagonalize_members(M, m, J, members, tol)
 
 
-def _diag_block_pass(G, signs, sizes, nb, offsets, local, infos, V):
+def _diag_block_pass(M, m, signs, sizes, nb, offsets, local, infos):
     """The nb diagonal blocks of every member whose blocks (of ``sizes``)
     start at ``offsets``, as one round; member x's counters go to infos[x]."""
     diag = tuple((o + i, None, x) for x, o in enumerate(offsets) for i in range(nb))
-    _pivot_pass(G, signs, round_plan(sizes, (diag,)), local, infos, V)
+    _pivot_pass(M, m, signs, round_plan(sizes, (diag,)), local, infos)
 
 
-def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances = DEFAULT_TOL,
-                  V=None):
+def block_members(M, m, signs, part: BlockPartition, members, full,
+                  tol: Tolerances = DEFAULT_TOL):
     """The sweeps of a blocked driver on ``members`` factors of equal width
-    side by side in G, each partitioned by ``part``; returns a DiagInfo per
-    member.
+    side by side in M[:m], each partitioned by ``part``; returns a DiagInfo
+    per member.  Every block pivot's W multiplies all of M's rows, so the
+    rows below m accumulate the factors' transformations.
 
     Each sweep visits the diagonal blocks, all in one round, then the
     off-diagonal block pairs by the rounds of the circle method
@@ -332,10 +327,9 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     diagonal block gets one cycle and an off-diagonal pivot one cross pass.
     Every member stops at its own first sweep without rotations
     (``members_until_quiet``), and comes out with the bits it gets alone.
-    Every block pivot's W also multiplies V, when given.
     """
     n = part.n
-    if G.shape[1] != members * n:
+    if M.shape[1] != members * n:
         raise ValueError("partition does not cover all columns")
     nb = part.b
     sizes = part.sizes * members
@@ -348,9 +342,9 @@ def block_members(G, signs, part: BlockPartition, members, full, tol: Tolerances
     def sweep(k, active):
         infos = [DiagInfo() for _ in active]
         offsets = tuple(b * nb for b in active)
-        _diag_block_pass(G, signs, sizes, nb, offsets, diag, infos, V)
+        _diag_block_pass(M, m, signs, sizes, nb, offsets, diag, infos)
         plan = round_plan(sizes, _block_rounds(nb, 0, True, offsets))
-        _pivot_pass(G, signs, plan, off, infos, V, column_norms_squared(G) if full else None)
+        _pivot_pass(M, m, signs, plan, off, infos, column_norms_squared(M[:m]) if full else None)
         return infos
 
     return members_until_quiet(sweep, members, tol)
@@ -360,24 +354,24 @@ def full_block(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL):
     """Sequential full block solver: per sweep, full diagonalization of every
     diagonal block, then of every block pivot, by rounds of disjoint pivots
     (``block_members`` of one member)."""
-    return block_members(G, signs, part, 1, True, tol)[0]
+    return block_members(G, G.shape[0], signs, part, 1, True, tol)[0]
 
 
 def block_oriented(G, signs, part: BlockPartition, tol: Tolerances = DEFAULT_TOL):
     """Sequential block-oriented solver: per sweep, one cycle through each
     diagonal block, then one annihilation pass over each off-diagonal block,
     by rounds of disjoint pivots (``block_members`` of one member)."""
-    return block_members(G, signs, part, 1, False, tol)[0]
+    return block_members(G, G.shape[0], signs, part, 1, False, tol)[0]
 
 
-def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
-                         tol: Tolerances = DEFAULT_TOL, V=None):
+def off_diagonal_members(M, m, signs, n_r: int, inner_t: int, members,
+                         tol: Tolerances = DEFAULT_TOL):
     """``off_diagonal_pass`` on ``members`` factors of equal width side by
-    side in G, each split at n_r: round k of the inner grid holds round k of
-    every member, so every member comes out with the bits it gets alone;
-    every inner pivot's W also multiplies V, when given.  Returns a DiagInfo
-    per member."""
-    n = G.shape[1] // members
+    side in M[:m], each split at n_r: round k of the inner grid holds round
+    k of every member, so every member comes out with the bits it gets
+    alone; every inner pivot's W multiplies all of M's rows, so the rows
+    below m accumulate.  Returns a DiagInfo per member."""
+    n = M.shape[1] // members
     if not (0 < n_r < n):
         raise ValueError("need 0 < n_r < total column count")
     pr = uniform_partition(n_r, num_blocks(n_r, inner_t))
@@ -385,8 +379,8 @@ def off_diagonal_members(G, signs, n_r: int, inner_t: int, members,
     nb = pr.b + ps.b
     infos = [DiagInfo(sweeps=1, converged=True) for _ in range(members)]
     rounds = _block_rounds(pr.b, ps.b, False, tuple(range(0, members * nb, nb)))
-    _pivot_pass(G, signs, round_plan((pr.sizes + ps.sizes) * members, rounds),
-                functools.partial(cross_members, tol=tol), infos, V)
+    _pivot_pass(M, m, signs, round_plan((pr.sizes + ps.sizes) * members, rounds),
+                functools.partial(cross_members, tol=tol), infos)
     return infos
 
 
@@ -400,4 +394,4 @@ def off_diagonal_pass(G, signs, n_r: int, inner_t: int, tol: Tolerances = DEFAUL
     the pr.b x ps.b grid of inner pairs as rounds of disjoint pivots
     (``off_diagonal_members`` of one member).
     """
-    return off_diagonal_members(G, signs, n_r, inner_t, 1, tol)[0]
+    return off_diagonal_members(G, G.shape[0], signs, n_r, inner_t, 1, tol)[0]

@@ -26,7 +26,9 @@ over a lower rank that fails later.  Within one round, and under numba,
 whose cyclic kernel runs the workers' passes one after another, the lowest
 failing rank wins.
 
-The local solve is ``_Worker._local_transform``.  2F/3F sweep each local
+The local solve is ``_Worker._local_transform``, on the step's factors as
+``(M, m)`` (``blocking``): the rows below m are each pivot's accumulator W,
+which every inner transformation multiplies too.  2F/3F sweep each local
 pivot factor until a sweep is quiet (using the structured Cholesky, since
 a sweep starts by re-diagonalizing all 2p diagonal Gram blocks, as one
 planned round too); 2B/3B run one annihilation pass over its off-diagonal
@@ -121,26 +123,26 @@ class _Worker:
 
     # -- local solves, on the factors of every worker's pivot at once -------
 
-    def _diag_preprocess(self, R, J, n_i, members, W):
+    def _diag_preprocess(self, M, m, J, n_i, members):
         """F variants: re-diagonalize the diagonal Gram blocks that start a
         sweep, every worker's two at once."""
-        return _diagonalizer(self.opts.tol)(R, J, n_i, members, W)
+        return _diagonalizer(self.opts.tol)(M, m, J, n_i, members)
 
-    def _local_transform(self, R, J, n_i, members, W, first_step):
-        """The local solve of one step on ``members`` pivot factors side by side
-        in R, into W.  A whole pivot is swept until quiet (F) or once (B)."""
+    def _local_transform(self, M, m, J, n_i, members, first_step):
+        """The local solve of one step on ``members`` pivot factors side by
+        side in ``(M, m)``; a whole pivot is swept until quiet (F) or once (B)."""
         opts = self.opts
-        n_q = R.shape[1] // members
+        n_q = M.shape[1] // members
         blocked = opts.variant in ("3F", "3B") and n_q >= 2 * opts.inner_nt
         tol = opts.tol.with_max_sweeps(1) if first_step and not opts.full else opts.tol
         if opts.full or first_step:  # the whole pivot
             if blocked:
                 part = uniform_partition(n_q, num_blocks(n_q, opts.inner_nt))
-                return block_members(R, J, part, members, False, tol, W)
-            return _diagonalizer(tol)(R, J, n_i, members, W)
+                return block_members(M, m, J, part, members, False, tol)
+            return _diagonalizer(tol)(M, m, J, n_i, members)
         if blocked:
-            return off_diagonal_members(R, J, n_i, opts.inner_nt, members, tol, W)
-        return cross_members(R, J, n_i, members, W, tol)
+            return off_diagonal_members(M, m, J, n_i, opts.inner_nt, members, tol)
+        return cross_members(M, m, J, n_i, members, tol)
 
     # -- one sweep ---------------------------------------------------------
 
@@ -195,8 +197,8 @@ def parallel_jacobi(G, signs, opts):
         infos = [DiagInfo() for _ in workers]
 
         def run(rnd, local):  # one round of pivots (i, j, rank), by its cached plan
-            _pivot_pass(G, signs, round_plan(part.sizes, (rnd,)), local, infos,
-                        lam=lam if opts.full else None)
+            _pivot_pass(G, G.shape[0], signs, round_plan(part.sizes, (rnd,)), local, infos,
+                        lam if opts.full else None)
 
         if opts.full:
             run(tuple((blk - 1, None, w.rank) for w in workers for blk in w.blocks),

@@ -133,20 +133,21 @@ def sweep_until_quiet(sweep, tol: Tolerances):
     return members_until_quiet(lambda k, _: [sweep(k)], 1, tol)[0]
 
 
-def diagonalize_members(G, signs, members, tol: Tolerances = DEFAULT_TOL, W=None):
+def diagonalize_members(M, m, signs, members, tol: Tolerances = DEFAULT_TOL):
     """``jacobi_diagonalize`` on ``members`` factors of equal width side by
-    side in G, with one stacked cycle per sweep.
+    side in M[:m], with one stacked cycle per sweep.
 
     Each sweep cycles only the members that have not yet had a sweep without
     rotations, so every member stops at its own first quiet sweep (or at
     tol.max_sweeps) and comes out with the bits and counters it gets alone.
-    Its rotations rotate W's columns too, when given (the caller's
-    accumulator, with G's column count).  Returns a DiagInfo per member.
+    M's rows below m are accumulator rows, which the rotations rotate too
+    (the kernel's W).  Returns a DiagInfo per member.
     """
-    k = G.shape[1] // members
+    k = M.shape[1] // members
+    G = M[:m]
 
     def sweep(_, active):
-        return cycle_members(G, signs, column_norms_squared(G), W, k, 0, True, tol,
+        return cycle_members(G, signs, column_norms_squared(G), M[m:], k, 0, True, tol,
                              tuple(b * k for b in active))
 
     return members_until_quiet(sweep, members, tol)
@@ -159,7 +160,7 @@ def jacobi_diagonalize(G, signs, tol: Tolerances = DEFAULT_TOL):
     columns, then runs one full cycle.  Termination: a sweep that applies no
     rotations.  Returns DiagInfo (``diagonalize_members`` of one member).
     """
-    return diagonalize_members(G, signs, 1, tol)[0]
+    return diagonalize_members(G, G.shape[0], signs, 1, tol)[0]
 
 
 def extract_eigen(G_final, signs, col_perm=None, sort_descending=False):

@@ -16,7 +16,6 @@ from hjacobi.blocking import (
     block_oriented,
     chol_upper,
     cross_members,
-    eye_blocks,
     full_block,
     greedy_partition,
     num_blocks,
@@ -150,15 +149,23 @@ def test_update_gram_congruence(rng):
 # -- block-pivot step -----------------------------------------------------
 
 def spy(local):
-    """``local`` as a local solve that records the accumulator W each group
-    step hands it, in the list it returns alongside."""
+    """``local`` as a local solve that records the accumulator rows W (the
+    rows below m of the M each group step hands it, a view), in the list it
+    returns alongside."""
     handed = []
 
-    def solve(R, J, n_i, members, W):
-        handed.append(W)
-        return local(R, J, n_i, members, W)
+    def solve(M, m, J, n_i, members):
+        handed.append(M[m:])
+        return local(M, m, J, n_i, members)
 
     return solve, handed
+
+
+def with_identities(G, members):
+    """[G; I I ... I]: G's rows above ``members`` identities side by side,
+    one per member factor, column-major, as accumulator rows."""
+    k = G.shape[1] // members
+    return np.asfortranarray(np.vstack([G, np.tile(np.eye(k, dtype=G.dtype), members)]))
 
 
 def member_blocks(W, members):
@@ -167,16 +174,17 @@ def member_blocks(W, members):
     return [W[:, b * k:(b + 1) * k] for b in range(members)]
 
 
-def round_infos(G, J, sizes, pivots, local, lam=None, V=None):
+def round_infos(G, J, sizes, pivots, local, lam=None, m=None):
     """One planned round of the disjoint ``pivots`` (i, j) over blocks of
-    ``sizes``, each width group by the executor's ``_group_step``; returns
+    ``sizes`` on the factor G[:m] (m None: all of G) and its accumulator
+    rows below, each width group by the executor's ``_group_step``; returns
     the pivots' DiagInfos and their W, each the pivot's block of the
     accumulator its group step handed the local solve, in their order."""
     (groups,) = round_plan(sizes, (tuple((i, j, x) for x, (i, j) in enumerate(pivots)),))
     infos, Ws = [None] * len(pivots), [None] * len(pivots)
     for group in groups:
         solve, handed = spy(local)
-        got = _group_step(G, J, group, solve, V, lam)
+        got = _group_step(G, G.shape[0] if m is None else m, J, group, solve, lam)
         for x, info, W in zip(group.owners, got, member_blocks(handed[0], len(got))):
             infos[x], Ws[x] = info, W
     return infos, Ws
@@ -268,7 +276,7 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     stacked = np.asfortranarray(np.hstack(members))
     (group,) = round_plan((n_i, n_j) * 4, (tuple((2 * b, 2 * b + 1, b) for b in range(4)),))[0]
     solve, handed = spy(local)
-    infos = _group_step(stacked, np.tile(J, 4), group, solve, None, np.concatenate(lam))
+    infos = _group_step(stacked, m, np.tile(J, 4), group, solve, np.concatenate(lam))
     (W,) = handed
     for b, G in enumerate(members):
         alone = G.copy(order="F")
@@ -294,20 +302,18 @@ def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, comple
     members = [random_full_rank(rng, k, k, complex_scalars) for _ in range(B)]
     J = np.array([1, -1, 1, 1, -1, 1, -1, -1], np.int8)
     if solve == "full":
-        def run(G, count, W):
-            return diagonalize_members(G, np.tile(J, count), count, W=W)
+        def run(M, count):
+            return diagonalize_members(M, k, np.tile(J, count), count)
     else:
-        def run(G, count, W):
-            return cross_members(G, np.tile(J, count), k // 2, count, W)
-    stacked = np.asfortranarray(np.hstack(members))
-    W = eye_blocks(k, B, stacked.dtype)
-    infos = run(stacked, B, W)
+        def run(M, count):
+            return cross_members(M, k, np.tile(J, count), k // 2, count)
+    M = with_identities(np.hstack(members), B)
+    infos = run(M, B)
     for b, G in enumerate(members):
-        alone = G.copy(order="F")
-        Wb = eye_blocks(k, 1, alone.dtype)
-        (info,) = run(alone, 1, Wb)
-        assert np.array_equal(stacked[:, b * k:(b + 1) * k], alone)
-        assert np.array_equal(member_blocks(W, B)[b], Wb)
+        alone = with_identities(G, 1)
+        (info,) = run(alone, 1)
+        assert np.array_equal(M[:k, b * k:(b + 1) * k], alone[:k])
+        assert np.array_equal(member_blocks(M[k:], B)[b], alone[k:])
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
         assert info.rotations > 0
@@ -318,8 +324,9 @@ def test_stacking_keeps_each_members_bits_on_the_default_body(rng, solve, comple
 def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars):
     """One planned round of three disjoint pivots of two widths (blocks 5,
     5, 4, 4, 5, 5; pivots (0, 1), (2, 3), (4, 5)), with the squared column
-    norms and V, runs as one group step per width, and each pivot comes out
-    with the bits in G, V and W and the counters of its step alone."""
+    norms and accumulator rows V below G's 31, runs as one group step per
+    width, and each pivot comes out with the bits in G, V and W and the
+    counters of its step alone."""
     part = BlockPartition((5, 5, 4, 4, 5, 5))
     G = random_full_rank(rng, 31, part.n, complex_scalars)
     for i in range(part.b):  # diagonal Gram blocks, as the structured Cholesky takes them
@@ -334,18 +341,20 @@ def test_stacked_step_takes_a_round_of_mixed_widths(rng, solve, complex_scalars)
         local = functools.partial(cross_members, tol=DEFAULT_TOL)
     pivots = [(0, 1), (2, 3), (4, 5)]
 
-    def step(X, Y, round_):
-        return round_infos(X, J, part.sizes, round_, local, column_norms_squared(X), Y)
+    GV = np.asfortranarray(np.vstack([G, V]))
 
-    Gs, Vs = G.copy(order="F"), V.copy(order="F")
-    infos, Ws = step(Gs, Vs, pivots)
+    def step(X, round_):
+        return round_infos(X, J, part.sizes, round_, local, column_norms_squared(X[:31]), 31)
+
+    Xs = GV.copy(order="F")
+    infos, Ws = step(Xs, pivots)
     assert [W.shape[0] for W in Ws] == [10, 8, 10]
     for (i, j), info, W in zip(pivots, infos, Ws):
-        Ga, Va = G.copy(order="F"), V.copy(order="F")
-        (alone,), (W_alone,) = step(Ga, Va, [(i, j)])
+        Xa = GV.copy(order="F")
+        (alone,), (W_alone,) = step(Xa, [(i, j)])
         cols = np.r_[part.columns(i), part.columns(j)]
-        assert np.array_equal(Gs[:, cols], Ga[:, cols])
-        assert np.array_equal(Vs[:, cols], Va[:, cols])
+        assert np.array_equal(Xs[:31, cols], Xa[:31, cols])
+        assert np.array_equal(Xs[31:, cols], Xa[31:, cols])
         assert np.array_equal(W, W_alone)
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(info, field) == getattr(alone, field)
@@ -380,25 +389,23 @@ def test_member_drivers_keep_each_members_bits(rng, monkeypatch, driver, body, c
     B = len(members)
     part = uniform_partition(k, 3)  # 5, 4, 4: two pivot widths
     if driver == "off_diagonal":
-        def run(G, count, V):
-            return off_diagonal_members(G, np.tile(J, count), 5, 4, count, V=V)
+        def run(M, count):
+            return off_diagonal_members(M, m, np.tile(J, count), 5, 4, count)
     else:
         full = driver == "full"
 
-        def run(G, count, V):
-            return block_members(G, np.tile(J, count), part, count, full, V=V)
-    G = np.asfortranarray(np.hstack(members))
-    V = eye_blocks(k, B, G.dtype)
-    infos = run(G, B, V)
+        def run(M, count):
+            return block_members(M, m, np.tile(J, count), part, count, full)
+    M = with_identities(np.hstack(members), B)
+    infos = run(M, B)
     for b, Gb in enumerate(members):
-        alone = Gb.copy(order="F")
-        Vb = eye_blocks(k, 1, alone.dtype)
-        (info,) = run(alone, 1, Vb)
-        assert np.array_equal(G[:, b * k:(b + 1) * k], alone)
-        assert np.array_equal(member_blocks(V, B)[b], Vb)
+        alone = with_identities(Gb, 1)
+        (info,) = run(alone, 1)
+        assert np.array_equal(M[:m, b * k:(b + 1) * k], alone[:m])
+        assert np.array_equal(member_blocks(M[m:], B)[b], alone[m:])
         for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
             assert getattr(infos[b], field) == getattr(info, field)
-    assert np.array_equal(G[:, k:2 * k], members[1])
+    assert np.array_equal(M[:m, k:2 * k], members[1])
     assert infos[1].rotations == 0 and infos[1].sweeps == 1 and infos[1].converged
     assert infos[0].rotations > 0 and infos[2].rotations > 0
     if driver != "off_diagonal":
@@ -466,10 +473,10 @@ def _record_pivots(monkeypatch):
     steps = []
     group_step = blocking._group_step
 
-    def record(G, signs, group, *args):
+    def record(G, m, signs, group, *args):
         steps.append([(pv, (group.n_i, None if pv[1] is None else group.k - group.n_i))
                       for pv in group.pivots])
-        return group_step(G, signs, group, *args)
+        return group_step(G, m, signs, group, *args)
 
     monkeypatch.setattr(blocking, "_group_step", record)
     return steps
@@ -587,10 +594,43 @@ def test_full_block_spectrum_preserved_per_sweep(rng):
 def test_full_block_accumulated_v(rng):
     G, J = make_factor(rng, 12, n_neg=4)
     G0 = G.copy()
-    V = eye_blocks(12, 1, G.dtype)
-    (info,) = block_members(G, J, uniform_partition(12, 3), 1, True, V=V)
+    M = with_identities(G, 1)
+    (info,) = block_members(M, 12, J, uniform_partition(12, 3), 1, True)
+    G, V = M[:12], M[12:]
     assert info.converged
     assert np.abs(G0 @ V - G).max() <= 1e-10 * np.abs(G).max()
+
+
+_LOCAL_SOLVES = {
+    "cross": lambda M, m, J: cross_members(M, m, J, 5, 2),
+    "diagonalize": lambda M, m, J: _diagonalizer(DEFAULT_TOL)(M, m, J, 10, 2),
+    "block_full": lambda M, m, J: block_members(M, m, J, uniform_partition(10, 3), 2, True),
+    "block_oriented": lambda M, m, J: block_members(M, m, J, uniform_partition(10, 3), 2, False),
+    "off_diagonal": lambda M, m, J: off_diagonal_members(M, m, J, 5, 3, 2),
+}
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("solve", sorted(_LOCAL_SOLVES))
+def test_rows_below_m_accumulate_and_change_nothing_above(rng, solve, complex_scalars):
+    """Each local solve on two 11 x 10 factors side by side, run on [R; I]
+    and on [R; X] with m = 11 and a random X of 7 rows: the rows above m
+    and the counters come out bit for bit the same, and X's rows come out
+    as X @ W, W the rows below m of the [R; I] run (per member)."""
+    m, k = 11, 10
+    R = np.hstack([random_full_rank(rng, m, k, complex_scalars) for _ in range(2)])
+    X = random_full_rank(rng, 2 * k, 7, complex_scalars).T  # any 7 rows
+    J = np.tile(np.array([1, -1, 1, 1, -1, 1, -1, -1, 1, -1], np.int8), 2)
+    MI = with_identities(R, 2)
+    MX = np.asfortranarray(np.vstack([R, X]))
+    run = _LOCAL_SOLVES[solve]
+    infos_i, infos_x = run(MI, m, J), run(MX, m, J)
+    assert np.array_equal(MI[:m], MX[:m])
+    assert infos_i == infos_x and all(info.rotations > 0 for info in infos_i)
+    for b in range(2):
+        c = slice(b * k, (b + 1) * k)
+        want = X[:, c] @ MI[m:, c]
+        assert np.linalg.norm(MX[m:, c] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_off_diagonal_pass_single_blocks(rng):

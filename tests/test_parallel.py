@@ -61,14 +61,14 @@ def _fail_in_first_step(monkeypatch, pairs):
     pivots share one width, member b is worker b's pivot."""
     local = _Worker._local_transform
 
-    def corrupt(self, R, J, n_i, members, W, first_step):
+    def corrupt(self, M, m, J, n_i, members, first_step):
         if first_step:
-            k = R.shape[1] // members
+            k = M.shape[1] // members
             for b, (r, s) in pairs.items():
                 Rb = np.eye(k)
                 Rb[:, s] = Rb[:, r]
-                R[:, b * k:(b + 1) * k] = Rb
-        return local(self, R, J, n_i, members, W, first_step)
+                M[:m, b * k:(b + 1) * k] = Rb
+        return local(self, M, m, J, n_i, members, first_step)
 
     monkeypatch.setattr(_Worker, "_local_transform", corrupt)
 
@@ -123,15 +123,15 @@ def test_step_of_two_widths_raises_the_first_groups_failure(rng, monkeypatch, bo
     local = _Worker._local_transform
     widths = []
 
-    def corrupt(self, R, J, n_i, members, W, first_step):
-        k = R.shape[1] // members
+    def corrupt(self, M, m, J, n_i, members, first_step):
+        k = M.shape[1] // members
         widths.append(k)
         if first_step:
             r, s = fail[k]
             Rb = np.eye(k)
             Rb[:, s] = Rb[:, r]
-            R[:, :k] = Rb
-        return local(self, R, J, n_i, members, W, first_step)
+            M[:m, :k] = Rb
+        return local(self, M, m, J, n_i, members, first_step)
 
     monkeypatch.setattr(_Worker, "_local_transform", corrupt)
     G, J = make_factor(rng, 33, 11)
@@ -155,12 +155,12 @@ def test_f_worker_pivot_ends_each_step_diagonalized(rng, monkeypatch, variant, p
     local = _Worker._local_transform
     ratios = []
 
-    def check(self, R, J, n_i, members, W, first_step):
-        infos = local(self, R, J, n_i, members, W, first_step)
-        k = R.shape[1] // members
+    def check(self, M, m, J, n_i, members, first_step):
+        infos = local(self, M, m, J, n_i, members, first_step)
+        k = M.shape[1] // members
         for b, info in enumerate(infos):
             assert info.converged
-            A = gram(R[:, b * k:(b + 1) * k])
+            A = gram(M[:m, b * k:(b + 1) * k])
             d = np.sqrt(np.diag(A).real)
             off = np.abs(A - np.diag(np.diag(A))) / np.outer(d, d)
             ratios.append(off.max() / self.opts.tol.orth(k))
@@ -215,9 +215,9 @@ def test_unequal_block_widths(rng, monkeypatch, n, p):
     pivot_pass = parallel._pivot_pass
     members = []  # pivots per width group of each step
 
-    def record(G, signs, plan, *args, **kwargs):
+    def record(G, m, signs, plan, *args, **kwargs):
         members.extend(len(group.owners) for groups in plan for group in groups)
-        return pivot_pass(G, signs, plan, *args, **kwargs)
+        return pivot_pass(G, m, signs, plan, *args, **kwargs)
 
     monkeypatch.setattr(parallel, "_pivot_pass", record)
     for variant in ("2F", "2B", "3F", "3B"):

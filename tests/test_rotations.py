@@ -887,8 +887,9 @@ def test_accumulated_w_is_j_unitary(rng):
     n = 10
     G = np.asfortranarray(rng.standard_normal((n, n)))
     J = np.array([1] * 5 + [-1] * 5, np.int8)
-    W = np.eye(n, order="F")
-    diagonalize_members(G, J, 1, W=W)
+    M = np.asfortranarray(np.vstack([G, np.eye(n)]))
+    diagonalize_members(M, n, J, 1)
+    W = M[n:]
     Jf = np.diag(J.astype(float))
     err = np.abs(W.conj().T @ Jf @ W - Jf).max()
     assert err <= 64 * n * EPS * np.linalg.norm(W, 2) ** 2
