@@ -17,17 +17,20 @@ With numba, every pass runs ``_sweep_pairs`` compiled as
 member after member, and rotates a pair's two columns of M in place by a
 2-D product with its real ``rotation_matrices``, after scaling the r column
 by the pair's phase.  Without numba, every pass runs ``sweep_rounds``: it
-takes them as rounds of disjoint pairs (``pass_rounds``: round-robin steps
-for a diagonal pass, shifted diagonals for a cross pass; ``member_rounds``:
-round k of every member at once), in round order (``round_panels``): the
-pass's columns travel through the pass in buffers whose layouts put each
-round's pairs in one contiguous block, which a round rotates by two BLAS
-calls, one ``np.vecdot`` for the Gram entries and one batched 2x2 matmul,
-under masks when it skips some of its pairs.  What does not change during
-a pass is set up at most once: the layouts and the takes' indices are
-cached per pass shape, and the buffers and their views (a ``_Workspace``)
-are kept across passes in ``WORKSPACES``.  Either body treats each member
-as it would alone, so stacking never changes a member's bits.
+takes them as rounds of disjoint pairs (``member_rounds``, the schedule:
+round-robin steps for a diagonal pass, shifted diagonals for a cross pass,
+round k of every member at once), cut into rounds of at most
+ROUND_MAX_PAIRS pairs and put in round order by ``round_panels``, the only
+place a kernel round is cut: the pass's columns travel through the pass in
+buffers whose layouts put each round's pairs in one contiguous block, which
+a round rotates by two BLAS calls, one ``np.vecdot`` for the Gram entries
+and one batched 2x2 matmul, under masks when it skips some of its pairs.
+What does not change during a pass is set up at most once: the layouts and
+the takes' indices are cached per pass shape, and the buffers and their
+views (a ``_Workspace``) are kept across passes in ``WORKSPACES``.  Either
+body treats each member as it would alone, so stacking never changes a
+member's bits, and the pairs of a round are disjoint, so where a round is
+cut changes none either.
 
 ``rotation_theta`` and ``rotation_tangent`` are the only copies of the
 rotation's parameters, which ``plane_rotation`` puts together, and
@@ -174,7 +177,7 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
         s_lo = n_i
         s_hi = n_i + n_j
     Q = np.empty((2, 2), dtype=M.dtype)
-    for b in range(offsets.shape[0]):
+    for b in range(len(offsets)):
         o = offsets[b]
         nrot = 0
         nbig = 0
@@ -226,12 +229,13 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     return -1, -1
 
 
-# Rounds are cut at 64 pairs.  Where a round is cut changes no bit.  One
-# pass over a random 256 x 256 factor (128-pair rounds) ran uncut at 0.92x
-# real and 0.99x complex; one over 512 x 512 (256-pair rounds) ran cut at
-# 128 pairs at 1.10x real and complex, and uncut at 1.25-1.36x real and
-# 1.18x complex (interpreted, one BLAS thread, 2-core Xeon with 2 MB of L2
-# per core, medians of 9 passes alternating in one process).
+# round_panels cuts each member round into rounds of at most 64 pairs; it
+# is the only reader of this constant.  Where a round is cut changes no bit.
+# One pass over a random 256 x 256 factor (128-pair rounds) ran uncut at
+# 0.92x real and 0.99x complex; one over 512 x 512 (256-pair rounds) ran
+# cut at 128 pairs at 1.10x real and complex, and uncut at 1.25-1.36x real
+# and 1.18x complex (interpreted, one BLAS thread, 2-core Xeon with 2 MB of
+# L2 per core, medians of 9 passes alternating in one process).
 ROUND_MAX_PAIRS = 64
 
 
@@ -241,14 +245,20 @@ def _frozen(a):
     return a
 
 
-def _cut(rounds):
-    """Rounds of more than ROUND_MAX_PAIRS pairs cut into consecutive ones."""
-    return tuple(tuple(_frozen(x[lo:lo + ROUND_MAX_PAIRS]) for x in rnd)
-                 for rnd in rounds for lo in range(0, rnd[0].size, ROUND_MAX_PAIRS))
-
-
 def _full_rounds(n_i, n_j, diag_bl):
-    """``pass_rounds`` before the cut."""
+    """The pairs of one pass as rounds of disjoint pairs, each pair once.
+
+    Returns a list of (R, S) index arrays, R < S elementwise.
+    diag_bl=True: all pairs r < s < n_i by the circle method, n_i - 1 rounds
+    (n_i for odd n_i).  Columns 0 .. q-1 (q = n_i - 1, or n_i for odd n_i)
+    sit on a circle: round k pairs r with (k - r) mod q, and the one column
+    left over with column q, a padding column for odd n_i whose pair is
+    dropped.  These are the steps of the ring's modified round-robin
+    (``strategies.round_robin_step``) with one column per block; in this
+    order a ``seq`` solve needs about as many rotations as column-cyclically.
+    diag_bl=False: the cross pairs r < n_i <= s < n_i + n_j as
+    max(n_i, n_j) shifted diagonals of the n_i x n_j cross block.
+    """
     rounds = []
     if diag_bl:
         q = n_i - 1 + n_i % 2
@@ -265,56 +275,27 @@ def _full_rounds(n_i, n_j, diag_bl):
     return rounds
 
 
-@functools.lru_cache(maxsize=64)
-def pass_rounds(n_i, n_j, diag_bl):
-    """The pairs of one pass as rounds of disjoint pairs, each pair once.
-
-    Returns a tuple of read-only (R, S) index arrays, R < S elementwise.
-    diag_bl=True: all pairs r < s < n_i by the circle method, n_i - 1 rounds
-    (n_i for odd n_i).  Columns 0 .. q-1 (q = n_i - 1, or n_i for odd n_i)
-    sit on a circle: round k pairs r with (k - r) mod q, and the one column
-    left over with column q, a padding column for odd n_i whose pair is
-    dropped.  These are the steps of the ring's modified round-robin
-    (``strategies.round_robin_step``) with one column per block; in this
-    order a ``seq`` solve needs about as many rotations as column-cyclically.
-    diag_bl=False: the cross pairs r < n_i <= s < n_i + n_j as
-    max(n_i, n_j) shifted diagonals of the n_i x n_j cross block.  Rounds of
-    more than ROUND_MAX_PAIRS pairs are cut into consecutive rounds of at
-    most that many.
-    """
-    return _cut(_full_rounds(n_i, n_j, diag_bl))
-
-
-def _member_groups(n_i, n_j, diag_bl, offsets):
-    """``member_rounds`` grouped by the uncut round of ``pass_rounds`` they
-    come from, empty groups dropped: the rounds of one group hold disjoint
-    pairs, so they may be applied in any order."""
-    own = np.arange(len(offsets), dtype=np.intp)
-    off = np.asarray(offsets, dtype=np.intp)
-    groups = []
-    for full in _full_rounds(n_i, n_j, diag_bl):
-        group = []
-        for R, S in _cut([full]):
-            shift = np.repeat(off, R.size)
-            group += _cut([(np.tile(R, off.size) + shift, np.tile(S, off.size) + shift,
-                            np.repeat(own, R.size))])
-        if group:
-            groups.append(group)
-    return groups
-
-
 @functools.lru_cache(maxsize=256)
 def member_rounds(n_i, n_j, diag_bl, offsets):
-    """``pass_rounds`` of member factors side by side, member b's columns
-    starting at offsets[b] (a tuple): round k holds every member's round k,
-    its indices offset.  Returns read-only (R, S, owner) arrays, owner
-    giving each pair's member as a position in offsets; rounds of more than
-    ROUND_MAX_PAIRS pairs are cut."""
-    return tuple(rnd for group in _member_groups(n_i, n_j, diag_bl, offsets) for rnd in group)
+    """The schedule of a pass over member factors side by side, member b's
+    columns starting at offsets[b] (a tuple): round k of ``_full_rounds``
+    tiled across the members, its indices offset, empty rounds dropped.
+    Returns a tuple of read-only (R, S, owner) arrays, owner giving each
+    pair's member as a position in offsets, member after member.  Not cut:
+    the kernel's cut lives only in ``round_panels``."""
+    off = np.asarray(offsets, dtype=np.intp)
+    own = np.arange(off.size, dtype=np.intp)
+    rounds = []
+    for R, S in _full_rounds(n_i, n_j, diag_bl):
+        if R.size and off.size:
+            shift = np.repeat(off, R.size)
+            rounds.append((_frozen(np.tile(R, off.size) + shift),
+                           _frozen(np.tile(S, off.size) + shift), _frozen(np.repeat(own, R.size))))
+    return tuple(rounds)
 
 
 class RoundTable(NamedTuple):
-    """A pass's ``member_rounds`` in round order (``round_panels``)."""
+    """A pass's ``member_rounds``, cut, in round order (``round_panels``)."""
 
     groups: tuple  # per group: (layout, step, span, rounds)
     blocks: tuple  # the distinct (lo, k) of the rounds' blocks
@@ -326,10 +307,11 @@ class RoundTable(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def round_panels(n_i, n_j, diag_bl, offsets):
-    """``member_rounds`` in round order, as ``sweep_rounds`` takes them.
+    """``member_rounds`` cut and in round order, as ``sweep_rounds`` takes
+    them; the one place a kernel round is cut.
 
-    The rounds cut from one round of ``pass_rounds`` before its cut (for
-    all members) form a group; their pairs are disjoint.  Each group has a
+    Each member round is one group, cut into consecutive rounds of at most
+    ROUND_MAX_PAIRS pairs; a group's pairs are disjoint.  Each group has a
     layout, an order of the pass's N columns (every column a round of the
     pass touches), in which its rounds hold consecutive blocks from row 0:
     round i rows lo_i .. lo_i + 2k_i, its k_i pairs' r columns, then their
@@ -344,7 +326,9 @@ def round_panels(n_i, n_j, diag_bl, offsets):
     round: block indexes ``blocks``, the distinct (lo_i, k_i), and lo is
     the round's first pair in R, S and own.  All arrays are read-only.
     """
-    groups = _member_groups(n_i, n_j, diag_bl, offsets)
+    groups = [[tuple(x[lo:lo + ROUND_MAX_PAIRS] for x in rnd)
+               for lo in range(0, rnd[0].size, ROUND_MAX_PAIRS)]
+              for rnd in member_rounds(n_i, n_j, diag_bl, offsets)]
     rounds = [rnd for group in groups for rnd in group]
     none = [np.zeros(0, dtype=np.intp)]
     R, S, own = (_frozen(np.concatenate(none + [rnd[i] for rnd in rounds])) for i in range(3))
@@ -457,9 +441,9 @@ WORKSPACES = WorkspacePool(WORKSPACE_BYTES)
 
 
 def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
-    """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``, in
-    round order (``round_panels``); offsets is a tuple of ints or an intp
-    array.  M is column-major.
+    """``_sweep_pairs`` with the pass's pairs taken as ``member_rounds``, cut
+    and in round order (``round_panels``); offsets is a tuple of ints.  M is
+    column-major.
 
     The pass pops the workspace (``_Workspace``) of its round table, dtype,
     row count and m from ``WORKSPACES`` at its start, builds one if there
@@ -488,8 +472,6 @@ def sweep_rounds(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     BLAS products included, is done per pair, so a member gets the bits it
     gets alone.
     """
-    if type(offsets) is not tuple:
-        offsets = tuple(offsets.tolist())
     table = round_panels(n_i, n_j, diag_bl, offsets)
     if not table.groups:
         return -1, -1
@@ -601,19 +583,15 @@ def pass_kernel():
 KERNEL = "interpreted" if sweep_pairs_jit is None else "numba"  # which body runs, for records
 
 
-ONE_MEMBER = _frozen(np.zeros(1, dtype=np.intp))  # offsets of a lone factor
-
-
-def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
-                offsets=ONE_MEMBER, stats=None):
+def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets, stats):
     """One annihilation pass over column pairs of G by ``pass_kernel``'s body,
     with the J-unitary transformation accumulated into W.
 
     G may hold several member factors side by side, member b's columns
-    starting at offsets[b] (a tuple of ints or an intp array; by default one
-    member at 0), each with its own pass over its n_i (+ n_j) columns.
-    ``stats``, when given, is a zeroed float array of one row per member
-    that receives the member's (rotations, big_rotations, max_abs_t).
+    starting at offsets[b] (a tuple of ints), each with its own pass over
+    its n_i (+ n_j) columns.  ``stats`` is a zeroed float array of one row
+    per member that receives the member's (rotations, big_rotations,
+    max_abs_t).
 
     G and W (with G's columns and dtype) are rotated in place as one stacked
     column-major array [G; W], so that each rotation is one column update.
@@ -624,8 +602,6 @@ def sweep_pairs(G, signs, D, W, n_i, n_j, diag_bl, orth_tol, quad_tol,
     max_abs_t) and the columns (fail_r, fail_s) of G at which the pass
     stopped, -1 if it did not.
     """
-    if stats is None:
-        stats = np.zeros((len(offsets), 3))
     body = pass_kernel()
     if body is not sweep_rounds:
         offsets = np.asarray(offsets, dtype=np.intp)

@@ -22,10 +22,12 @@ first m rows; the rows below m, if any, are accumulator rows, which every
 transformation of the factors' columns multiplies too.
 
 The blocked solvers take their rounds at block level from the kernel's
-table of rounds (``_kernels.member_rounds``), after one round of all
-diagonal blocks.  The full block solver diagonalizes each pivot's factor;
-the block-oriented solver gives each diagonal block one cycle and each
-off-diagonal pivot one cross pass (``cross_members``).
+schedule (``_kernels.member_rounds``), after one round of all diagonal
+blocks.  That schedule is uncut: only the kernel's own rounds are cut
+(``_kernels.round_panels``), so a block round holds every pivot of its
+step whatever the kernel's batching.  The full block solver diagonalizes
+each pivot's factor; the block-oriented solver gives each diagonal block
+one cycle and each off-diagonal pivot one cross pass (``cross_members``).
 ``off_diagonal_pass`` is the single pass over a cross block that the
 three-level parallel variants use.  Each of them is the one-member case of
 a member-aware driver (``block_members``, ``off_diagonal_members``) that
@@ -230,7 +232,8 @@ def round_plan(sizes, rounds):
 
 @functools.lru_cache(maxsize=256)
 def _block_rounds(n_i, n_j, diag_bl, offsets):
-    """``_kernels.member_rounds`` at block level, as ``round_plan`` takes them."""
+    """``_kernels.member_rounds`` at block level, uncut, as ``round_plan``
+    takes them."""
     return tuple(tuple(zip(R.tolist(), S.tolist(), own.tolist()))
                  for R, S, own in member_rounds(n_i, n_j, diag_bl, offsets))
 

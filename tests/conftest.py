@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hjacobi import _kernels
 from hjacobi._kernels import pair_kind, plane_rotation, rotate_columns
 
 
@@ -17,6 +18,9 @@ def random_hermitian(rng, n, complex_scalars=False, scale=1.0):
 
 
 def random_full_rank(rng, m, n, complex_scalars=False):
+    """A random m x n matrix of rank n, column-major; m < n has none."""
+    if m < n:
+        raise ValueError(f"no {m} x {n} matrix has rank {n}")
     while True:
         G = rng.standard_normal((m, n))
         if complex_scalars:
@@ -74,3 +78,12 @@ def rotation_matrices(d_rr, d_ss, a_rs, same_sign):
     rotate_columns(W[act], phase, cs, sn, hyp, out)  # a pair's columns are rows of W[j]
     W[act] = out
     return W.transpose(0, 2, 1)
+
+
+def kernel_rounds(n_i, n_j, diag_bl, offsets=(0,)):
+    """The rounds a ``_kernels.sweep_rounds`` pass runs, cut and in order,
+    as (R, S, own) read-only index arrays from ``round_panels``' table;
+    of a single member at 0 by default."""
+    table = _kernels.round_panels(n_i, n_j, diag_bl, offsets)
+    return [tuple(x[lo:lo + table.blocks[block][1]] for x in (table.R, table.S, table.own))
+            for *_, rounds in table.groups for block, lo in rounds]

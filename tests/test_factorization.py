@@ -246,6 +246,15 @@ def test_accept_external_identity():
     assert np.array_equal(f.P, [0, 1, 2])
 
 
+def test_random_full_rank_refuses_more_columns_than_rows(rng):
+    """No m x n matrix with m < n has rank n, so the helper raises at once
+    instead of drawing for ever; m >= n gives rank n."""
+    with pytest.raises(ValueError):
+        random_full_rank(rng, 7, 20)
+    G = random_full_rank(rng, 20, 7, complex_scalars=True)
+    assert G.shape == (20, 7) and np.linalg.matrix_rank(G) == 7
+
+
 def test_accept_external_rectangular(rng):
     G = random_full_rank(rng, 4, 2)
     J = np.array([1, -1], np.int8)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_full_rank
+from conftest import kernel_rounds, random_full_rank
 from hjacobi import _kernels, blocking, parallel
 from hjacobi.core import column_norms_squared, gram
 from hjacobi.errors import HJacobiError, PivotDefinitenessError
@@ -101,8 +101,9 @@ def test_step_raises_the_first_failure_it_meets(rng, monkeypatch, body, raised):
     takes round k of both pivots at once and meets rank 1's failure first;
     the cyclic kernel runs rank 0's pass before rank 1's."""
     monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
-    assert [(1, 2) in zip(*rnd) for rnd in _kernels.pass_rounds(6, 0, True)].index(True) == 3
-    assert (2, 3) in zip(*_kernels.pass_rounds(6, 0, True)[0])
+    rounds = [list(zip(R.tolist(), S.tolist())) for R, S, _ in kernel_rounds(6, 0, True)]
+    assert [(1, 2) in rnd for rnd in rounds].index(True) == 3
+    assert (2, 3) in rounds[0]
     _fail_in_first_step(monkeypatch, {0: (1, 2), 1: (2, 3)})
     G, J = make_factor(rng, 12, 5)
     with pytest.raises(PivotDefinitenessError) as err:
@@ -118,7 +119,8 @@ def test_step_of_two_widths_raises_the_first_groups_failure(rng, monkeypatch, bo
     in the kernel's first round and rank 0's in a later one; rank 0's error
     is raised whatever the kernel body, because its group runs first."""
     monkeypatch.setattr(_kernels, "pass_kernel", lambda *args: getattr(_kernels, body))
-    rounds = {k: [list(zip(*rnd)) for rnd in _kernels.pass_rounds(k, 0, True)] for k in (16, 17)}
+    rounds = {k: [list(zip(R.tolist(), S.tolist())) for R, S, _ in kernel_rounds(k, 0, True)]
+              for k in (16, 17)}
     fail = {17: rounds[17][3][0], 16: rounds[16][0][0]}
     local = _Worker._local_transform
     widths = []

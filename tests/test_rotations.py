@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gram_entries, kernel_rotation, rotation_matrices
+from conftest import gram_entries, kernel_rotation, kernel_rounds, rotation_matrices
 from hjacobi import (EigSpec, SolveOptions, _kernels, factorize_hermitian_indefinite,
                      generate_test_matrix, order_by_inertia)
 from hjacobi.core import column_norms_squared, gram
@@ -265,7 +265,7 @@ def replay_pass(M, D, J, m, n_i, n_j, diag_bl, body):
     unapplied.  Returns the kinds of the rotations applied, in order, and
     the failing pair, (-1, -1) if there is none."""
     if body is _kernels.sweep_rounds:
-        order = _kernels.pass_rounds(n_i, n_j, diag_bl)
+        order = [(R, S) for R, S, _ in kernel_rounds(n_i, n_j, diag_bl)]
     else:
         cols = range(1, n_i) if diag_bl else range(n_i, n_i + n_j)
         order = [([r], [s]) for s in cols for r in range(s if diag_bl else n_i)]
@@ -324,7 +324,7 @@ def test_kernel_matches_public_rotation(rng, monkeypatch, complex_scalars, j_ss)
         M_api, D_api = M.copy(order="F"), D.copy()
         kinds, _ = replay_pass(M_api, D_api, J, m, n, 0, True, body)
         stats = np.zeros((1, 3))
-        fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15, _kernels.ONE_MEMBER, stats)
+        fail_r, _ = body(M, J, D, m, n, 0, True, 1e-15, 1e-15, (0,), stats)
         assert stats[0, 0] == n * (n - 1) // 2 and fail_r == -1
         assert set(kinds) == ({TRIG} if j_ss == 1 else {TRIG, HYP})
         assert np.array_equal(M, M_api)
@@ -351,8 +351,7 @@ def test_narrow_rounds_match_replay(rng, n_i, n_j, diag_bl, complex_scalars):
     M_api, D_api = M.copy(order="F"), D.copy()
     kinds, _ = replay_pass(M_api, D_api, J, m, n_i, n_j, diag_bl, _kernels.sweep_rounds)
     stats = np.zeros((1, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15,
-                                 _kernels.ONE_MEMBER, stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15, (0,), stats)
     pairs = n_i * (n_i - 1) // 2 if diag_bl else n_i * n_j
     assert fail == (-1, -1) and stats[0, 0] == len(kinds) == pairs
     assert M.tobytes() == M_api.tobytes()
@@ -385,7 +384,7 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     orth_tol = 1e-15
     ts = [[], []]
     partial = 0
-    for R, S, own in _kernels.member_rounds(n, 0, True, offsets):
+    for R, S, own in kernel_rounds(n, 0, True, offsets):
         a = gram_entries(M_api, m, R, S)
         rotated = 0
         for r, s, b, a_rs in zip(R, S, own, a):
@@ -398,8 +397,7 @@ def test_round_body_skips_orthogonal_pairs_per_member(rng, complex_scalars):
     assert partial > 0
     quad_tol = float(np.median(np.concatenate(ts)))  # some rotations big, some not
     stats = np.zeros((2, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, orth_tol, quad_tol,
-                                 np.array(offsets, np.intp), stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, orth_tol, quad_tol, offsets, stats)
     assert fail == (-1, -1)
     assert M.tobytes() == M_api.tobytes()
     assert D.tobytes() == D_api.tobytes()
@@ -456,7 +454,7 @@ def test_mixed_rounds_match_replay(rng, complex_scalars, planted):
     first round is reported, and that round stays unapplied, so nothing
     moves."""
     M, D, J, m = mixed_round_input(rng, complex_scalars, planted)
-    R, S = _kernels.pass_rounds(12, 0, True)[0]
+    R, S, _ = kernel_rounds(12, 0, True)[0]
     assert list(zip(R.tolist(), S.tolist())) == [(0, 11), (1, 10), (2, 9), (3, 8), (4, 7),
                                                  (5, 6)]
     a = gram_entries(M, m, R, S)
@@ -467,8 +465,7 @@ def test_mixed_rounds_match_replay(rng, complex_scalars, planted):
     ts, fail_api = replay_counting(M_api, D_api, J, m, 12, 0, True)
     quad_tol = float(np.median(ts)) if ts.size else 1e-15
     stats = np.zeros((1, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, 12, 0, True, 1e-15, quad_tol,
-                                 _kernels.ONE_MEMBER, stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, 12, 0, True, 1e-15, quad_tol, (0,), stats)
     assert fail == fail_api == ((5, 6) if planted else (-1, -1))
     assert M.tobytes() == M_api.tobytes()
     assert D.tobytes() == D_api.tobytes()
@@ -493,8 +490,8 @@ def test_round_products_keep_each_pairs_bits(rng, k, rows, complex_scalars):
     M0[:, 1::2] += 0.5 * M0[:, ::2]  # every pair clearly non-orthogonal
     M0 = np.asfortranarray(M0)
     J = np.array([1, 1, 1, -1], np.int8)[np.arange(2 * k) % 4]  # both kinds of pair
-    offsets = np.arange(0, 2 * k, 2)
-    assert len(_kernels.member_rounds(2, 0, True, tuple(offsets.tolist()))) == 1
+    offsets = tuple(range(0, 2 * k, 2))
+    assert len(kernel_rounds(2, 0, True, offsets)) == 1
     M, D = M0.copy(order="F"), column_norms_squared(M0[:m])
     stats = np.zeros((k, 3))
     fail = _kernels.sweep_rounds(M, J, D, m, 2, 0, True, 1e-15, 1e-15, offsets, stats)
@@ -504,8 +501,8 @@ def test_round_products_keep_each_pairs_bits(rng, k, rows, complex_scalars):
         M_j = M0[:, pair].copy(order="F")
         D_j = column_norms_squared(M_j[:m])
         stats_j = np.zeros((1, 3))
-        assert _kernels.sweep_rounds(M_j, J[pair], D_j, m, 2, 0, True, 1e-15, 1e-15,
-                                     _kernels.ONE_MEMBER, stats_j) == (-1, -1)
+        assert _kernels.sweep_rounds(M_j, J[pair], D_j, m, 2, 0, True, 1e-15, 1e-15, (0,),
+                                     stats_j) == (-1, -1)
         assert M_j.tobytes() == M[:, pair].tobytes()
         assert D_j.tobytes() == D[pair].tobytes()
         assert stats_j[0].tobytes() == stats[j].tobytes()
@@ -515,7 +512,7 @@ def test_round_products_keep_each_pairs_bits(rng, k, rows, complex_scalars):
 def cut_at_three():
     """Rounds cut at 3 pairs: ``_kernels.ROUND_MAX_PAIRS`` patched, with the
     round caches cleared before and after."""
-    caches = (_kernels.pass_rounds, _kernels.member_rounds, _kernels.round_panels)
+    caches = (_kernels.member_rounds, _kernels.round_panels)
     for cache in caches:
         cache.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
@@ -560,8 +557,8 @@ def test_cut_rounds_match_replay(rng, cut_at_three, n_i, n_j, diag_bl, pieces, p
     middle round's second piece is singular (its columns are parallel, and
     orthogonal to every other column, so they stay so until they meet), so
     the pass stops there with the round's first piece applied."""
-    rounds = _kernels.pass_rounds(n_i, n_j, diag_bl)
-    assert [R.size for R, _ in rounds] == pieces * (len(rounds) // 2)  # each round cut in two
+    rounds = kernel_rounds(n_i, n_j, diag_bl)
+    assert [R.size for R, _, _ in rounds] == pieces * (len(rounds) // 2)  # each round cut in two
     n = n_i if diag_bl else n_i + n_j
     m = n + 6
     J = np.array([1, -1, -1, 1, 1], np.int8)[np.arange(n) % 5]
@@ -571,7 +568,7 @@ def test_cut_rounds_match_replay(rng, cut_at_three, n_i, n_j, diag_bl, pieces, p
     G[n + 3:] = 0.0
     fail_at = (-1, -1)
     if planted:
-        R, S = rounds[len(rounds) // 2 | 1]  # an odd position: a round's second piece
+        R, S, _ = rounds[len(rounds) // 2 | 1]  # an odd position: a round's second piece
         fail_at = r, s = int(R[-1]), int(S[-1])
         G[:, [r, s]] = 0.0
         G[n + 3:, r] = [1.0, 2.0, 2.0]
@@ -583,11 +580,10 @@ def test_cut_rounds_match_replay(rng, cut_at_three, n_i, n_j, diag_bl, pieces, p
     ts, fail_api = replay_counting(M_api, D_api, J, m, n_i, n_j, diag_bl)
     quad_tol = float(np.median(ts))  # some rotations big, some not
     stats = np.zeros((1, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, quad_tol,
-                                 _kernels.ONE_MEMBER, stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, quad_tol, (0,), stats)
     assert fail == fail_api == fail_at
-    assert 0 < ts.size <= sum(R.size for R, _ in rounds)  # every pair once, unless planted
-    assert planted or ts.size == sum(R.size for R, _ in rounds)
+    assert 0 < ts.size <= sum(R.size for R, _, _ in rounds)  # every pair once, unless planted
+    assert planted or ts.size == sum(R.size for R, _, _ in rounds)
     assert M.tobytes() == M_api.tobytes()
     assert D.tobytes() == D_api.tobytes()
     assert stats[0].tolist() == counters(ts, quad_tol)
@@ -600,7 +596,7 @@ def test_cut_stacked_rounds_match_replay(rng, cut_at_three, complex_scalars):
     member's G, W, D and counters agree bit for bit with the replay of the
     member alone."""
     n, w = 10, 20
-    rounds = _kernels.member_rounds(n, 0, True, (0, n))
+    rounds = kernel_rounds(n, 0, True, (0, n))
     assert any(np.unique(own).size == 2 for _, _, own in rounds)
     m = n + 3
     J = np.array([1, -1, -1, 1, 1], np.int8)[np.arange(w) % 5]
@@ -614,12 +610,37 @@ def test_cut_stacked_rounds_match_replay(rng, cut_at_three, complex_scalars):
           for b in (0, n)]
     quad_tol = float(np.median(np.concatenate(ts)))
     stats = np.zeros((2, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, 1e-15, quad_tol,
-                                 np.array([0, n]), stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, n, 0, True, 1e-15, quad_tol, (0, n), stats)
     assert fail == (-1, -1)
     assert M.tobytes() == M_api.tobytes()
     assert D.tobytes() == D_api.tobytes()
     assert [row.tolist() for row in stats] == [counters(t, quad_tol) for t in ts]
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_round_cut_changes_no_solves_bits(request, complex_scalars):
+    """Where ``round_panels`` cuts a round changes no bit of a whole solve:
+    ``seq``, ``seqB``, ``seqF``, ``2F`` p=2 and ``3B`` p=2 at n = 24, with
+    blocks of 6 and inner blocks of 3, give G's bytes, sweeps and rotations
+    with rounds cut at 3 pairs equal to those at the default cut."""
+    n = 24
+    spec = EigSpec(mode="log_uniform", lo=1e-3, hi=1.0, neg_fraction=0.4, seed=n)
+    f = order_by_inertia(factorize_hermitian_indefinite(
+        generate_test_matrix(n, spec, complex_scalars)))
+
+    def solves():
+        out = []
+        for variant, p in (("seq", 1), ("seqB", 1), ("seqF", 1), ("2F", 2), ("3B", 2)):
+            G = f.G.copy(order="F")
+            info = run_solver(G, f.J, SolveOptions(variant=variant, p=p, nt_outer=6,
+                                                   inner_nt=3))[1]
+            out.append((G.tobytes(), info.sweeps, info.rotations))
+        return out
+
+    default = solves()
+    request.getfixturevalue("cut_at_three")
+    assert len(kernel_rounds(n, 0, True)) > len(_kernels.member_rounds(n, 0, True, (0,)))
+    assert solves() == default
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])
@@ -643,14 +664,14 @@ def test_equal_diagonals_take_plus_one_in_a_round(rng, eta, complex_scalars):
     M = np.asfortranarray(np.vstack([G, rng.standard_normal((3, 4))]))
     D = column_norms_squared(M[:m])
     assert D[:2].tolist() == [1.0, 1.0]
-    assert len(_kernels.member_rounds(2, 0, True, (0, 2))) == 1
+    assert len(kernel_rounds(2, 0, True, (0, 2))) == 1
     M_api, D_api = M.copy(order="F"), D.copy()
     for b in (0, 2):
         kinds, _ = replay_pass(M_api[:, b:b + 2], D_api[b:b + 2], J[b:b + 2], m, 2, 0, True,
                                _kernels.sweep_rounds)
         assert len(kinds) == 1
     stats = np.zeros((2, 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, 2, 0, True, 1e-15, 1e-15, np.array([0, 2]), stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, 2, 0, True, 1e-15, 1e-15, (0, 2), stats)
     assert fail == (-1, -1)
     assert D[:2].tolist() == [1.0 - eta, 1.0 + eta]  # d_rr + hyp*t*eta, d_ss + t*eta
     assert stats[0].tolist() == [1.0, 1.0, 1.0]
@@ -660,7 +681,7 @@ def test_equal_diagonals_take_plus_one_in_a_round(rng, eta, complex_scalars):
 
 def _pairs_of(rounds):
     pairs = []
-    for R, S in rounds:
+    for R, S, *_ in rounds:
         assert not R.flags.writeable and not S.flags.writeable
         assert np.all(R < S)
         cols = np.concatenate([R, S])
@@ -673,18 +694,18 @@ def _pairs_of(rounds):
 def test_diagonal_pass_rounds_cover_each_pair_once(n):
     """A diagonal pass's rounds are the steps of the ring's round-robin with
     one column per block (for odd n, less the pairs of a padding column n)."""
-    rounds = _kernels.pass_rounds(n, 0, True)
+    rounds = kernel_rounds(n, 0, True)
     assert len(rounds) == (n if n % 2 else n - 1)
     pairs = _pairs_of(rounds)
     assert sorted(pairs) == [(r, s) for r in range(n) for s in range(r + 1, n)]
     steps = [sorted((min(i, j) - 1, max(i, j) - 1) for i, j in layout if max(i, j) <= n)
              for layout in generate_sweep_schedule(ROUND_ROBIN, (n + 1) // 2)]
-    assert [list(zip(R.tolist(), S.tolist())) for R, S in rounds] == steps
+    assert [list(zip(R.tolist(), S.tolist())) for R, S, _ in rounds] == steps
 
 
 @pytest.mark.parametrize("n_i,n_j", [(1, 3), (2, 5), (3, 3), (4, 4), (5, 2), (3, 1)])
 def test_cross_pass_rounds_cover_each_pair_once(n_i, n_j):
-    rounds = _kernels.pass_rounds(n_i, n_j, False)
+    rounds = kernel_rounds(n_i, n_j, False)
     assert len(rounds) == max(n_i, n_j)
     pairs = _pairs_of(rounds)
     assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(n_i, n_i + n_j)]
@@ -692,9 +713,15 @@ def test_cross_pass_rounds_cover_each_pair_once(n_i, n_j):
 
 @pytest.mark.parametrize("n_i,n_j,diag_bl", [(131, 0, True), (70, 140, False)])
 def test_wide_rounds_are_cut(n_i, n_j, diag_bl):
-    rounds = _kernels.pass_rounds(n_i, n_j, diag_bl)
-    assert max(R.size for R, _ in rounds) == _kernels.ROUND_MAX_PAIRS
+    """``member_rounds`` is the uncut schedule; the kernel's rounds, cut by
+    ``round_panels``, hold at most ROUND_MAX_PAIRS pairs and cover the
+    same pairs."""
+    full = _kernels.member_rounds(n_i, n_j, diag_bl, (0,))
+    assert max(R.size for R, _, _ in full) > _kernels.ROUND_MAX_PAIRS
+    rounds = kernel_rounds(n_i, n_j, diag_bl)
+    assert max(R.size for R, _, _ in rounds) == _kernels.ROUND_MAX_PAIRS
     pairs = _pairs_of(rounds)
+    assert pairs == _pairs_of(full)
     if diag_bl:
         assert sorted(pairs) == [(r, s) for r in range(n_i) for s in range(r + 1, n_i)]
     else:
@@ -707,33 +734,43 @@ def test_wide_rounds_are_cut(n_i, n_j, diag_bl):
 def test_member_rounds_stay_within_members(n_i, n_j, diag_bl, members):
     """Stacked rounds are each member's rounds side by side: a pair never
     joins columns of different members, a round's pairs are disjoint, and
-    member b visits exactly the pairs of ``pass_rounds`` shifted by its
-    offset, in the same round order.  (1, 3): the members left once others
-    are quiet."""
+    member b visits exactly the pairs of a lone member shifted by its
+    offset, in the same round order; so do the kernel's rounds, which
+    ``round_panels`` cuts at ROUND_MAX_PAIRS pairs.  (1, 3): the members
+    left once others are quiet."""
     k = n_i if diag_bl else n_i + n_j
     offsets = tuple(b * k for b in members)
-    rounds = _kernels.member_rounds(n_i, n_j, diag_bl, offsets)
-    per_member = [[] for _ in offsets]
-    for R, S, own in rounds:
-        assert R.size <= _kernels.ROUND_MAX_PAIRS
-        assert not own.flags.writeable
-        cols = np.concatenate([R, S])
-        assert np.unique(cols).size == cols.size  # disjoint pairs
-        lo = np.asarray(offsets)[own]
-        assert np.all((lo <= R) & (R < S) & (S < lo + k))  # within the pair's member
-        for r, s, b in zip(R.tolist(), S.tolist(), own.tolist()):
-            per_member[b].append((r - offsets[b], s - offsets[b]))
-    alone = [p for R, S in _kernels.pass_rounds(n_i, n_j, diag_bl)
+    alone = [p for R, S, _ in kernel_rounds(n_i, n_j, diag_bl)
              for p in zip(R.tolist(), S.tolist())]
-    assert all(pairs == alone for pairs in per_member)
+    cut = kernel_rounds(n_i, n_j, diag_bl, offsets)
+    assert all(R.size <= _kernels.ROUND_MAX_PAIRS for R, _, _ in cut)
+    for rounds in (_kernels.member_rounds(n_i, n_j, diag_bl, offsets), cut):
+        per_member = [[] for _ in offsets]
+        for R, S, own in rounds:
+            assert not own.flags.writeable
+            cols = np.concatenate([R, S])
+            assert np.unique(cols).size == cols.size  # disjoint pairs
+            lo = np.asarray(offsets)[own]
+            assert np.all((lo <= R) & (R < S) & (S < lo + k))  # within the pair's member
+            for r, s, b in zip(R.tolist(), S.tolist(), own.tolist()):
+                per_member[b].append((r - offsets[b], s - offsets[b]))
+        assert all(pairs == alone for pairs in per_member)
 
 
-@pytest.mark.parametrize("n", [4, 12])
-def test_failing_member_names_its_own_pair(rng, monkeypatch, n):
+@pytest.mark.parametrize("n,cut", [(4, False), (12, False), (12, True), (10, True)],
+                         ids=["4", "12", "12-cut_at_three", "10-cut_at_three"])
+def test_failing_member_names_its_own_pair(rng, monkeypatch, request, n, cut):
     """A stacked pass that meets a singular pivot in one member raises with
     that member's own pair, the pair the member raises alone, by either
-    kernel body."""
-    (R, S), *_ = _kernels.pass_rounds(n, 0, True)
+    kernel body.  cut: rounds cut at 3 pairs (``cut_at_three``).  At
+    n = 12 each member's 6-pair round is cut into two of its own; at n = 10
+    the members' 5-pair rounds are cut into rounds that hold pairs of two
+    members."""
+    if cut:
+        request.getfixturevalue("cut_at_three")
+        shared = [np.unique(own).size for *_, own in kernel_rounds(n, 0, True, (0, n, 2 * n))]
+        assert max(shared) == (2 if n == 10 else 1)
+    (R, S, _), *_ = kernel_rounds(n, 0, True)
     r, s = int(R[-1]), int(S[-1])
     bad = np.eye(n, order="F")
     bad[:, s] = 0.0
@@ -755,7 +792,7 @@ def test_cycle_reports_parallel_columns(monkeypatch, n):
     """A pivot of two parallel columns stops the pass, by either kernel
     body, and names the pair; by rounds, the round holding it is not
     applied, although another of its pairs would rotate."""
-    (R, S), *_ = _kernels.pass_rounds(n, 0, True)
+    (R, S, _), *_ = kernel_rounds(n, 0, True)
     r, s = int(R[-1]), int(S[-1])  # the failing pair
     G0 = np.eye(n, order="F")
     G0[:, s] = 0.0
@@ -791,7 +828,8 @@ def test_stopped_pass_keeps_rotations_so_far(rng, monkeypatch):
         M_api, D_api = np.asfortranarray(np.vstack([G, W])), D.copy()
         kinds, fail = replay_pass(M_api, D_api, J, 6, n, 0, True, body)
         assert len(kinds) == rotated and fail == (3, 4)
-        nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15)
+        nrot, _, _, fail_r, fail_s = _kernels.sweep_pairs(G, J, D, W, n, 0, True, 1e-15, 1e-15,
+                                                          (0,), np.zeros((1, 3)))
         assert (nrot, fail_r, fail_s) == (rotated, 3, 4)
         assert np.array_equal(G, M_api[:6])
         assert np.array_equal(W, M_api[6:])
@@ -808,9 +846,11 @@ def test_zero_row_accumulator_rotates_g_in_place(rng, monkeypatch, n):
         pin_body(monkeypatch, body)
         G, D = G0.copy(order="F"), column_norms_squared(G0)
         G_w, D_w = G.copy(order="F"), D.copy()
-        nrot = _kernels.sweep_pairs(G, J, D, np.zeros((0, n)), n, 0, True, 1e-15, 1e-15)[0]
+        nrot = _kernels.sweep_pairs(G, J, D, np.zeros((0, n)), n, 0, True, 1e-15, 1e-15,
+                                    (0,), np.zeros((1, 3)))[0]
         W = np.eye(n, order="F")
-        assert nrot == _kernels.sweep_pairs(G_w, J, D_w, W, n, 0, True, 1e-15, 1e-15)[0] > 0
+        assert nrot == _kernels.sweep_pairs(G_w, J, D_w, W, n, 0, True, 1e-15, 1e-15,
+                                            (0,), np.zeros((1, 3)))[0] > 0
         assert not np.array_equal(G, G0)
         assert np.array_equal(G, G_w)
         assert np.array_equal(D, D_w)
@@ -942,8 +982,7 @@ def stacked_pass(M0, D0, J, m, n_i, n_j, diag_bl, offsets):
     M, D and the counters, and the failing pair."""
     M, D = M0.copy(order="F"), D0.copy()
     stats = np.zeros((len(offsets), 3))
-    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15,
-                                 np.array(offsets, np.intp), stats)
+    fail = _kernels.sweep_rounds(M, J, D, m, n_i, n_j, diag_bl, 1e-15, 1e-15, offsets, stats)
     return M.tobytes(), D.tobytes(), stats.tobytes(), fail
 
 
@@ -967,8 +1006,8 @@ def test_pass_after_a_stopped_pass_keeps_its_bits(rng, empty_pool, complex_scala
     M, D, J = stacked_input(rng, m, n, complex_scalars)
     clean = stacked_pass(M, D, J, m, n, 0, True, (0,))
     assert clean[3] == (-1, -1)
-    rounds = _kernels.pass_rounds(n, 0, True)
-    R, S = rounds[len(rounds) // 2]
+    rounds = kernel_rounds(n, 0, True)
+    R, S, _ = rounds[len(rounds) // 2]
     r, s = int(R[-1]), int(S[-1])
     bad = M.copy(order="F")
     bad[m - 3:m] = 0.0
