@@ -19,13 +19,17 @@ without ``values`` is compared by the hashes alone, and a saved record
 without ``input`` counts as a ``dense`` one.
 
 The grid, each input solved by eight variant configurations with
-nt_outer = n/4 and inner_nt = n/8 (864 solves):
+nt_outer = n/4 and inner_nt = n/8 (896 solves):
 
 * ``dense``: seeds 0-11 of a log-uniform spectrum in [1e-3, 1] with 40%
   negative eigenvalues, at n = 32 real, 32 complex, 33 real, 40 real,
-  64 real and 64 complex (576 solves).  n = 33 gives uneven blocks: a
-  remainder block for seqF/seqB and ring steps whose pivots have two
-  widths; n = 64 complex gives ``seq`` full 32-pair complex rounds.
+  64 real and 64 complex (576 solves), and seeds 0-1 at n = 136 real and
+  complex (32 solves).  n = 33 gives uneven blocks: a remainder block for
+  seqF/seqB and ring steps whose pivots have two widths; n = 64 complex
+  gives ``seq`` full 32-pair complex rounds.  n = 136 is the only size
+  whose kernel rounds exceed ``_kernels.ROUND_MAX_PAIRS`` = 64 pairs, so
+  the only one that runs a cut round: ``seq`` rounds of 68 pairs, and
+  ``seqF`` rounds of two stacked 34-pair members.
 * ``block_diagonal``: seeds 0-5 of two such dense matrices of orders
   n/2 and n - n/2 on the diagonal, at n = 32 real, 32 complex and 33 real
   (144 solves).  A pair of factor columns from the two blocks has a Gram
@@ -52,6 +56,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 GRID = (
     ("dense", range(12), ((32, False), (32, True), (33, False), (40, False), (64, False),
                           (64, True))),
+    ("dense", range(2), ((136, False), (136, True))),
     ("block_diagonal", range(6), ((32, False), (32, True), (33, False))),
     ("graded", range(6), ((32, False), (32, True), (33, False))),
 )

@@ -52,7 +52,7 @@ TRIG = -1.0  # plane_rotation's hyp of a trigonometric pair; +1.0 is hyperbolic
 # A numpy bool times a Python float takes ~2 us, times a numpy float ~0.15 us;
 # an array operation on 16 floats takes ~1.2 us with a Python float operand,
 # ~1.0 with a numpy float and ~0.4 with a 0-d array, which sweep_rounds uses
-_ONE, _TWO = np.float64(1.0), np.float64(2.0)
+_TWO = np.float64(2.0)
 _A0, _A1, _AM2, _ATRIG, _ANONE = (np.asarray(x) for x in (0.0, 1.0, -2.0, TRIG, -1.0))
 
 
@@ -98,14 +98,13 @@ def plane_rotation(d_rr, d_ss, eta, hyp):
       new_s = sn*f + cs*g_s, with cs^2 - sn^2 = 1 (cs = cosh, sn = sinh).
 
     Both make the 2x2 transformation J-unitary for the pivot's sign pair; the
-    diagonal becomes (d_rr + hyp*t*eta, d_ss + t*eta).  A hyperbolic pivot
-    with no inner root (``rotation_theta``'s disc <= 0) returns cs == 0.0.
-    Built from ``rotation_theta`` and ``rotation_tangent`` without a branch,
-    so the arguments may be scalars or arrays of disjoint pairs alike.
+    diagonal becomes (d_rr + hyp*t*eta, d_ss + t*eta).  The pivot must have
+    an inner root (``rotation_theta``'s disc > 0), which the kernel bodies
+    test first.  Built from ``rotation_theta`` and ``rotation_tangent``
+    without a branch, for scalars or arrays of disjoint pairs alike.
     """
     theta, disc = rotation_theta(d_rr, d_ss, eta, hyp, -2.0)
-    root = _ONE * (disc > 0.0)  # 0.0 only for a hyperbolic pivot without inner root
-    t, cs = rotation_tangent(theta, abs(disc), hyp, root, 0.0, 1.0)
+    t, cs = rotation_tangent(theta, disc, hyp, 1.0, 0.0, 1.0)
     return t, cs, cs * t
 
 
@@ -165,10 +164,12 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
     below m (the accumulator W, possibly none) are rotated with G; D caches
     G's Gram diagonal and is updated incrementally.
 
-    Adds member b's (rotations, big_rotations, max_abs_t) to stats[b], where
-    a big rotation has |t| > quad_tol.  Returns (fail_r, fail_s): -1 on
-    success, or the columns of M at which a non-positive-definite pivot was
-    detected (the pass stops there).
+    A pair that is not skipped fails when aa^2 >= d_rr d_ss or disc <= 0,
+    tested before the root is taken, as by ``sweep_rounds``.  Adds member
+    b's (rotations, big_rotations, max_abs_t) to stats[b], where a big
+    rotation has |t| > quad_tol.  Returns (fail_r, fail_s): -1 on success,
+    or the columns of M at which a non-positive-definite pivot was detected
+    (the pass stops there).
     """
     if diag_bl:
         s_lo = 1
@@ -196,20 +197,17 @@ def _sweep_pairs(M, signs, D, m, n_i, n_j, diag_bl, orth_tol, quad_tol, offsets,
                 aa = abs(a)
                 if aa <= orth_tol * np.sqrt(d_rr * d_ss):
                     continue
-                if aa * aa >= d_rr * d_ss:
-                    fail_r = r
-                    fail_s = s
-                    break
                 eta = aa if a.real >= 0.0 else -aa
                 hyp = pair_kind(signs[r] == signs[s])
-                t, cs, sn = plane_rotation(d_rr, d_ss, eta, hyp)
-                if cs == 0.0:
+                theta, disc = rotation_theta(d_rr, d_ss, eta, hyp, -2.0)
+                if aa * aa >= d_rr * d_ss or disc <= 0.0:  # not positive definite
                     fail_r = r
                     fail_s = s
                     break
+                t, cs = rotation_tangent(theta, disc, hyp, 1.0, 0.0, 1.0)
                 D[r] = d_rr + hyp * t * eta
                 D[s] = d_ss + t * eta
-                rotation_matrices(cs, sn, hyp, Q)
+                rotation_matrices(cs, cs * t, hyp, Q)
                 pair = M[:, r:s + 1:s - r].T  # columns r and s as rows, a view
                 pair[0] *= a / eta
                 pair[...] = Q @ pair  # rotate_columns by a 2-D product, which numba compiles

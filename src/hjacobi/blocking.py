@@ -12,8 +12,8 @@ their owners.  The executor (``_pivot_pass``) runs each group as one step
 their Gram matrices as one stack (structured from one flat vector of
 squared column norms, when it is kept), one local solve on the group's one
 array of factors above their accumulators W, one stacked GEMM that applies
-the W of every pivot that rotated, and one scatter back, of the rotated
-columns' norms too.  Disjoint pivots do not interact, and every stacked
+every pivot's W, and one scatter back of the columns, and their norms, of
+the pivots that rotated.  Disjoint pivots do not interact, and every stacked
 operation acts on each member as it would alone, so a member comes out with
 the bits it gets by itself.
 
@@ -145,14 +145,14 @@ def structured_cholesky(lam_ii, A_ij, lam_jj):
 
 
 def update_block_columns(Gp, W):
-    """Gp <- Gp @ W in place.  A stack W of B square matrices multiplies the
-    B consecutive column groups of Gp, one each (a block-diagonal W).
+    """Gp @ W, returned as a new column-major array; Gp is left as it is.  A
+    stack W of B square matrices multiplies the B consecutive column groups
+    of Gp, one each (a block-diagonal W).
 
-    The products go to a column-major buffer, which makes BLAS run
+    The product goes to a column-major buffer, which makes BLAS run
     column-major GEMMs; a row-major one can differ in the last bit.  So
-    does W's own layout per matrix: each of W's matrices is column-major
-    (a view of the group step's M, or the ``np.stack`` of such views), and
-    a row-major copy of them moves the last bits of some products.
+    does W's own layout per matrix: each of W's matrices is column-major (a
+    view of the group step's M), and a row-major copy moves some last bits.
     """
     m, n = Gp.shape
     W = W.reshape((-1,) + W.shape[-2:])
@@ -161,7 +161,7 @@ def update_block_columns(Gp, W):
         raise ValueError("accumulator W must be square of the pivot width")
     G3 = np.asfortranarray(Gp).reshape((m, k, B), order="F").transpose(2, 0, 1)
     out = np.matmul(G3, W, out=np.empty((B, k, m), dtype=Gp.dtype).transpose(0, 2, 1))
-    Gp[:, :] = out.transpose(1, 0, 2).reshape(m, n)
+    return out.transpose(1, 0, 2).reshape(m, n)
 
 
 def _factor(Gp, B, n_i, lam):
@@ -246,12 +246,11 @@ def _group_step(G, m, signs, group, local, lam=None):
     matrices of their first m rows as one stack (structured from ``lam`` for
     pivots of two blocks), and one column-major M of 2k rows, pivot b at
     columns b*k: its factor above an identity, its W.  ``local(M, k, J, n_i,
-    B)`` rotates M; then one stacked GEMM applies the W of every pivot that
-    rotated to all rows of its columns, one scatter writes them back, and
-    their squared norms go to ``lam``, when given.  The GEMM takes the W's
-    as one view of M's bottom rows when every pivot rotated, else their
-    ``np.stack``: each matrix column-major, as its bits require
-    (``update_block_columns``).
+    B)`` rotates M; then one stacked GEMM applies every pivot's W, one view
+    of M's bottom rows, to all rows of its columns, and one scatter writes
+    back the columns of the pivots that rotated, their squared norms to
+    ``lam`` when given.  A quiet pivot is not written back, as a GEMM by an
+    exact identity turns -0.0 into +0.0: it keeps the bits it has alone.
     """
     cols, n_i, k = group.cols, group.n_i, group.k
     B = len(group.owners)
@@ -264,16 +263,13 @@ def _group_step(G, m, signs, group, local, lam=None):
     infos = local(M, k, signs[cols], n_i, B)
     moved = [b for b, info in enumerate(infos) if info.rotations]
     if moved:
-        if len(moved) < B:
-            W = np.stack([M[k:, b * k:(b + 1) * k] for b in moved])
-            cols = cols.reshape(B, k)[moved].ravel()
-            Gp = G[:, cols]
-        else:  # every pivot's W, as one view
-            W = M3[k:].transpose(2, 0, 1)
-        update_block_columns(Gp, W)
-        G[:, cols] = Gp
+        P = update_block_columns(Gp, M3[k:].transpose(2, 0, 1))
+        if len(moved) < B:  # only the rotated pivots' columns
+            keep = np.arange(B * k).reshape(B, k)[moved].ravel()
+            P, cols = P[:, keep], cols[keep]
+        G[:, cols] = P
         if lam is not None:
-            lam[cols] = column_norms_squared(Gp[:m])
+            lam[cols] = column_norms_squared(P[:m])
     return infos
 
 
@@ -307,11 +303,12 @@ def _diagonalizer(tol):
     return lambda M, m, J, n_i, members: diagonalize_members(M, m, J, members, tol)
 
 
-def _diag_block_pass(M, m, signs, sizes, nb, offsets, local, infos):
+def _diag_block_pass(M, m, signs, sizes, nb, offsets, local, infos, lam):
     """The nb diagonal blocks of every member whose blocks (of ``sizes``)
-    start at ``offsets``, as one round; member x's counters go to infos[x]."""
+    start at ``offsets``, as one round; member x's counters go to infos[x],
+    and ``lam``, unless None, is kept current as by ``_pivot_pass``."""
     diag = tuple((o + i, None, x) for x, o in enumerate(offsets) for i in range(nb))
-    _pivot_pass(M, m, signs, round_plan(sizes, (diag,)), local, infos)
+    _pivot_pass(M, m, signs, round_plan(sizes, (diag,)), local, infos, lam)
 
 
 def block_members(M, m, signs, part: BlockPartition, members, full,
@@ -336,6 +333,7 @@ def block_members(M, m, signs, part: BlockPartition, members, full,
         raise ValueError("partition does not cover all columns")
     nb = part.b
     sizes = part.sizes * members
+    lam = column_norms_squared(M[:m]) if full else None  # kept current by the group steps
     if full:
         diag = off = _diagonalizer(tol)
     else:
@@ -345,9 +343,9 @@ def block_members(M, m, signs, part: BlockPartition, members, full,
     def sweep(k, active):
         infos = [DiagInfo() for _ in active]
         offsets = tuple(b * nb for b in active)
-        _diag_block_pass(M, m, signs, sizes, nb, offsets, diag, infos)
+        _diag_block_pass(M, m, signs, sizes, nb, offsets, diag, infos, lam)
         plan = round_plan(sizes, _block_rounds(nb, 0, True, offsets))
-        _pivot_pass(M, m, signs, plan, off, infos, column_norms_squared(M[:m]) if full else None)
+        _pivot_pass(M, m, signs, plan, off, infos, lam)
         return infos
 
     return members_until_quiet(sweep, members, tol)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,18 +31,33 @@ def random_full_rank(rng, m, n, complex_scalars=False):
             return np.asfortranarray(G)
 
 
-def graded_hermitian(rng, n, decades, complex_scalars=False, neg_fraction=0.4):
+def graded_hermitian(rng, n, decades, complex_scalars=False, neg_fraction=0.4, cond=None):
     """H = D A D with D = logspace(0, decades, n) and A = S + E, where S is
     diagonal with |S_ii| in [1, 1.25] and ||E||_2 = 0.2.  A is then
-    well-conditioned and has S's inertia, which D A D shares; returns
+    well-conditioned and has S's inertia, which D A D shares.  With
+    ``cond``, A = Q S Q^* instead, Q a random unitary and |S_ii| spread
+    log-uniformly from 1 down to 1/cond, so A has condition cond.  Returns
     (H, A, number of negative eigenvalues)."""
     n_neg = int(round(neg_fraction * n))
     signs = np.ones(n)
     signs[rng.permutation(n)[:n_neg]] = -1.0
-    E = random_hermitian(rng, n, complex_scalars)
-    A = np.diag(signs * rng.uniform(1.0, 1.25, n)) + E * (0.2 / np.linalg.norm(E, 2))
+    if cond is None:
+        E = random_hermitian(rng, n, complex_scalars)
+        A = np.diag(signs * rng.uniform(1.0, 1.25, n)) + E * (0.2 / np.linalg.norm(E, 2))
+    else:
+        Q, _ = np.linalg.qr(random_full_rank(rng, n, n, complex_scalars))
+        A = (Q * (signs * np.logspace(0, -np.log10(cond), n))) @ Q.conj().T
+        A = (A + A.conj().T) / 2.0
     d = np.logspace(0, decades, n)
     return d[:, None] * A * d[None, :], A, n_neg
+
+
+def graded_input(spec):
+    """``graded_hermitian``'s H for a record of ``benchmarks/graded_refs.py``
+    (seed, n, decades, complex, cond), and the SHA-256 of its bytes."""
+    H, _, _ = graded_hermitian(np.random.default_rng(spec["seed"]), spec["n"], spec["decades"],
+                               spec["complex"], cond=spec["cond"])
+    return H, hashlib.sha256(np.ascontiguousarray(H).tobytes()).hexdigest()
 
 
 def kernel_rotation(d_rr, d_ss, a_rs, same_sign):

@@ -126,23 +126,24 @@ def test_structured_vs_dense_cholesky(rng, n_i, n_j, complex_scalars):
 def test_update_identity_noop(rng):
     Gp = np.asfortranarray(rng.standard_normal((6, 4)))
     G0 = Gp.copy()
-    update_block_columns(Gp, np.eye(4, order="F"))
-    assert np.allclose(Gp, G0)
+    out = update_block_columns(Gp, np.eye(4, order="F"))
+    assert np.allclose(out, G0)
+    assert np.array_equal(Gp, G0) and out.flags.f_contiguous
 
 
 def test_update_swap_permutation():
     Gp = np.asfortranarray(np.eye(2))
     W = np.asfortranarray(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    update_block_columns(Gp, W)
-    assert np.array_equal(Gp, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    out = update_block_columns(Gp, W)
+    assert np.array_equal(out, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_update_gram_congruence(rng):
     Gp = np.asfortranarray(rng.standard_normal((8, 5)))
     W = np.asfortranarray(rng.standard_normal((5, 5)))
     A_before = gram(Gp)
-    update_block_columns(Gp, W)
-    assert np.abs(gram(Gp) - W.conj().T @ A_before @ W).max() <= 1e-13 * \
+    out = update_block_columns(Gp, W)
+    assert np.abs(gram(out) - W.conj().T @ A_before @ W).max() <= 1e-13 * \
         np.abs(A_before).max() * np.abs(W).max() ** 2 * 5
 
 
@@ -288,6 +289,36 @@ def test_stacking_keeps_each_members_bits(rng, monkeypatch, solve, body, complex
     assert np.array_equal(stacked[:, 2 * k:3 * k], members[2])
     assert infos[2].rotations == 0 and infos[2].sweeps == 1 and infos[2].converged
     assert all(infos[b].rotations > 0 for b in (0, 1, 3))
+
+
+@pytest.mark.parametrize("complex_scalars", [False, True])
+def test_group_step_writes_back_only_the_rotated_pivots(rng, complex_scalars):
+    """A group step of a pivot that rotates and one that rotates nothing,
+    whose columns hold a -0.0: the GEMM multiplies the quiet pivot by an
+    exact identity, which would turn the -0.0 into +0.0, but its columns and
+    squared norms come back bit for bit, the zero's sign included.  The
+    rotating pivot gets the bits, norms and counters of its step alone."""
+    n_i, n_j, m = 4, 4, 11
+    members, lam = _pivot_members(rng, m, n_i, n_j, complex_scalars)
+    busy, quiet = members[0], members[2]
+    quiet[9, 3] = complex(-0.0, -0.0) if complex_scalars else -0.0
+    G = np.asfortranarray(np.hstack([busy, quiet]))
+    lam_g = np.concatenate([lam[0], lam[2]])
+    G0, lam0 = G.copy(order="F"), lam_g.copy()
+    J = np.array([1, -1, 1, 1, -1, 1, -1, -1], np.int8)
+    local = _diagonalizer(DEFAULT_TOL)
+    (group,) = round_plan((n_i, n_j) * 2, (((0, 1, 0), (2, 3, 1)),))[0]
+    infos = _group_step(G, m, np.tile(J, 2), group, local, lam_g)
+    assert infos[0].rotations > 0 and infos[1].rotations == 0
+    assert G[:, 8:].tobytes() == G0[:, 8:].tobytes()
+    assert lam_g[8:].tobytes() == lam0[8:].tobytes()
+    assert np.signbit(G[9, 11].real) and np.signbit(G[9, 11].imag) == complex_scalars
+    alone, lam_alone = busy.copy(order="F"), lam[0].copy()
+    info, _ = lone_step(alone, n_i, J, local, lam_alone)
+    assert G[:, :8].tobytes() == alone.tobytes()
+    assert lam_g[:8].tobytes() == lam_alone.tobytes()
+    for field in ("sweeps", "rotations", "big_rotations", "max_abs_t", "converged"):
+        assert getattr(infos[0], field) == getattr(info, field)
 
 
 @pytest.mark.parametrize("complex_scalars", [False, True])

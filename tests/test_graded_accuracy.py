@@ -11,11 +11,14 @@ Veselic).  LAPACK's ``eigvalsh`` and ``eigh`` are only backward stable, so
 their errors on the small eigenpairs are printed, not asserted.
 """
 
+import json
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 
-from conftest import graded_hermitian
+from conftest import graded_hermitian, graded_input
 from hjacobi.solve import ALL_VARIANTS, SolveOptions, solve_hermitian
 
 EPS = np.finfo(np.float64).eps
@@ -100,8 +103,9 @@ def solved(graded):
             for variant, strategy, p in configs()}
 
 
-def test_graded_relative_accuracy(graded, solved):
-    H, ref, _ = graded
+def assert_relative_accuracy(H, ref, solved):
+    """Every configuration of ``solved`` converged, and its eigenvalues'
+    largest relative error is within 16 kappa(A_s) n eps and 4x ``seq``'s."""
     n = H.shape[0]
     bound = 16.0 * scaled_kappa(H) * n * EPS
     errors = {}
@@ -115,6 +119,10 @@ def test_graded_relative_accuracy(graded, solved):
     for config, err in errors.items():
         assert err <= 4.0 * max(seq, n * EPS), config
         assert err <= bound, config
+
+
+def test_graded_relative_accuracy(graded, solved):
+    assert_relative_accuracy(graded[0], graded[1], solved)
 
 
 def test_graded_eigenvector_accuracy(graded, solved):
@@ -138,3 +146,22 @@ def test_graded_eigenvector_accuracy(graded, solved):
           f"{np.max(eigh_err * gap) / (n * EPS):.2g} {eigh_comp.max():.1e}, "
           + ", ".join(f"{v}/{s}/p={p} {e:.2f} {c:.1e}" for (v, s, p), (e, c) in report.items())
           + f"; bound {16.0 * scaled_kappa(H):.1f}")
+
+
+# -- default block sizes ----------------------------------------------------
+
+REFS = json.loads(Path(__file__).with_name("graded_refs.json").read_text())
+
+
+@pytest.mark.parametrize("spec", REFS, ids=[spec["name"] for spec in REFS])
+def test_graded_relative_accuracy_at_default_block_sizes(spec):
+    """The graded inputs of ``benchmarks/graded_refs.py`` at n = 128 (D down
+    to 1e-12; one with kappa(A_s) about 6e4), solved by every configuration
+    with the default block sizes, so through pivots 64 and 128 columns wide,
+    meet the bounds above against the saved 50-digit eigenvalues."""
+    H, digest = graded_input(spec)
+    assert digest == spec["sha256"], "the input moved: rerun benchmarks/graded_refs.py"
+    solved = {(variant, strategy, p): solve_hermitian(
+                  H, SolveOptions(variant=variant, strategy=strategy, p=p))[0]
+              for variant, strategy, p in configs()}
+    assert_relative_accuracy(H, np.array(spec["eigenvalues"]), solved)

@@ -277,9 +277,11 @@ def replay_pass(M, D, J, m, n_i, n_j, diag_bl, body):
             a = [np.vdot(M[:m, R[0]], M[:m, S[0]])]
         active = [(r, s, a_rs) for r, s, a_rs in zip(R, S, a)
                   if abs(a_rs) > 1e-15 * np.sqrt(D[r] * D[s])]
-        for r, s, a_rs in active:
-            if abs(a_rs) ** 2 >= D[r] * D[s] \
-                    or kernel_rotation(D[r], D[s], a_rs, J[r] == J[s])[3] == 0.0:
+        for r, s, a_rs in active:  # the kernels' test, before the root is taken
+            eta = abs(a_rs) if a_rs.real >= 0.0 else -abs(a_rs)
+            hyp = _kernels.pair_kind(J[r] == J[s])
+            _, disc = _kernels.rotation_theta(D[r], D[s], eta, hyp, -2.0)
+            if abs(a_rs) ** 2 >= D[r] * D[s] or disc <= 0.0:
                 return kinds, (int(r), int(s))
         kinds += [_rotate(M, D, J, r, s, a_rs) for r, s, a_rs in active]
     return kinds, (-1, -1)
